@@ -17,8 +17,9 @@ from .fuzzify import (BinaryFrame, FuzzyAssignment, MembershipSpec,
 from .gbdt import (BoostParams, BoostedModel, ImportanceTable, Metrics,
                    evaluate, importance, load_importance, predict_proba,
                    train)
-from .miner import (MiningConfig, Pattern, ProfitTable, TransactionDB,
-                    brute_force_topk, build_transactions, mine_topk, utility)
+from .miner import (MiningConfig, Pattern, ProfitTable, SearchStats,
+                    TransactionDB, brute_force_topk, build_transactions,
+                    mine_topk, utility)
 from .augment import (ComparisonReport, PatternFeature, build_report,
                       evaluate_with_pattern, pattern_feature, run_comparison)
 
@@ -33,7 +34,7 @@ __all__ = [
     "NormalityResult", "MembershipSpec", "FuzzyAssignment", "BinaryFrame",
     "shapiro_wilk", "fit_membership", "fit_all_memberships", "triangular_mu",
     "gaussian_mu", "assign_term", "to_binary_frame",
-    "Pattern", "ProfitTable", "TransactionDB", "MiningConfig",
+    "Pattern", "ProfitTable", "TransactionDB", "MiningConfig", "SearchStats",
     "build_transactions", "utility", "mine_topk", "brute_force_topk",
     "PatternFeature", "ComparisonReport", "pattern_feature",
     "evaluate_with_pattern", "build_report", "run_comparison",

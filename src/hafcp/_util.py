@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from typing import Any
 
 
@@ -31,9 +30,19 @@ def sha256_file(path: str) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a same-directory temp file + rename so readers never see partial files."""
+    """Write via a same-directory temp file + rename so readers never see partial files.
+
+    The temp file is created with mode 0666, which the kernel reduces by the
+    process umask, so the result has the mode a plain open() would give it.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    while True:
+        tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
             f.write(text)

@@ -388,7 +388,8 @@ def cmd_mine(cfg: PipelineConfig) -> None:
 
     db, profits = miner.build_transactions(frame, labels, table,
                                            mode=cfg.mining.mode)
-    patterns = miner.mine_topk(db, profits, cfg.mining)
+    stats = miner.SearchStats()
+    patterns = miner.mine_topk(db, profits, cfg.mining, stats)
 
     miner.write_patterns(patterns, cfg.artifact("patterns"))
     table_txt = miner.render_patterns_table(patterns)
@@ -402,6 +403,7 @@ def cmd_mine(cfg: PipelineConfig) -> None:
                  "n_patterns": len(patterns),
                  "n_items": len(db.items),
                  "n_transactions": len(db.transactions),
+                 **stats.to_dict(),
                  "lineage": {"config": cfg_fp,
                              "train_split": train_ds.fingerprint(),
                              "frame_dataset": frame.dataset_fingerprint,

@@ -1,16 +1,16 @@
 """Columnar dataset loading, schema inference, and seeded train/test split.
 
-CSV cells are either numeric (every non-missing cell parses as a finite real)
-or categorical (encoded as integer codes in first-appearance order). Missing
-values are rejected at load time — the mining pipeline assumes complete data
-and silently imputing would change every downstream statistic.
+CSV cells are either numeric (every non-missing cell parses as a real number;
+non-finite ones such as inf or nan are rejected) or categorical (encoded as
+integer codes in first-appearance order). Missing values are rejected at load
+time — the mining pipeline assumes complete data and silently imputing would
+change every downstream statistic.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -149,20 +149,22 @@ class ColumnarDataset:
         return ColumnarDataset(self.schema, cols, self.label[idx])
 
 
-def _is_finite_real(cell: str) -> bool:
+def _is_real(cell: str) -> bool:
     try:
-        return math.isfinite(float(cell))
+        float(cell)
     except ValueError:
         return False
+    return True
 
 
 def load_csv(path: str, label_column: str, positive_label: str) -> ColumnarDataset:
     """Load an RFC-4180-style CSV with a header row into a ColumnarDataset.
 
     Column kinds are inferred: numeric iff every non-missing cell parses as a
-    finite real, categorical otherwise. The label cell maps to 1 when it
-    equals positive_label (case-sensitive), else 0. Empty cells raise
-    UnparseableCell — no imputation happens here.
+    real number, categorical otherwise. A numeric column with a non-finite
+    cell (inf, nan) raises UnparseableCell naming its first such row. The
+    label cell maps to 1 when it equals positive_label (case-sensitive), else
+    0. Empty cells raise UnparseableCell — no imputation happens here.
     """
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
@@ -209,13 +211,17 @@ def load_csv(path: str, label_column: str, positive_label: str) -> ColumnarDatas
             continue
 
         non_missing = [c for c in cells if c != ""]
-        numeric = bool(non_missing) and all(_is_finite_real(c) for c in non_missing)
+        numeric = bool(non_missing) and all(_is_real(c) for c in non_missing)
         if numeric:
             values = np.empty(n, dtype=np.float64)
             for i, cell in enumerate(cells):
                 if cell == "":
                     raise UnparseableCell(i, name, "missing value")
                 values[i] = float(cell)
+            non_finite = np.flatnonzero(~np.isfinite(values))
+            if non_finite.size:
+                i = int(non_finite[0])
+                raise UnparseableCell(i, name, f"non-finite number {cells[i]!r}")
             schema.append(ColumnSchema(name, NUMERIC, None))
             columns[name] = values
         else:

@@ -11,14 +11,24 @@ in membership mode. The utility of an itemset P is
 and the miner returns the exact k itemsets of highest utility (ties broken by
 smaller cardinality, then lexicographic item names).
 
-The exact search is depth-first over item-index-ordered prefixes with the
-classic remaining-utility upper bound: for prefix P with transaction set
-T(P), bound = sum_{t in T(P)} [u(P,t) + sum of profits of t's items ordered
-after P's last item]. Supersets of P only lose transactions and can only add
-items from that remainder, so no extension can exceed the bound and the
-prefix subtree may be pruned when bound < current k-th utility. A beam
-variant (top-k frontier expansion, approximate) is available behind
-algorithm="beam".
+The database is vertical: a transactions × items presence matrix and a
+quantity matrix, taken straight from the frame's churned rows. The exact
+search is depth-first over prefixes in ascending transaction-weighted-utility
+(TWU) item order, ties by item index (EFIM, Zida et al. 2015). Each search
+node holds its transaction ids and the prefix's utility in each of them, and
+scores every later item in one batch of array operations: support, utility,
+and the remaining-utility upper bound
+
+    bound(P+j) = sum over t in T(P+j) of [u(P+j, t) + utility of t's items
+                 after j in the search order].
+
+Supersets of P+j only lose transactions and can only add items from that
+remainder, so no extension can exceed the bound and the subtree is skipped
+when the bound falls below the current k-th utility. Before the search the
+threshold is floored at the k-th best utility among the pairs whenever pairs
+are admissible (TKO, Tseng et al. 2016), so pruning bites from the first
+node. A beam variant (top-k frontier expansion, approximate) is available
+behind algorithm="beam".
 
 Recorded utilities are always recomputed in a canonical order (item names
 sorted, transactions in database order) so the miner, the brute-force oracle,
@@ -76,15 +86,37 @@ class ProfitTable:
     profits: dict[str, float]
 
 
-@dataclass
+@dataclass(eq=False)
 class TransactionDB:
-    """Churn-only transactions as sparse {item index: quantity} maps."""
+    """Churn-only transactions in a vertical layout.
+
+    present[t, i] says transaction t holds item i; quantity[t, i] is its
+    quantity there (1.0 in binary mode, the membership degree in membership
+    mode). Both matrices have one row per transaction and one column per
+    item, in the order of items.
+    """
 
     items: list[str]
-    transactions: list[dict[int, float]]
+    present: np.ndarray
+    quantity: np.ndarray
     mode: str
     dataset_fingerprint: str = ""
     specs_source: str = ""
+
+    def __post_init__(self):
+        self.present = np.asarray(self.present, dtype=bool)
+        self.quantity = np.asarray(self.quantity, dtype=np.float64)
+        if (self.present.ndim != 2 or self.present.shape[1] != len(self.items)
+                or self.quantity.shape != self.present.shape):
+            raise ValueError(
+                f"presence {self.present.shape} and quantity "
+                f"{self.quantity.shape} must both be transactions x "
+                f"{len(self.items)} items")
+
+    @property
+    def transactions(self) -> np.ndarray:
+        """The presence matrix: one row per transaction."""
+        return self.present
 
     def index_of(self, name: str) -> int:
         index = self.__dict__.get("_index")
@@ -120,6 +152,25 @@ class MiningConfig:
         return self
 
 
+@dataclass
+class SearchStats:
+    """Work counts of one search; deterministic for fixed inputs.
+
+    nodes_expanded: prefixes whose extensions were scored. bound_prunes:
+    extensions with support whose subtree the bound ruled out. pool_offers:
+    itemsets offered to the top-k pool with their canonical utility.
+    """
+
+    nodes_expanded: int = 0
+    bound_prunes: int = 0
+    pool_offers: int = 0
+
+    def to_dict(self) -> dict:
+        return {"nodes_expanded": self.nodes_expanded,
+                "bound_prunes": self.bound_prunes,
+                "pool_offers": self.pool_offers}
+
+
 def build_transactions(frame: BinaryFrame, labels, profits_src: ImportanceTable,
                        mode: str = BINARY) -> tuple[TransactionDB, ProfitTable]:
     """Filter churned rows and assemble the transaction database + profits.
@@ -134,40 +185,34 @@ def build_transactions(frame: BinaryFrame, labels, profits_src: ImportanceTable,
     for src in frame.item_sources:
         if src not in profits_src.scores:
             raise MissingImportance(src)
-    churned = np.nonzero(labels == 1)[0]
-    if churned.size == 0:
+    churned = labels == 1
+    if not churned.any():
         raise NoChurnRows("no churned rows to mine")
 
-    rows = frame.rows[churned]
-    mems = frame.memberships[churned]
-    support = rows.sum(axis=0)
-    keep: list[int] = []
-    for j in range(frame.n_items):
-        profit = profits_src.scores[frame.item_sources[j]]
-        if support[j] > 0 and profit > 0:
-            keep.append(j)
+    present = frame.rows[churned] != 0
+    item_profit = np.array([profits_src.scores[src] for src in frame.item_sources],
+                           dtype=np.float64)
+    keep = np.nonzero(present.any(axis=0) & (item_profit > 0))[0]
+    present = present[:, keep]
+    nonempty = present.any(axis=1)
+    present = present[nonempty]
+    if mode == MEMBERSHIP:
+        mems = frame.memberships[churned][nonempty][:, keep]
+        quantity = np.where(present, mems, 0.0)
+    else:
+        quantity = present.astype(np.float64)
 
     items = [frame.item_names[j] for j in keep]
-    profits = {frame.item_names[j]: float(profits_src.scores[frame.item_sources[j]])
-               for j in keep}
-    transactions: list[dict[int, float]] = []
-    for r in range(len(churned)):
-        txn: dict[int, float] = {}
-        for new_idx, j in enumerate(keep):
-            if rows[r, j]:
-                txn[new_idx] = float(mems[r, j]) if mode == MEMBERSHIP else 1.0
-        if txn:
-            transactions.append(txn)
-
-    db = TransactionDB(items=items, transactions=transactions, mode=mode,
-                       dataset_fingerprint=frame.dataset_fingerprint,
+    profits = {frame.item_names[j]: float(item_profit[j]) for j in keep}
+    db = TransactionDB(items=items, present=present, quantity=quantity,
+                       mode=mode, dataset_fingerprint=frame.dataset_fingerprint,
                        specs_source=frame.specs_source)
     return db, ProfitTable(profits=profits)
 
 
 def _canonical_utility(db: TransactionDB, pt: ProfitTable,
                        names_sorted: list[str], idxs: list[int],
-                       tids: list[int]) -> float:
+                       tids) -> float:
     """The one utility computation every code path shares.
 
     Folds profits in sorted-item-name order, transactions in database order,
@@ -178,14 +223,23 @@ def _canonical_utility(db: TransactionDB, pt: ProfitTable,
         for name in names_sorted:
             total += pt.profits[name]
         return len(tids) * total
-    grand = 0.0
-    for t in tids:
-        txn = db.transactions[t]
-        per = 0.0
-        for name, idx in zip(names_sorted, idxs):
-            per += txn[idx] * pt.profits[name]
-        grand += per
-    return grand
+    if len(tids) == 0:
+        return 0.0
+    tids = np.asarray(tids)
+    per = db.quantity[tids, idxs[0]] * pt.profits[names_sorted[0]]
+    for name, idx in zip(names_sorted[1:], idxs[1:]):
+        per = per + db.quantity[tids, idx] * pt.profits[name]
+    # add.accumulate is a strict left-to-right fold, unlike the pairwise sum
+    return float(np.add.accumulate(per)[-1])
+
+
+def _itemset_utility(db: TransactionDB, pt: ProfitTable, idxs,
+                     tids) -> Pattern:
+    """The canonical Pattern of the itemset with item indices idxs."""
+    idxs = sorted(idxs, key=db.items.__getitem__)
+    names = [db.items[i] for i in idxs]
+    u = _canonical_utility(db, pt, names, idxs, tids)
+    return Pattern(items=tuple(names), utility=u, support=len(tids))
 
 
 def utility(db: TransactionDB, pt: ProfitTable, items) -> tuple[float, int]:
@@ -197,19 +251,20 @@ def utility(db: TransactionDB, pt: ProfitTable, items) -> tuple[float, int]:
     for n in names_sorted:
         if n not in pt.profits:
             raise UnknownItem(f"item {n!r} has no profit entry")
-    tids = [t for t, txn in enumerate(db.transactions)
-            if all(i in txn for i in idxs)]
+    tids = np.nonzero(db.present[:, idxs].all(axis=1))[0]
     return _canonical_utility(db, pt, names_sorted, idxs, tids), len(tids)
 
 
 class _TopK:
     """Sorted candidate pool trimmed to k; tracks the k-th utility threshold."""
 
-    def __init__(self, k: int):
+    def __init__(self, k: int, stats: SearchStats):
         self.k = k
+        self.stats = stats
         self.entries: list[tuple[tuple, Pattern]] = []
 
     def offer(self, pattern: Pattern) -> None:
+        self.stats.pool_offers += 1
         insort(self.entries, (pattern.sort_key(), pattern))
         if len(self.entries) > self.k:
             self.entries.pop()
@@ -223,99 +278,150 @@ class _TopK:
         return [p for _, p in self.entries]
 
 
-def _prepare(db: TransactionDB, pt: ProfitTable):
-    """Per-transaction sorted item arrays, contributions, and remaining-utility maps."""
-    profit_by_idx = []
-    for name in db.items:
+def _prune_below(theta: float) -> float:
+    """Values below this cannot reach theta, with slack for summation order."""
+    if theta == float("-inf"):
+        return theta
+    return theta - 1e-9 * max(1.0, abs(theta))
+
+
+def _contributions(db: TransactionDB, pt: ProfitTable) -> np.ndarray:
+    """quantity * profit per transaction and item; 0 where the item is absent."""
+    profit = np.empty(len(db.items))
+    for i, name in enumerate(db.items):
         if name not in pt.profits:
             raise UnknownItem(f"item {name!r} has no profit entry")
-        profit_by_idx.append(pt.profits[name])
-
-    txn_items: list[list[int]] = []
-    rem_after: list[dict[int, float]] = []
-    for txn in db.transactions:
-        idxs = sorted(txn)
-        txn_items.append(idxs)
-        rem = {}
-        acc = 0.0
-        for i in reversed(idxs):
-            rem[i] = acc
-            acc += txn[i] * profit_by_idx[i]
-        rem[-1] = acc  # full transaction utility: "remainder after nothing"
-        rem_after.append(rem)
-    return profit_by_idx, txn_items, rem_after
+        profit[i] = pt.profits[name]
+    return np.where(db.present, db.quantity * profit, 0.0)
 
 
-def mine_topk(db: TransactionDB, pt: ProfitTable, cfg: MiningConfig) -> list[Pattern]:
-    """Exact top-k patterns (or the beam approximation when configured)."""
+def _twu_order(present: np.ndarray, contrib: np.ndarray) -> np.ndarray:
+    """Item indices by ascending transaction-weighted utility, ties by index."""
+    twu = contrib.sum(axis=1) @ present
+    return np.argsort(twu, kind="stable")
+
+
+def search_order(db: TransactionDB, pt: ProfitTable) -> list[int]:
+    """The item indices in the order the exact search extends prefixes."""
+    return _twu_order(db.present, _contributions(db, pt)).tolist()
+
+
+def _remaining(contrib: np.ndarray) -> np.ndarray:
+    """rest[t, p]: utility of transaction t's items after position p."""
+    rest = np.zeros_like(contrib)
+    rest[:, :-1] = np.cumsum(contrib[:, :0:-1], axis=1)[:, ::-1]
+    return rest
+
+
+def _pair_floor(db: TransactionDB, pt: ProfitTable, contrib: np.ndarray,
+                k: int) -> float:
+    """A utility that at least k pairs reach, or -inf with fewer than k pairs.
+
+    Scores every pair in one product, then takes the canonical utility of the
+    k best, so the floor never exceeds the true k-th best pair utility.
+    """
+    n_items = len(db.items)
+    upper = np.triu_indices(n_items, 1)
+    present = db.present.astype(np.float64)
+    support = (present.T @ present)[upper]
+    scored = present.T @ contrib
+    scored = (scored + scored.T)[upper]
+    candidates = np.nonzero(support > 0)[0]
+    if len(candidates) < k:
+        return float("-inf")
+    best = candidates[np.argsort(-scored[candidates], kind="stable")[:k]]
+    floor = float("inf")
+    for a, b in zip(upper[0][best], upper[1][best]):
+        tids = np.nonzero(db.present[:, a] & db.present[:, b])[0]
+        floor = min(floor, _itemset_utility(db, pt, (a, b), tids).utility)
+    return floor
+
+
+def mine_topk(db: TransactionDB, pt: ProfitTable, cfg: MiningConfig,
+              stats: SearchStats | None = None) -> list[Pattern]:
+    """Exact top-k patterns (or the beam approximation when configured).
+
+    When given, stats receives the search's work counts.
+    """
     cfg.validate()
     if cfg.mode != db.mode:
         raise ConfigError(
             f"config mode {cfg.mode!r} != database mode {db.mode!r}")
-    if not db.transactions or not db.items:
+    if len(db.transactions) == 0 or not db.items:
         raise EmptyDatabase("transaction database is empty")
+    if stats is None:
+        stats = SearchStats()
     if cfg.algorithm == "beam":
-        return _beam_topk(db, pt, cfg)
+        return _beam_topk(db, pt, cfg, stats)
 
     n_items = len(db.items)
     max_len = min(cfg.max_length or n_items, n_items)
     if cfg.min_length > n_items:
         return []
-    profit_by_idx, txn_items, rem_after = _prepare(db, pt)
-    pool = _TopK(cfg.k)
+    contrib = _contributions(db, pt)
+    floor = (_pair_floor(db, pt, contrib, cfg.k)
+             if cfg.min_length <= 2 <= max_len else float("-inf"))
+    order = _twu_order(db.present, contrib)
+    presence = db.present[:, order].astype(np.float64)
+    contrib = contrib[:, order]
+    reach = np.where(presence > 0, contrib + _remaining(contrib), 0.0)
+    pool = _TopK(cfg.k, stats)
 
-    def consider(prefix: tuple[int, ...], tids: list[int]) -> None:
-        if len(prefix) < cfg.min_length:
+    def level() -> float:
+        return _prune_below(max(pool.threshold(), floor))
+
+    def expand(prefix: tuple[int, ...], tids: np.ndarray,
+               tid_utils: np.ndarray) -> None:
+        """Score every extension of prefix by a later item, then recurse."""
+        stats.nodes_expanded += 1
+        start = prefix[-1] + 1 if prefix else 0
+        pres = presence[tids, start:]
+        util = contrib[tids, start:]
+        base = tid_utils @ pres
+        support = pres.sum(axis=0)
+        utils = base + util.sum(axis=0)
+        bounds = base + reach[tids, start:].sum(axis=0)
+        length = len(prefix) + 1
+
+        if length >= cfg.min_length:
+            for off in np.nonzero((support > 0) & (utils >= level()))[0]:
+                if utils[off] >= level():  # the pool may have risen since
+                    items = order[list(prefix) + [start + off]]
+                    child_tids = tids[pres[:, off] > 0]
+                    pool.offer(_itemset_utility(db, pt, items, child_tids))
+        if length >= max_len:
             return
-        names = sorted(db.items[i] for i in prefix)
-        idxs = [db.index_of(n) for n in names]
-        u = _canonical_utility(db, pt, names, idxs, tids)
-        pool.offer(Pattern(items=tuple(names), utility=u, support=len(tids)))
-
-    def extend(prefix: tuple[int, ...], tids: list[int],
-               tid_utils: list[float], last: int) -> None:
-        for j in range(last + 1, n_items):
-            new_tids: list[int] = []
-            new_utils: list[float] = []
-            for pos, t in enumerate(tids):
-                q = db.transactions[t].get(j)
-                if q is not None:
-                    new_tids.append(t)
-                    new_utils.append(tid_utils[pos] + q * profit_by_idx[j])
-            if not new_tids:
+        growable = support > 0
+        candidates = np.nonzero(growable & (bounds >= level()))[0]
+        stats.bound_prunes += int(growable.sum()) - len(candidates)
+        for off in candidates:
+            if bounds[off] < level():
+                stats.bound_prunes += 1
                 continue
-            new_prefix = prefix + (j,)
-            consider(new_prefix, new_tids)
-            if len(new_prefix) >= max_len:
-                continue
-            bound = 0.0
-            for pos, t in enumerate(new_tids):
-                bound += new_utils[pos] + rem_after[t][j]
-            theta = pool.threshold()
-            slack = 1e-9 * max(1.0, abs(theta)) if theta > float("-inf") else 0.0
-            if bound >= theta - slack:
-                extend(new_prefix, new_tids, new_utils, j)
+            mask = pres[:, off] > 0
+            expand(prefix + (start + off,), tids[mask],
+                   tid_utils[mask] + util[mask, off])
 
-    all_tids = list(range(len(db.transactions)))
-    extend((), all_tids, [0.0] * len(all_tids), -1)
+    n_txn = len(db.transactions)
+    expand((), np.arange(n_txn), np.zeros(n_txn))
     return pool.result()
 
 
 def prefix_bound(db: TransactionDB, pt: ProfitTable, prefix_items) -> float:
     """The remaining-utility upper bound of a prefix, exposed for testing.
 
-    Upper-bounds the utility of every extension of the prefix by items whose
-    index follows the prefix's last item.
+    Upper-bounds the utility of every extension of the prefix by items that
+    follow all of its items in search_order().
     """
-    idxs = sorted(db.index_of(n) for n in prefix_items)
-    profit_by_idx, _, rem_after = _prepare(db, pt)
-    last = idxs[-1]
-    bound = 0.0
-    for t, txn in enumerate(db.transactions):
-        if all(i in txn for i in idxs):
-            u_here = sum(txn[i] * profit_by_idx[i] for i in idxs)
-            bound += u_here + rem_after[t][last]
-    return bound
+    contrib = _contributions(db, pt)
+    order = _twu_order(db.present, contrib)
+    position = np.empty(len(order), dtype=np.int64)
+    position[order] = np.arange(len(order))
+    idxs = [db.index_of(n) for n in prefix_items]
+    last = max(position[i] for i in idxs)
+    tids = np.nonzero(db.present[:, idxs].all(axis=1))[0]
+    rest = _remaining(contrib[:, order])[tids, last]
+    return float(contrib[np.ix_(tids, idxs)].sum() + rest.sum())
 
 
 def brute_force_topk(db: TransactionDB, pt: ProfitTable,
@@ -328,14 +434,12 @@ def brute_force_topk(db: TransactionDB, pt: ProfitTable,
     if cfg.mode != db.mode:
         raise ConfigError(
             f"config mode {cfg.mode!r} != database mode {db.mode!r}")
-    if not db.transactions or not db.items:
+    if len(db.transactions) == 0 or not db.items:
         raise EmptyDatabase("transaction database is empty")
 
     n_items = len(db.items)
-    tidsets = [set() for _ in range(n_items)]
-    for t, txn in enumerate(db.transactions):
-        for i in txn:
-            tidsets[i].add(t)
+    tidsets = [set(np.nonzero(db.present[:, i])[0].tolist())
+               for i in range(n_items)]
 
     found: list[tuple[tuple, Pattern]] = []
     max_len = min(cfg.max_length or n_items, n_items)
@@ -348,30 +452,26 @@ def brute_force_topk(db: TransactionDB, pt: ProfitTable,
                     break
             if not tids:
                 continue
-            names = sorted(db.items[i] for i in combo)
-            idxs = [db.index_of(n) for n in names]
-            u = _canonical_utility(db, pt, names, idxs, sorted(tids))
-            p = Pattern(items=tuple(names), utility=u, support=len(tids))
+            p = _itemset_utility(db, pt, combo, sorted(tids))
             found.append((p.sort_key(), p))
     found.sort(key=lambda e: e[0])
     return [p for _, p in found[:cfg.k]]
 
 
-def _beam_topk(db: TransactionDB, pt: ProfitTable, cfg: MiningConfig) -> list[Pattern]:
+def _beam_topk(db: TransactionDB, pt: ProfitTable, cfg: MiningConfig,
+               stats: SearchStats) -> list[Pattern]:
     """Appendix-style approximate search: keep only the top-k prefixes per level."""
     n_items = len(db.items)
     max_len = min(cfg.max_length or n_items, n_items)
-    pool = _TopK(cfg.k)
-    profit_by_idx, _, _ = _prepare(db, pt)
+    pool = _TopK(cfg.k, stats)
+    _contributions(db, pt)  # every item needs a profit
 
-    frontier: list[tuple[tuple, tuple[int, ...], list[int]]] = []
+    frontier: list[tuple[tuple, tuple[int, ...], np.ndarray]] = []
     for j in range(n_items):
-        tids = [t for t, txn in enumerate(db.transactions) if j in txn]
-        if not tids:
+        tids = np.nonzero(db.present[:, j])[0]
+        if not len(tids):
             continue
-        names = [db.items[j]]
-        u = _canonical_utility(db, pt, names, [j], tids)
-        p = Pattern(items=tuple(names), utility=u, support=len(tids))
+        p = _itemset_utility(db, pt, (j,), tids)
         if cfg.min_length <= 1:
             pool.offer(p)
         frontier.append((p.sort_key(), (j,), tids))
@@ -380,18 +480,15 @@ def _beam_topk(db: TransactionDB, pt: ProfitTable, cfg: MiningConfig) -> list[Pa
     while frontier and depth < max_len:
         frontier.sort(key=lambda e: e[0])
         frontier = frontier[:cfg.k]
-        nxt: list[tuple[tuple, tuple[int, ...], list[int]]] = []
+        nxt: list[tuple[tuple, tuple[int, ...], np.ndarray]] = []
         for _, prefix, tids in frontier:
+            stats.nodes_expanded += 1
             for j in range(prefix[-1] + 1, n_items):
-                new_tids = [t for t in tids if j in db.transactions[t]]
-                if not new_tids:
+                new_tids = tids[db.present[tids, j]]
+                if not len(new_tids):
                     continue
                 new_prefix = prefix + (j,)
-                names = sorted(db.items[i] for i in new_prefix)
-                idxs = [db.index_of(n) for n in names]
-                u = _canonical_utility(db, pt, names, idxs, new_tids)
-                p = Pattern(items=tuple(names), utility=u,
-                            support=len(new_tids))
+                p = _itemset_utility(db, pt, new_prefix, new_tids)
                 if len(new_prefix) >= cfg.min_length:
                     pool.offer(p)
                 nxt.append((p.sort_key(), new_prefix, new_tids))

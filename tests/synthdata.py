@@ -43,6 +43,19 @@ def make_sample(dist: str, n: int, seed: int) -> list[float]:
     raise ValueError(dist)
 
 
+def db_from_dicts(items: list[str], transactions: list[dict[int, float]],
+                  mode: str) -> TransactionDB:
+    """A TransactionDB from one {item index: quantity} map per transaction."""
+    present = np.zeros((len(transactions), len(items)), dtype=bool)
+    quantity = np.zeros(present.shape)
+    for t, txn in enumerate(transactions):
+        for i, q in txn.items():
+            present[t, i] = True
+            quantity[t, i] = q
+    return TransactionDB(items=items, present=present, quantity=quantity,
+                         mode=mode)
+
+
 def random_db(seed: int, max_items: int = 12, max_transactions: int = 50
               ) -> tuple[TransactionDB, ProfitTable]:
     """Random mining instance: items a..l, random profits in [0,1]."""
@@ -61,8 +74,7 @@ def random_db(seed: int, max_items: int = 12, max_transactions: int = 50
         if not txn:
             txn[r.below(n_items)] = 1.0 if mode == BINARY else sm_uniform(r)
         transactions.append(txn)
-    db = TransactionDB(items=items, transactions=transactions, mode=mode)
-    return db, ProfitTable(profits=profits)
+    return db_from_dicts(items, transactions, mode), ProfitTable(profits=profits)
 
 
 def planted_dataset(n: int = 2000, seed: int = 424243) -> ColumnarDataset:

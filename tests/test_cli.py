@@ -240,6 +240,27 @@ class TestMineAndReport:
                      open(artifact(out, "patterns")).read().strip().splitlines()]
         assert utilities == sorted(utilities, reverse=True)
 
+    def test_meta_counters_byte_identical_on_rerun(self, tmp_path):
+        cfg_path, out = make_project(tmp_path)
+        self.run_through(cfg_path, "train", "fuzzify", "mine")
+        first = open(artifact(out, "patterns_meta"), "rb").read()
+        self.run_through(cfg_path, "mine")
+        assert open(artifact(out, "patterns_meta"), "rb").read() == first
+        meta = json.loads(first)
+        assert meta["nodes_expanded"] > 0
+        assert meta["pool_offers"] >= meta["n_patterns"]
+        assert meta["bound_prunes"] >= 0
+
+    def test_artifacts_follow_the_umask(self, tmp_path):
+        cfg_path, out = make_project(tmp_path)
+        old = os.umask(0o022)
+        try:
+            self.run_through(cfg_path, "train", "fuzzify", "mine")
+        finally:
+            os.umask(old)
+        for name in ("model", "patterns", "patterns_meta"):
+            assert os.stat(artifact(out, name)).st_mode & 0o777 == 0o644, name
+
     def test_membership_mode(self, tmp_path):
         cfg_path, out = make_project(tmp_path,
                                      {"mining": {"mode": "membership"}})

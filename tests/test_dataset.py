@@ -95,11 +95,21 @@ class TestLoadCsv:
         assert ds.schema_of("v").kind == dataset.CATEGORICAL
         assert ds.schema_of("v").category_map == ("1", "two", "3")
 
-    def test_nan_literal_not_numeric(self, tmp_path):
-        # float("nan") parses but is not finite, so the column is categorical
+    def test_nan_literal_rejected(self, tmp_path):
+        # float("nan") parses, so the column is numeric with a non-finite cell
         path = write_csv(tmp_path, "v,Churn\n1.5,0\nnan,1\n")
-        ds = dataset.load_csv(path, "Churn", "1")
-        assert ds.schema_of("v").kind == dataset.CATEGORICAL
+        with pytest.raises(UnparseableCell) as exc:
+            dataset.load_csv(path, "Churn", "1")
+        assert (exc.value.row, exc.value.column) == (1, "v")
+
+    def test_inf_in_last_row_rejected(self, tmp_path):
+        # one inf must not turn 100 numbers into 100 categories
+        lines = ["a,Churn"] + [f"{i}.5,{i % 2}" for i in range(99)] + ["inf,1"]
+        path = write_csv(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(UnparseableCell) as exc:
+            dataset.load_csv(path, "Churn", "1")
+        assert (exc.value.row, exc.value.column) == (99, "a")
+        assert "inf" in str(exc.value)
 
 
 class TestFingerprint:

@@ -1,6 +1,9 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hafcp import miner
 from hafcp.errors import (
@@ -12,6 +15,7 @@ from hafcp.errors import (
     TooManyItemsForOracle,
     UnknownItem,
 )
+from hafcp.fuzzify import BinaryFrame
 from hafcp.gbdt import ImportanceTable
 from hafcp.miner import (
     BINARY,
@@ -19,19 +23,20 @@ from hafcp.miner import (
     MiningConfig,
     Pattern,
     ProfitTable,
-    TransactionDB,
+    SearchStats,
     brute_force_topk,
     build_transactions,
     mine_topk,
     prefix_bound,
     read_patterns,
     render_patterns_table,
+    search_order,
     utility,
     write_patterns,
 )
 
 from conftest import TINY_PROFITS, build_tiny_frame
-from synthdata import random_db
+from synthdata import db_from_dicts, random_db
 
 # Expected top-5 for the ten-row fixture (binary mode, k=5, min_length=2),
 # worked out by enumerating the six churned rows by hand and folding profits
@@ -63,7 +68,8 @@ class TestBuildTransactions:
     def test_six_churned_transactions(self):
         db, _ = tiny_db()
         assert len(db.transactions) == 6
-        assert all(q == 1.0 for txn in db.transactions for q in txn.values())
+        assert (db.quantity[db.present] == 1.0).all()
+        assert (db.quantity[~db.present] == 0.0).all()
 
     def test_profits_inherited_from_source_column(self):
         _, pt = tiny_db()
@@ -74,10 +80,10 @@ class TestBuildTransactions:
     def test_membership_mode_keeps_degrees(self):
         db, _ = tiny_db(mode=MEMBERSHIP)
         assert db.mode == MEMBERSHIP
-        quantities = sorted(q for txn in db.transactions for q in txn.values())
-        assert quantities[0] < 1.0  # fuzzy degrees survive
-        first = db.transactions[0]  # row A: SL_N 1.0, Age_L .97, Spend_M .97
-        assert sorted(first.values()) == [0.97, 0.97, 1.0]
+        assert db.quantity[db.present].min() < 1.0  # fuzzy degrees survive
+        first = db.quantity[0][db.present[0]]  # row A: SL_N 1.0, Age_L .97, Spend_M .97
+        assert sorted(first.tolist()) == [0.97, 0.97, 1.0]
+        assert (db.quantity[~db.present] == 0.0).all()
 
     def test_zero_profit_items_dropped(self):
         frame, labels = build_tiny_frame()
@@ -104,6 +110,15 @@ class TestBuildTransactions:
         table = ImportanceTable("external", dict(TINY_PROFITS))
         with pytest.raises(ValueError):
             build_transactions(frame, labels[:-1], table)
+
+    @pytest.mark.parametrize("present, quantity", [
+        (np.zeros((2, 2), bool), np.zeros((2, 2))),  # one column short
+        (np.zeros((2, 3), bool), np.zeros((3, 3))),  # row counts differ
+    ])
+    def test_layout_shapes_checked(self, present, quantity):
+        with pytest.raises(ValueError):
+            miner.TransactionDB(items=["a", "b", "c"], present=present,
+                                quantity=quantity, mode=BINARY)
 
     def test_lineage_carried_through(self):
         db, _ = tiny_db()
@@ -171,8 +186,7 @@ class TestMineTopK:
         assert mine_topk(db, pt, cfg) == brute_force_topk(db, pt, cfg)
 
     def test_single_transaction(self):
-        db = TransactionDB(items=["a", "b"], transactions=[{0: 1.0, 1: 1.0}],
-                           mode=BINARY)
+        db = db_from_dicts(["a", "b"], [{0: 1.0, 1: 1.0}], BINARY)
         pt = ProfitTable({"a": 1.0, "b": 2.0})
         got = mine_topk(db, pt, MiningConfig(k=1))
         assert got == [Pattern(items=("a", "b"), utility=3.0, support=1)]
@@ -215,7 +229,7 @@ class TestMineTopK:
             mine_topk(db, pt, MiningConfig(k=5, mode=MEMBERSHIP))
 
     def test_empty_database(self):
-        db = TransactionDB(items=[], transactions=[], mode=BINARY)
+        db = db_from_dicts([], [], BINARY)
         with pytest.raises(EmptyDatabase):
             mine_topk(db, ProfitTable({}), MiningConfig(k=1))
 
@@ -255,31 +269,53 @@ class TestOracleAgreement:
 
     def test_oracle_item_limit(self):
         items = [chr(ord("a") + i) for i in range(21)]
-        db = TransactionDB(items=items,
-                           transactions=[{i: 1.0 for i in range(21)}],
-                           mode=BINARY)
+        db = db_from_dicts(items, [{i: 1.0 for i in range(21)}], BINARY)
         pt = ProfitTable({n: 1.0 for n in items})
         with pytest.raises(TooManyItemsForOracle):
             brute_force_topk(db, pt, MiningConfig(k=1))
 
 
 class TestPruningSoundness:
+    @staticmethod
+    def twu_by_definition(db, pt):
+        """Each item's summed utility of the transactions that hold it."""
+        tu = [sum(db.quantity[t, i] * pt.profits[name]
+                  for i, name in enumerate(db.items) if db.present[t, i])
+              for t in range(len(db.transactions))]
+        return [sum(tu[t] for t in range(len(tu)) if db.present[t, i])
+                for i in range(len(db.items))]
+
+    def test_search_order_is_ascending_twu_ties_by_index(self):
+        for seed in range(8):
+            db, pt = random_db(seed + 100)
+            twu = self.twu_by_definition(db, pt)
+            order = search_order(db, pt)
+            assert sorted(order) == list(range(len(db.items)))
+            for a, b in zip(order, order[1:]):
+                assert twu[a] <= twu[b] + 1e-12
+                if abs(twu[a] - twu[b]) <= 1e-12:
+                    assert a < b
+
     def test_bound_dominates_every_extension(self):
         # the prefix bound must be >= the utility of any superset formed by
-        # appending later-indexed items, otherwise pruning could drop answers
+        # appending items later in the search order, otherwise pruning could
+        # drop answers
         for seed in range(8):
             db, pt = random_db(seed + 100, max_items=8)
-            names = db.items
+            names = [db.items[i] for i in search_order(db, pt)]
             for first in range(len(names)):
                 prefix = [names[first]]
                 bound = prefix_bound(db, pt, prefix)
                 for second in range(first + 1, len(names)):
-                    u, _ = utility(db, pt, prefix + [names[second]])
+                    pair = prefix + [names[second]]
+                    u, _ = utility(db, pt, pair)
                     assert u <= bound + 1e-9
+                    pair_bound = prefix_bound(db, pt, pair)
+                    assert pair_bound <= bound + 1e-9
                     for third in range(second + 1, len(names)):
-                        u3, _ = utility(
-                            db, pt, prefix + [names[second], names[third]])
+                        u3, _ = utility(db, pt, pair + [names[third]])
                         assert u3 <= bound + 1e-9
+                        assert u3 <= pair_bound + 1e-9
 
     def test_support_antitone_under_extension(self):
         db, pt = tiny_db()
@@ -306,8 +342,11 @@ class TestItemOrderIndependence:
         items2 = [None] * n
         for old, new in enumerate(perm):
             items2[new] = db.items[old]
-        txns2 = [{perm[i]: q for i, q in txn.items()} for txn in db.transactions]
-        db2 = TransactionDB(items=items2, transactions=txns2, mode=db.mode)
+        old_of_new = [perm.index(new) for new in range(n)]
+        db2 = miner.TransactionDB(items=items2,
+                                  present=db.present[:, old_of_new],
+                                  quantity=db.quantity[:, old_of_new],
+                                  mode=db.mode)
         cfg = MiningConfig(k=10, mode=db.mode)
         a = mine_topk(db, pt, cfg)
         b = mine_topk(db2, pt, cfg)
@@ -378,3 +417,76 @@ class TestPatternIo:
         body = text.strip().split("\n")
         assert body[2].split()[:2] == ["Rank", "Pattern"]
         assert len(body) == 3 + 5
+
+
+# One L/M/H-style item per source column per row, as real frames have.
+TERMS = ("L", "M", "H", "X")
+
+
+@st.composite
+def structured_frames(draw):
+    n_cols = draw(st.integers(1, 5))
+    n_terms = [draw(st.integers(2, 4)) for _ in range(n_cols)]
+    n_rows = draw(st.integers(1, 30))
+    names, sources = [], []
+    for c, m in enumerate(n_terms):
+        names += [f"c{c}_{TERMS[t]}" for t in range(m)]
+        sources += [f"c{c}"] * m
+    rows = np.zeros((n_rows, len(names)), dtype=np.uint8)
+    mems = np.zeros((n_rows, len(names)))
+    degree = st.sampled_from([0.25, 0.5, 0.75, 1.0]) | st.floats(0.01, 1.0)
+    for r in range(n_rows):
+        first = 0
+        for m in n_terms:
+            j = first + draw(st.integers(0, m - 1))
+            rows[r, j] = 1
+            mems[r, j] = draw(degree)
+            first += m
+    labels = np.array([draw(st.integers(0, 1)) for _ in range(n_rows)])
+    labels[0] = 1
+    # few distinct profits, so equal utilities and their tie order are common
+    profit = st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.01, 3.0)
+    scores = {f"c{c}": draw(profit) for c in range(n_cols)}
+    frame = BinaryFrame(item_names=names, item_sources=sources, rows=rows,
+                        memberships=mems, dataset_fingerprint="",
+                        specs_source="")
+    return frame, labels, ImportanceTable("external", scores)
+
+
+class TestStructuredOracle:
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              database=None)
+    @given(structured_frames(), st.sampled_from([BINARY, MEMBERSHIP]),
+           st.integers(1, 8), st.integers(1, 3),
+           st.none() | st.integers(0, 2))
+    def test_search_equals_enumeration(self, data, mode, k, min_length,
+                                       extra_length):
+        frame, labels, table = data
+        try:
+            db, pt = build_transactions(frame, labels, table, mode=mode)
+        except NoChurnRows:
+            return
+        if not db.items:
+            return
+        max_length = None if extra_length is None else min_length + extra_length
+        cfg = MiningConfig(k=k, min_length=min_length, max_length=max_length,
+                           mode=mode)
+        assert mine_topk(db, pt, cfg) == brute_force_topk(db, pt, cfg)
+
+
+class TestSearchStats:
+    def test_tiny_fixture_counts_pinned(self):
+        db, pt = tiny_db()
+        stats = SearchStats()
+        mine_topk(db, pt, MiningConfig(k=5), stats)
+        assert stats.nodes_expanded == 11
+        assert stats.to_dict() == {"nodes_expanded": 11, "bound_prunes": 4,
+                                   "pool_offers": 7}
+
+    def test_beam_counts_expansions_and_offers(self):
+        db, pt = tiny_db()
+        stats = SearchStats()
+        got = mine_topk(db, pt, MiningConfig(k=5, algorithm="beam"), stats)
+        assert stats.nodes_expanded > 0
+        assert stats.pool_offers >= len(got)
+        assert stats.bound_prunes == 0
