@@ -15,8 +15,8 @@ from .fuzzify import (BinaryFrame, FuzzyAssignment, MembershipSpec,
                       fit_membership, gaussian_mu, shapiro_wilk,
                       to_binary_frame, triangular_mu)
 from .gbdt import (BoostParams, BoostedModel, ImportanceTable, Metrics,
-                   evaluate, importance, load_importance, predict_proba,
-                   train)
+                   TrainStats, evaluate, importance, load_importance,
+                   predict_proba, train)
 from .miner import (MiningConfig, Pattern, ProfitTable, SearchStats,
                     TransactionDB, brute_force_topk, build_transactions,
                     mine_topk, utility)
@@ -29,7 +29,8 @@ __all__ = [
     "HafcpError",
     "ColumnSchema", "ColumnarDataset", "SplitSpec", "load_csv", "split",
     "drop_columns", "append_numeric_column",
-    "BoostParams", "BoostedModel", "ImportanceTable", "Metrics", "train",
+    "BoostParams", "BoostedModel", "ImportanceTable", "Metrics", "TrainStats",
+    "train",
     "predict_proba", "evaluate", "importance", "load_importance",
     "NormalityResult", "MembershipSpec", "FuzzyAssignment", "BinaryFrame",
     "shapiro_wilk", "fit_membership", "fit_all_memberships", "triangular_mu",

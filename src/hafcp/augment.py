@@ -10,7 +10,6 @@ the Baseline / Top-1..Top-k / AVG comparison table.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,32 +179,19 @@ def build_report(baseline: Metrics, augmented: list[tuple[int, Metrics]],
 def run_comparison(train_ds: ColumnarDataset, test_ds: ColumnarDataset,
                    specs: list[MembershipSpec], patterns: list[Pattern],
                    params: BoostParams, baseline: Metrics,
-                   cumulative: bool = False, max_workers: int | None = None,
-                   threshold: float = 0.5,
+                   cumulative: bool = False, threshold: float = 0.5,
                    config_fingerprint: str = "") -> ComparisonReport:
-    """Retrain per top-i pattern (possibly in parallel) and build the report.
+    """Retrain once per top-i pattern, in rank order, and build the report.
 
     Default is one engineered column per evaluation (top-i alone); cumulative
-    mode stacks columns for patterns 1..i instead. Results are independent of
-    max_workers: tasks are pure and collected in index order.
+    mode stacks columns for patterns 1..i instead.
     """
-    def task(i: int) -> tuple[int, Metrics]:
-        if cumulative:
-            chosen = patterns[:i]
-        else:
-            chosen = [patterns[i - 1]]
-        m = evaluate_with_patterns(train_ds, test_ds, specs, chosen, params,
-                                   threshold=threshold,
-                                   name_offset=1 if cumulative else i)
-        return i, m
-
-    indices = list(range(1, len(patterns) + 1))
-    if max_workers is not None and max_workers <= 1:
-        augmented = [task(i) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            augmented = list(pool.map(task, indices))
-    augmented.sort(key=lambda pair: pair[0])
+    augmented = []
+    for i in range(1, len(patterns) + 1):
+        chosen = patterns[:i] if cumulative else [patterns[i - 1]]
+        augmented.append((i, evaluate_with_patterns(
+            train_ds, test_ds, specs, chosen, params, threshold=threshold,
+            name_offset=1 if cumulative else i)))
     return build_report(baseline, augmented, patterns=patterns,
                         config_fingerprint=config_fingerprint)
 

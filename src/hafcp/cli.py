@@ -267,7 +267,8 @@ def cmd_train(cfg: PipelineConfig) -> None:
     os.makedirs(cfg.output_dir, exist_ok=True)
     cfg_fp = cfg.fingerprint()
     ds, train_ds, test_ds = _load_splits(cfg)
-    model = gbdt.train(train_ds, cfg.boost)
+    stats = gbdt.TrainStats()
+    model = gbdt.train(train_ds, cfg.boost, stats)
     probs = gbdt.predict_proba(model, test_ds)
     metrics = gbdt.evaluate(test_ds.label, probs, threshold=cfg.threshold)
 
@@ -289,7 +290,7 @@ def cmd_train(cfg: PipelineConfig) -> None:
                           lineage=dict(lineage, method=table.method))
     _write_json(cfg.artifact("baseline"),
                 {"metrics": metrics.as_dict(), "threshold": cfg.threshold,
-                 "lineage": lineage})
+                 **stats.to_dict(), "lineage": lineage})
     _write_effective_config(cfg)
     print(f"wrote {cfg.artifact('model')}")
     print(f"wrote {cfg.artifact('importance')}")
@@ -443,8 +444,8 @@ def cmd_report(cfg: PipelineConfig) -> None:
 
     report = augment.run_comparison(
         train_ds, test_ds, specs, patterns, cfg.boost, baseline,
-        cumulative=cfg.cumulative, max_workers=_thread_cap(),
-        threshold=cfg.threshold, config_fingerprint=cfg_fp)
+        cumulative=cfg.cumulative, threshold=cfg.threshold,
+        config_fingerprint=cfg_fp)
 
     doc = report.to_dict()
     doc["lineage"] = {"config": cfg_fp,
@@ -465,20 +466,6 @@ def cmd_pipeline(cfg: PipelineConfig) -> None:
     cmd_fuzzify(cfg)
     cmd_mine(cfg)
     cmd_report(cfg)
-
-
-def _thread_cap() -> int | None:
-    raw = os.environ.get("HAFCP_THREADS")
-    if raw is None or raw == "":
-        return None
-    try:
-        value = int(raw)
-        if value < 1:
-            raise ValueError
-    except ValueError:
-        raise ConfigError(
-            f"HAFCP_THREADS must be a positive integer, got {raw!r}") from None
-    return value
 
 
 def _parse_overrides(tokens: list[str]) -> dict[str, str]:

@@ -109,6 +109,14 @@ class MissingSpec(HafcpError):
         super().__init__(f"numeric column {column!r} has no membership spec")
 
 
+class DuplicateItemName(HafcpError):
+    def __init__(self, item: str, first: str, second: str):
+        self.item = item
+        super().__init__(
+            f"columns {first!r} and {second!r} both yield item {item!r}; "
+            f"rename one of them")
+
+
 # --- miner -----------------------------------------------------------------
 
 class NoChurnRows(HafcpError):

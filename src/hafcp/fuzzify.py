@@ -29,6 +29,7 @@ from . import rng
 from .dataset import CATEGORICAL, LABEL, NUMERIC, ColumnarDataset
 from .errors import (
     DegenerateColumn,
+    DuplicateItemName,
     InvalidVertices,
     LineageError,
     MissingSpec,
@@ -302,7 +303,8 @@ def to_binary_frame(ds: ColumnarDataset, specs: list[MembershipSpec]) -> BinaryF
     Item order: categorical columns in schema order (each column's categories
     in code order), then numeric columns in schema order with terms L, M, H.
     Every numeric column must have a spec, and all specs must come from the
-    same source split.
+    same source split. Item names must be unique: categorical "a" with value
+    "b=c" next to categorical "a=b" with value "c" is rejected.
     """
     spec_by_col = {s.column: s for s in specs}
     sources = {s.source_fingerprint for s in specs}
@@ -347,6 +349,12 @@ def to_binary_frame(ds: ColumnarDataset, specs: list[MembershipSpec]) -> BinaryF
             srcs.append(col.name)
             cols.append(hit)
             mems.append(mem)
+
+    source_of: dict[str, str] = {}
+    for name, src in zip(names, srcs):
+        if name in source_of:
+            raise DuplicateItemName(name, source_of[name], src)
+        source_of[name] = src
 
     rows = np.column_stack(cols) if cols else np.zeros((n, 0), dtype=np.uint8)
     memberships = (np.column_stack(mems) if mems

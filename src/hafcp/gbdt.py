@@ -12,6 +12,14 @@ subsampling, no column sampling: given one dataset and one parameter set the
 ensemble is bit-identical on every platform. Ties in the split search break
 toward the lowest feature index, then the lowest threshold.
 
+Trees grow level by level: one argsort per feature orders every node of a
+level at once, over x ranks computed once per train(). The floating-point
+arithmetic is that of a per-node search, so the bits do not depend on the
+batching: within a node, equal x values keep the node's row order (a
+child's row order is its parent's order by the winning feature); cumsums
+run left to right per node and feature; node totals and leaf weights use
+numpy's pairwise sum over the node's rows in that order.
+
 Feature importance comes in two flavors: "gain" (per-feature sum of split
 gains) and "path_attribution" (mean absolute Saabas contribution over the
 training rows, a deterministic stand-in for mean |SHAP|).
@@ -243,96 +251,186 @@ def _log_loss(y: np.ndarray, p: np.ndarray) -> float:
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
-def _best_split(X, g, h, rows, lam, min_child_weight):
-    """Exact greedy search over all features and cut positions for one node.
+# Sort keys pack (node, x rank, position) into one int64; they stay below
+# n**3, which must be < 2**63.
+MAX_TRAIN_ROWS = 2_097_151
 
-    Returns (gain, feature, threshold, left_rows, right_rows) or None. The
-    winning gain must be strictly positive; scanning features in index order
-    and taking the first maximum within a feature realizes the documented
-    tie-breaks.
+
+@dataclass
+class TrainStats:
+    """Work counts of one train(); deterministic for fixed inputs.
+
+    trees, nodes: size of the fitted ensemble. split_candidates: (node,
+    feature, cut) positions whose gain was evaluated, a cut being a boundary
+    between two distinct adjacent x values of a node the search visited.
     """
-    g_rows = g[rows]
-    h_rows = h[rows]
-    g_total = g_rows.sum()
-    h_total = h_rows.sum()
-    parent_score = g_total * g_total / (h_total + lam)
 
-    best_gain = 0.0
-    best = None
-    for f in range(X.shape[1]):
-        x = X[rows, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        if xs[0] == xs[-1]:
-            continue
-        cg = np.cumsum(g_rows[order])
-        ch = np.cumsum(h_rows[order])
-        cuts = np.nonzero(xs[:-1] < xs[1:])[0]
-        gl = cg[cuts]
-        hl = ch[cuts]
-        gr = g_total - gl
-        hr = h_total - hl
-        valid = (hl >= min_child_weight) & (hr >= min_child_weight)
-        if not valid.any():
-            continue
-        gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent_score)
-        gains = np.where(valid, gains, -np.inf)
-        i = int(np.argmax(gains))
-        if gains[i] > best_gain:
-            c = int(cuts[i])
-            thr = (xs[c] + xs[c + 1]) / 2.0
-            if not thr > xs[c]:  # adjacent floats: keep the partition honest
-                thr = float(xs[c + 1])
-            best_gain = float(gains[i])
-            best = (best_gain, f, float(thr), rows[order[: c + 1]], rows[order[c + 1:]])
-    return best
+    trees: int = 0
+    nodes: int = 0
+    split_candidates: int = 0
+
+    def to_dict(self) -> dict:
+        return {"trees": self.trees, "nodes": self.nodes,
+                "split_candidates": self.split_candidates}
 
 
-def _grow_tree(X, g, h, params: BoostParams) -> Tree:
+def _search_level(Xt, ranks, n_ranks, gh_rows, parts, lam, min_child_weight,
+                  stats: TrainStats):
+    """Exact greedy split search for all nodes of one level at once.
+
+    parts holds each node's rows in node-position order. Returns, per node,
+    (G, H, split) with G and H the node's gradient and hessian sums and split
+    either None or (gain, feature, threshold, left rows, right rows).
+
+    The arithmetic is that of a per-node search (one stable argsort and two
+    cumsums per feature): within a node, equal x values keep node-position
+    order, cumsums run left to right per node and feature, and G, H are
+    pairwise sums in node-position order. The winner is the first maximum
+    in (feature, cut) order and must be strictly positive.
+    """
+    F, n = Xt.shape
+    k = len(parts)
+    sizes = np.array([len(p) for p in parts], dtype=np.int64)
+    start = np.cumsum(sizes) - sizes
+    rows = np.concatenate(parts)
+    N = len(rows)
+    node = np.repeat(np.arange(k), sizes)
+    pos = np.arange(N)
+    # level positions node by node, each node's by (x rank, position);
+    # the keys are unique, so any sort gives this stable order
+    keys = (node * n_ranks[:, None] + ranks[:, rows]) * N + pos
+    sorted_rows = rows[np.argsort(keys, axis=1)]
+    xs = np.take(Xt, sorted_rows + (np.arange(F) * n)[:, None])
+    gh = np.take(gh_rows, sorted_rows, axis=1)
+    # C order matters: a sum along the contiguous axis is numpy's pairwise
+    # sum, the same bits as g[rows].sum(); gh_rows[:, rows] would be strided
+    gh_pos = np.take(gh_rows, rows, axis=1)
+
+    cum = np.empty_like(gh)
+    totals = np.empty((2, k))
+    for j in range(k):
+        a, b = start[j], start[j] + sizes[j]
+        np.cumsum(gh[:, :, a:b], axis=2, out=cum[:, :, a:b])
+        totals[:, j] = gh_pos[:, a:b].sum(axis=1)
+
+    # cut f*N + p: x rises from sorted slot p to p+1 of the same node
+    rises = np.zeros((F, N), dtype=bool)
+    np.less(xs[:, :-1], xs[:, 1:], out=rises[:, :-1])
+    rises[:, start + sizes - 1] = False
+    cut = np.flatnonzero(rises)
+    stats.split_candidates += len(cut)
+    left = np.take(cum.reshape(2, -1), cut, axis=1)
+    node_totals = np.take(totals, np.tile(node, F)[cut], axis=1)
+    right = node_totals - left
+    gl, hl = left
+    gr, hr = right
+    g_sum, h_sum = node_totals
+    gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam)
+                   - g_sum * g_sum / (h_sum + lam))
+    gains[~((hl >= min_child_weight) & (hr >= min_child_weight))] = -np.inf
+    score = np.full(F * N, -np.inf)
+    score[cut] = gains
+
+    # first maximum per node in (feature, cut) order; a NaN gain takes its
+    # whole (feature, node) row out of the race
+    row_best = np.maximum.reduceat(score.reshape(F, N), start, axis=1)
+    row_best[np.isnan(row_best)] = -np.inf
+    best = row_best.max(axis=0)
+    f_best = np.argmax(row_best == best, axis=0)
+    hits = np.flatnonzero(score[f_best[node] * N + pos] == best[node])
+    p_best = hits[np.searchsorted(hits, start)]
+    out = []
+    for j in range(k):
+        split = None
+        if best[j] > 0:
+            f, p = f_best[j], p_best[j]
+            lo, hi = xs[f, p], xs[f, p + 1]
+            thr = (lo + hi) / 2.0
+            if not thr > lo:  # adjacent floats: keep the partition honest
+                thr = hi
+            split = (float(best[j]), int(f), float(thr),
+                     sorted_rows[f, start[j]:p + 1],
+                     sorted_rows[f, p + 1:start[j] + sizes[j]])
+        out.append((totals[0, j], totals[1, j], split))
+    return out
+
+
+def _grow_tree(Xt, ranks, n_ranks, g, h, params: BoostParams,
+               stats: TrainStats) -> Tree:
+    """Grow one tree level by level.
+
+    Node ids come out in preorder (node, left subtree, right subtree).
+    """
+    n = len(g)
+    lam = params.lambda_l2
+    lr = params.learning_rate
     feature: list[int] = []
     threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
     weight: list[float] = []
     gain: list[float] = []
     cover: list[int] = []
+    kids: list[tuple[int, int] | None] = []
+    gh = np.stack((g, h))
 
-    lam = params.lambda_l2
-    lr = params.learning_rate
+    parts = [np.arange(n, dtype=np.int64)]
+    depth = 0
+    while parts:
+        search = ([j for j, p in enumerate(parts) if len(p) >= 2]
+                  if depth < params.max_depth and len(Xt) else [])
+        found = dict(zip(search, _search_level(
+            Xt, ranks, n_ranks, gh, [parts[j] for j in search], lam,
+            params.min_child_weight, stats))) if search else {}
+        children: list[np.ndarray] = []
+        for j, rows in enumerate(parts):
+            node = len(feature)
+            g_sum, h_sum, split = found.get(j) or (g[rows].sum(),
+                                                   h[rows].sum(), None)
+            cover.append(len(rows))
+            if split is None:
+                feature.append(-1)
+                threshold.append(0.0)
+                gain.append(0.0)
+                weight.append(-lr * g_sum / (h_sum + lam))
+                kids.append(None)
+                continue
+            node_gain, f, thr, rows_l, rows_r = split
+            feature.append(f)
+            threshold.append(thr)
+            gain.append(node_gain)
+            weight.append(0.0)
+            # ids run level by level: the next level starts right after
+            # this one, in the order children are appended
+            first_child = node - j + len(parts) + len(children)
+            kids.append((first_child, first_child + 1))
+            children += [rows_l, rows_r]
+        parts = children
+        depth += 1
 
-    def build(rows: np.ndarray, depth: int) -> int:
-        node = len(feature)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        weight.append(0.0)
-        gain.append(0.0)
-        cover.append(len(rows))
-
-        split = None
-        if depth < params.max_depth and len(rows) >= 2:
-            split = _best_split(X, g, h, rows, lam, params.min_child_weight)
-        if split is None:
-            weight[node] = -lr * g[rows].sum() / (h[rows].sum() + lam)
-            return node
-        node_gain, f, thr, rows_l, rows_r = split
-        feature[node] = f
-        threshold[node] = thr
-        gain[node] = node_gain
-        left[node] = build(rows_l, depth + 1)
-        right[node] = build(rows_r, depth + 1)
-        return node
-
-    build(np.arange(len(X), dtype=np.int64), 0)
-    return Tree(feature, threshold, left, right, weight, gain, cover)
+    preorder = []
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        preorder.append(i)
+        if kids[i] is not None:
+            stack += [kids[i][1], kids[i][0]]
+    new_id = np.empty(len(preorder), dtype=np.int64)
+    new_id[preorder] = np.arange(len(preorder))
+    return Tree([feature[i] for i in preorder],
+                [threshold[i] for i in preorder],
+                [new_id[kids[i][0]] if kids[i] else -1 for i in preorder],
+                [new_id[kids[i][1]] if kids[i] else -1 for i in preorder],
+                [weight[i] for i in preorder],
+                [gain[i] for i in preorder],
+                [cover[i] for i in preorder])
 
 
-def train(train_ds: ColumnarDataset, params: BoostParams) -> BoostedModel:
+def train(train_ds: ColumnarDataset, params: BoostParams,
+          stats: TrainStats | None = None) -> BoostedModel:
     """Fit the boosted ensemble on the train split.
 
     base_score is the log-odds of the training churn rate; train_loss records
-    the training log-loss before boosting and after each round.
+    the training log-loss before boosting and after each round. Work counts
+    are added to stats when one is given.
     """
     params.validate()
     X, names = train_ds.feature_matrix()
@@ -340,10 +438,24 @@ def train(train_ds: ColumnarDataset, params: BoostParams) -> BoostedModel:
     n = len(y)
     if n == 0:
         raise EmptyTrainingSet("training set has 0 rows")
+    if n > MAX_TRAIN_ROWS:
+        raise ConfigError(
+            f"training split has {n} rows; the split search supports at most "
+            f"{MAX_TRAIN_ROWS}")
     n_pos = int(y.sum())
     if n_pos == 0 or n_pos == n:
         raise SingleClassTraining(
             f"training labels contain a single class ({n_pos}/{n} positive)")
+    if stats is None:
+        stats = TrainStats()
+
+    # dense x ranks per column, computed once for every tree
+    Xt = np.ascontiguousarray(X.T)
+    ranks = np.empty(Xt.shape, dtype=np.int64)
+    n_ranks = np.empty(len(Xt), dtype=np.int64)
+    for f, column in enumerate(Xt):
+        distinct, ranks[f] = np.unique(column, return_inverse=True)
+        n_ranks[f] = len(distinct)
 
     prior = n_pos / n
     base_score = math.log(prior / (1.0 - prior))
@@ -355,8 +467,10 @@ def train(train_ds: ColumnarDataset, params: BoostParams) -> BoostedModel:
         p = _sigmoid(margin)
         g = p - y
         h = p * (1.0 - p)
-        tree = _grow_tree(X, g, h, params)
+        tree = _grow_tree(Xt, ranks, n_ranks, g, h, params, stats)
         trees.append(tree)
+        stats.trees += 1
+        stats.nodes += tree.n_nodes
         margin += tree.predict_margin(X)
         losses.append(_log_loss(y, _sigmoid(margin)))
 

@@ -176,35 +176,26 @@ class TestRunComparison:
                     Pattern(("Age_H",), 1.0, 2)]
         return train_ds, test_ds, specs, params, baseline, patterns
 
-    def test_parallel_equals_serial(self, setup):
-        train_ds, test_ds, specs, params, baseline, patterns = setup
-        serial = run_comparison(train_ds, test_ds, specs, patterns, params,
-                                baseline, max_workers=1)
-        parallel = run_comparison(train_ds, test_ds, specs, patterns, params,
-                                  baseline, max_workers=8)
-        assert serial.to_dict() == parallel.to_dict()
-
     def test_one_row_per_pattern(self, setup):
         train_ds, test_ds, specs, params, baseline, patterns = setup
         report = run_comparison(train_ds, test_ds, specs, patterns, params,
-                                baseline, max_workers=1)
+                                baseline)
         assert sorted(report.per_pattern) == [1, 2, 3]
         assert report.patterns == tuple(patterns)
 
     def test_cumulative_differs_from_independent(self, setup):
         train_ds, test_ds, specs, params, baseline, patterns = setup
         indep = run_comparison(train_ds, test_ds, specs, patterns, params,
-                               baseline, cumulative=False, max_workers=1)
+                               baseline, cumulative=False)
         cumul = run_comparison(train_ds, test_ds, specs, patterns, params,
-                               baseline, cumulative=True, max_workers=1)
+                               baseline, cumulative=True)
         # top-1 rows agree by construction (same single column)
         assert cumul.per_pattern[1] == indep.per_pattern[1]
 
     def test_markdown_layout(self, setup):
         train_ds, test_ds, specs, params, baseline, patterns = setup
         report = run_comparison(train_ds, test_ds, specs, patterns, params,
-                                baseline, max_workers=1,
-                                config_fingerprint="deadbeef")
+                                baseline, config_fingerprint="deadbeef")
         text = report_to_markdown(report)
         header = [l for l in text.split("\n") if l.startswith("| Metric")][0]
         assert header == "| Metric | Baseline | Top-1 | Top-2 | Top-3 | AVG |"

@@ -310,6 +310,25 @@ class TestMineAndReport:
 
 
 class TestPipelineCommand:
+    def test_duplicate_item_names_exit_2(self, tmp_path, capsys):
+        rows = [f"{i},{'b=c' if i % 2 else 'x'},{'c' if i % 3 else 'y'},"
+                f"{i % 2}" for i in range(10)]
+        cfg_path, _ = make_project(
+            tmp_path, csv_text="ID,a,a=b,Churn\n" + "\n".join(rows) + "\n",
+            importance_text="feature,score\na,0.5\na=b,0.5\n")
+        assert cli.main(["pipeline", "--config", cfg_path]) == 2
+        assert "DuplicateItemName" in capsys.readouterr().err
+
+    def test_baseline_carries_training_counters(self, tmp_path):
+        cfg_path, out = make_project(tmp_path)
+        assert cli.main(["train", "--config", cfg_path]) == 0
+        with open(artifact(out, "baseline"), encoding="utf-8") as f:
+            doc = json.load(f)
+        model = load_model(artifact(out, "model"))
+        assert doc["trees"] == len(model.trees) == 5
+        assert doc["nodes"] == sum(t.n_nodes for t in model.trees)
+        assert doc["split_candidates"] > 0
+
     def test_single_invocation_produces_all_artifacts(self, tmp_path):
         cfg_path, out = make_project(tmp_path)
         assert cli.main(["pipeline", "--config", cfg_path]) == 0
@@ -327,23 +346,6 @@ class TestPipelineCommand:
             assert cli.main([cmd, "--config", cfg_path]) == 0
         for name, blob in combined.items():
             assert open(artifact(out, name), "rb").read() == blob, name
-
-
-class TestThreadCap:
-    def test_bad_value_rejected(self, tmp_path, monkeypatch, capsys):
-        cfg_path, _ = make_project(tmp_path)
-        assert cli.main(["pipeline", "--config", cfg_path]) == 0
-        monkeypatch.setenv("HAFCP_THREADS", "zero")
-        assert cli.main(["report", "--config", cfg_path]) == 2
-        assert "HAFCP_THREADS" in capsys.readouterr().err
-
-    def test_single_thread_matches_default(self, tmp_path, monkeypatch):
-        cfg_path, out = make_project(tmp_path)
-        assert cli.main(["pipeline", "--config", cfg_path]) == 0
-        default_report = open(artifact(out, "report"), "rb").read()
-        monkeypatch.setenv("HAFCP_THREADS", "1")
-        assert cli.main(["report", "--config", cfg_path]) == 0
-        assert open(artifact(out, "report"), "rb").read() == default_report
 
 
 def test_module_entry_point(tmp_path):

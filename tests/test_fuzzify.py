@@ -7,6 +7,7 @@ from hafcp import fuzzify
 from hafcp.dataset import LABEL, NUMERIC, ColumnSchema, ColumnarDataset, load_csv
 from hafcp.errors import (
     DegenerateColumn,
+    DuplicateItemName,
     InvalidVertices,
     LineageError,
     MissingSpec,
@@ -211,6 +212,17 @@ class TestBinaryFrame:
         # categorical indicators carry full weight
         cat = [j for j, n in enumerate(frame.item_names) if "=" in n]
         assert set(np.unique(frame.memberships[:, cat])) <= {0.0, 1.0}
+
+    def test_duplicate_item_names_rejected(self, tmp_path):
+        # categorical a with value b=c and categorical a=b with value c
+        # would both become item a=b=c
+        path = tmp_path / "dup.csv"
+        path.write_text("a,a=b,Churn\nb=c,c,1\nx,y,0\n", encoding="utf-8")
+        ds = load_csv(str(path), "Churn", "1")
+        with pytest.raises(DuplicateItemName) as exc:
+            to_binary_frame(ds, [])
+        assert "'a=b=c'" in str(exc.value)
+        assert "'a'" in str(exc.value) and "'a=b'" in str(exc.value)
 
     def test_missing_spec(self, tiny_csv):
         ds = load_csv(tiny_csv, "Churn", "1")

@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hafcp import gbdt
-from hafcp.dataset import LABEL, NUMERIC, ColumnSchema, ColumnarDataset
+from hafcp.dataset import (LABEL, NUMERIC, ColumnSchema, ColumnarDataset,
+                           drop_columns, load_csv)
 from hafcp.errors import (
     ConfigError,
     EmptyModel,
@@ -16,7 +19,8 @@ from hafcp.errors import (
 )
 from hafcp.gbdt import BoostParams, BoostedModel, ImportanceTable
 
-from synthdata import random_labeled, toy_separable
+from gbdt_reference import train_reference
+from synthdata import planted_dataset, random_labeled, toy_separable
 
 
 def make_ds(X, y, names=None):
@@ -316,3 +320,138 @@ class TestModelIo:
         p.write_text("not json")
         with pytest.raises(ParseError):
             gbdt.load_model(str(p))
+
+
+@st.composite
+def tie_heavy_problems(draw):
+    """Small tables whose columns are mostly ties: integer-valued, 0/1,
+    constant, copies of an earlier column, and a few float columns."""
+    n = draw(st.integers(2, 40))
+    kinds = draw(st.lists(st.sampled_from(["int", "binary", "const", "copy",
+                                           "float"]), min_size=1, max_size=5))
+    cols = []
+    for kind in kinds:
+        if kind == "copy" and cols:
+            cols.append(cols[draw(st.integers(0, len(cols) - 1))].copy())
+        elif kind == "binary":
+            cols.append(draw(st.lists(st.integers(0, 1), min_size=n,
+                                      max_size=n)))
+        elif kind == "const":
+            cols.append([draw(st.sampled_from([0.0, 2.5, -1.0]))] * n)
+        elif kind == "float":
+            cols.append(draw(st.lists(st.floats(-5.0, 5.0), min_size=n,
+                                      max_size=n)))
+        else:
+            cols.append(draw(st.lists(st.integers(0, 4), min_size=n,
+                                      max_size=n)))
+    X = np.array(cols, dtype=np.float64).T
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    y[0], y[-1] = 0, 1
+    params = BoostParams(
+        max_depth=draw(st.integers(1, 7)),
+        learning_rate=draw(st.sampled_from([0.3, 1.0])),
+        n_estimators=draw(st.integers(1, 4)),
+        min_child_weight=draw(st.sampled_from([0.0, 1.0, 5.0])),
+        lambda_l2=draw(st.sampled_from([0.0, 1.0])))
+    return X, y, params
+
+
+class TestReferenceOracle:
+    """gbdt.train must equal the recursive per-node grower, byte for byte."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(tie_heavy_problems())
+    def test_ensemble_equals_reference(self, problem):
+        X, y, params = problem
+        ds = make_ds(X, y)
+        stats = gbdt.TrainStats()
+        got = gbdt.train(ds, params, stats)
+        counts = [0]
+        want = train_reference(X, y, ds.feature_names(), params, counts)
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+        assert stats.split_candidates == counts[0]
+        # a column identical to an earlier one never wins a split
+        used = {int(f) for t in got.trees for f in t.feature if f >= 0}
+        for j in range(X.shape[1]):
+            if any(np.array_equal(X[:, i], X[:, j]) for i in range(j)):
+                assert j not in used
+
+    def test_planted_table_equals_reference(self):
+        ds = planted_dataset(n=600)
+        params = BoostParams(n_estimators=5)
+        X, names = ds.feature_matrix()
+        got = gbdt.train(ds, params)
+        want = train_reference(X, ds.label, names, params)
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_threshold_matches_reference(self):
+        # the midpoint of 1.5e308 and 1.6e308 overflows to inf, so prediction
+        # routes the right child's rows left; margins must follow prediction
+        X = np.array([[1.0e308], [1.5e308], [1.6e308], [1.7e308]])
+        y = np.array([0, 0, 1, 1])
+        params = BoostParams(max_depth=1, n_estimators=3, min_child_weight=0.0)
+        got = gbdt.train(make_ds(X, y), params)
+        assert got.trees[0].threshold[0] == np.inf
+        want = train_reference(X, y, ["f0"], params)
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_saturated_hessians_match_reference(self):
+        # with lam = 0, a hundred pure-leaf rounds drive p to exactly 0 or 1,
+        # h to 0 and some cut gains to 0/0 = NaN; such a (node, feature) row
+        # drops out of the split race, as in the per-node search
+        X = np.arange(6, dtype=np.float64).reshape(6, 1)
+        y = np.array([0, 0, 1, 0, 1, 1])
+        params = BoostParams(max_depth=2, learning_rate=1.0, n_estimators=100,
+                             min_child_weight=0.0, lambda_l2=0.0)
+        got = gbdt.train(make_ds(X, y), params)
+        want = train_reference(X, y, ["f0"], params)
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
+
+class TestTrainStats:
+    def test_counts_pinned_and_equal_to_reference(self, tiny_csv):
+        ds = drop_columns(load_csv(tiny_csv, "Churn", "1"), ["ID"])
+        params = BoostParams(max_depth=2, n_estimators=3, min_child_weight=0.0)
+        stats = gbdt.TrainStats()
+        model = gbdt.train(ds, params, stats)
+        counts = [0]
+        X, names = ds.feature_matrix()
+        train_reference(X, ds.label, names, params, counts)
+        assert stats.to_dict() == {"trees": 3, "nodes": 15,
+                                   "split_candidates": 105}
+        assert stats.nodes == sum(t.n_nodes for t in model.trees)
+        assert stats.split_candidates == counts[0]
+
+    def test_stump_by_hand(self):
+        # one node searched, one feature, 4 distinct values: 3 cuts
+        stats = gbdt.TrainStats()
+        gbdt.train(make_ds([[1.0], [2.0], [3.0], [4.0]], [0, 0, 1, 1]), STUMP,
+                   stats)
+        assert stats.to_dict() == {"trees": 1, "nodes": 3,
+                                   "split_candidates": 3}
+
+    def test_counts_accumulate_across_fits(self):
+        ds = random_labeled(60, 2, seed=4)
+        params = BoostParams(n_estimators=2)
+        once = gbdt.TrainStats()
+        gbdt.train(ds, params, once)
+        twice = gbdt.TrainStats()
+        gbdt.train(ds, params, twice)
+        gbdt.train(ds, params, twice)
+        assert twice.split_candidates == 2 * once.split_candidates
+        assert twice.nodes == 2 * once.nodes
+
+
+class TestRowLimit:
+    def test_limit_is_the_largest_packable_row_count(self):
+        assert gbdt.MAX_TRAIN_ROWS ** 3 < 2 ** 63 <= (gbdt.MAX_TRAIN_ROWS + 1) ** 3
+
+    def test_over_the_limit_fails_naming_the_row_count(self, monkeypatch):
+        monkeypatch.setattr(gbdt, "MAX_TRAIN_ROWS", 3)
+        ds = make_ds([[1.0], [2.0], [3.0], [4.0]], [0, 0, 1, 1])
+        with pytest.raises(ConfigError, match="4 rows"):
+            gbdt.train(ds, STUMP)
+
