@@ -1,12 +1,19 @@
 """Pipeline CLI: train -> fuzzify -> mine -> report over durable artifacts.
 
-Each subcommand reads one JSON config (plus --dotted.key value overrides),
-re-derives its inputs deterministically, and writes artifacts into the
-config's output directory. Every artifact embeds the config fingerprint and
-the content fingerprints of its inputs; downstream subcommands refuse to
-combine artifacts whose lineage does not match the current config. All
-writes are atomic and all randomness flows from config seeds, so rerunning
-any subcommand with unchanged inputs reproduces byte-identical files.
+Each invocation reads one JSON config (plus --dotted.key value overrides),
+then loads and splits the input CSV once; every subcommand takes those
+splits, so ``pipeline`` parses the CSV once for all four stages. Each stage
+writes artifacts into the config's output directory. ``fuzzify`` writes the
+fitted membership specs only; ``mine`` encodes the train split with the specs
+from ``membership_specs.json``. No encoded frame is written: a ``frame.json``
+left in the output directory by an older version is ignored and can be
+deleted.
+
+Every artifact embeds the config fingerprint and the content fingerprints of
+its inputs; downstream subcommands refuse to combine artifacts whose lineage
+does not match the current config. All writes are atomic and all randomness
+flows from config seeds, so rerunning any subcommand with unchanged inputs
+reproduces byte-identical files.
 
 Exit codes: 0 success, 1 internal error, 2 input/config error (including
 lineage mismatches), 3 missing artifact file.
@@ -20,8 +27,6 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import augment, fuzzify, gbdt, miner, rng
 from ._util import atomic_write_text, fingerprint_of, jsonable
 from .dataset import ColumnarDataset, SplitSpec, drop_columns, load_csv, split
@@ -29,13 +34,15 @@ from .errors import ConfigError, HafcpError, LineageError, MissingArtifact
 
 CONFIG_VERSION = 1
 
+# (whole dataset, train split, test split), loaded once per invocation
+Splits = tuple[ColumnarDataset, ColumnarDataset, ColumnarDataset]
+
 ARTIFACTS = {
     "config": "effective_config.json",
     "model": "model.json",
     "importance": "importance.csv",
     "baseline": "metrics_baseline.json",
     "specs": "membership_specs.json",
-    "frame": "frame.json",
     "patterns": "patterns.jsonl",
     "patterns_txt": "patterns.txt",
     "patterns_meta": "patterns.meta.json",
@@ -212,7 +219,8 @@ def load_config(path: str, overrides: dict[str, str] | None = None) -> PipelineC
     return PipelineConfig.from_dict(doc)
 
 
-def _load_splits(cfg: PipelineConfig):
+def _load_splits(cfg: PipelineConfig) -> Splits:
+    """Load the input CSV, drop the configured columns, split it."""
     try:
         ds = load_csv(cfg.input, cfg.label_column, cfg.positive_label)
     except FileNotFoundError:
@@ -262,11 +270,11 @@ def _read_importance_lineage(path: str) -> dict | None:
     return None
 
 
-def cmd_train(cfg: PipelineConfig) -> None:
-    """Split, train the baseline model, evaluate it, export importance."""
+def cmd_train(cfg: PipelineConfig, splits: Splits) -> None:
+    """Train the baseline model, evaluate it, export importance."""
     os.makedirs(cfg.output_dir, exist_ok=True)
     cfg_fp = cfg.fingerprint()
-    ds, train_ds, test_ds = _load_splits(cfg)
+    ds, train_ds, test_ds = splits
     stats = gbdt.TrainStats()
     model = gbdt.train(train_ds, cfg.boost, stats)
     probs = gbdt.predict_proba(model, test_ds)
@@ -297,9 +305,8 @@ def cmd_train(cfg: PipelineConfig) -> None:
     print(f"wrote {cfg.artifact('baseline')}")
 
 
-def _fuzzify_inputs(cfg: PipelineConfig):
-    """Shared by fuzzify/mine/report: splits, importance, skip set, frame dataset."""
-    ds, train_ds, test_ds = _load_splits(cfg)
+def _fuzzify_inputs(cfg: PipelineConfig, train_ds: ColumnarDataset):
+    """Shared by fuzzify/mine: importance, skip set, the train split to encode."""
     imp_path = cfg.artifact("importance")
     try:
         table = gbdt.load_importance(imp_path)
@@ -314,14 +321,26 @@ def _fuzzify_inputs(cfg: PipelineConfig):
     skipped = [name for name in train_ds.numeric_columns()
                if table.scores.get(name, 0.0) == 0.0]
     frame_train = drop_columns(train_ds, skipped) if skipped else train_ds
-    return ds, train_ds, test_ds, table, skipped, frame_train
+    return table, skipped, frame_train
 
 
-def cmd_fuzzify(cfg: PipelineConfig) -> None:
-    """Fit membership specs on the train split and one-hot encode it."""
+def _read_specs(cfg: PipelineConfig,
+                train_ds: ColumnarDataset) -> list[fuzzify.MembershipSpec]:
+    """membership_specs.json, checked against the config and the train split."""
+    doc = _read_json(cfg.artifact("specs"), "membership specs")
+    _require_lineage(doc["lineage"].get("config", ""), cfg.fingerprint(),
+                     "membership specs")
+    _require_lineage(doc["lineage"].get("train_split", ""),
+                     train_ds.fingerprint(), "membership specs train split")
+    return [fuzzify.MembershipSpec.from_dict(d) for d in doc["specs"]]
+
+
+def cmd_fuzzify(cfg: PipelineConfig, splits: Splits) -> None:
+    """Fit membership specs on the train split and check its item names."""
     os.makedirs(cfg.output_dir, exist_ok=True)
     cfg_fp = cfg.fingerprint()
-    ds, train_ds, test_ds, table, skipped, frame_train = _fuzzify_inputs(cfg)
+    ds, train_ds, _ = splits
+    _, skipped, frame_train = _fuzzify_inputs(cfg, train_ds)
 
     specs, normality_log = fuzzify.fit_all_memberships(
         train_ds, alpha=cfg.normality_alpha, seed=cfg.split.seed,
@@ -329,7 +348,8 @@ def cmd_fuzzify(cfg: PipelineConfig) -> None:
     if not specs:
         print("warning: no numeric columns to fuzzify; frame is one-hot only",
               file=sys.stderr)
-    frame = fuzzify.to_binary_frame(frame_train, specs)
+    # duplicate item names fail here, before anything is written
+    fuzzify.frame_items(frame_train.schema, specs)
 
     lineage = {"config": cfg_fp, "dataset": ds.fingerprint(),
                "train_split": train_ds.fingerprint()}
@@ -338,56 +358,23 @@ def cmd_fuzzify(cfg: PipelineConfig) -> None:
                  "normality_log": normality_log,
                  "skipped_zero_importance": skipped,
                  "lineage": lineage})
-    sparse_rows = []
-    for r in range(frame.n_rows):
-        hits = np.nonzero(frame.rows[r])[0]
-        sparse_rows.append([[int(j), float(frame.memberships[r, j])]
-                            for j in hits])
-    _write_json(cfg.artifact("frame"),
-                {"item_names": frame.item_names,
-                 "item_sources": frame.item_sources,
-                 "rows": sparse_rows,
-                 "labels": train_ds.label.tolist(),
-                 "dataset_fingerprint": frame.dataset_fingerprint,
-                 "specs_source": frame.specs_source,
-                 "lineage": lineage})
     _write_effective_config(cfg)
     print(f"wrote {cfg.artifact('specs')} ({len(specs)} specs)")
-    print(f"wrote {cfg.artifact('frame')}")
 
 
-def _read_frame(cfg: PipelineConfig) -> tuple[fuzzify.BinaryFrame, np.ndarray, dict]:
-    doc = _read_json(cfg.artifact("frame"), "frame")
-    names = list(doc["item_names"])
-    n_rows = len(doc["rows"])
-    rows = np.zeros((n_rows, len(names)), dtype=np.uint8)
-    mems = np.zeros((n_rows, len(names)), dtype=np.float64)
-    for r, pairs in enumerate(doc["rows"]):
-        for j, m in pairs:
-            rows[r, int(j)] = 1
-            mems[r, int(j)] = float(m)
-    frame = fuzzify.BinaryFrame(
-        item_names=names, item_sources=list(doc["item_sources"]),
-        rows=rows, memberships=mems,
-        dataset_fingerprint=doc["dataset_fingerprint"],
-        specs_source=doc["specs_source"])
-    labels = np.asarray(doc["labels"], dtype=np.int64)
-    return frame, labels, doc["lineage"]
-
-
-def cmd_mine(cfg: PipelineConfig) -> None:
-    """Mine top-k patterns from the fuzzified train split."""
+def cmd_mine(cfg: PipelineConfig, splits: Splits) -> None:
+    """Encode the train split with the fitted specs and mine top-k patterns."""
     os.makedirs(cfg.output_dir, exist_ok=True)
     cfg_fp = cfg.fingerprint()
-    _, train_ds, _, table, _, frame_train = _fuzzify_inputs(cfg)
-    frame, labels, frame_lineage = _read_frame(cfg)
-    _require_lineage(frame_lineage.get("config", ""), cfg_fp, "frame")
-    _require_lineage(frame.dataset_fingerprint, frame_train.fingerprint(),
-                     "frame dataset")
-    _require_lineage(frame.specs_source, train_ds.fingerprint(),
-                     "membership spec source")
+    _, train_ds, _ = splits
+    table, _, frame_train = _fuzzify_inputs(cfg, train_ds)
+    specs = _read_specs(cfg, train_ds)
+    frame = fuzzify.to_binary_frame(frame_train, specs)
+    if specs:  # a frame of categorical items only has no spec source
+        _require_lineage(frame.specs_source, train_ds.fingerprint(),
+                         "membership spec source")
 
-    db, profits = miner.build_transactions(frame, labels, table,
+    db, profits = miner.build_transactions(frame, train_ds.label, table,
                                            mode=cfg.mining.mode)
     stats = miner.SearchStats()
     patterns = miner.mine_topk(db, profits, cfg.mining, stats)
@@ -414,11 +401,11 @@ def cmd_mine(cfg: PipelineConfig) -> None:
     print(f"wrote {cfg.artifact('patterns_txt')}")
 
 
-def cmd_report(cfg: PipelineConfig) -> None:
+def cmd_report(cfg: PipelineConfig, splits: Splits) -> None:
     """Retrain with top-1..top-k pattern features and write the comparison."""
     os.makedirs(cfg.output_dir, exist_ok=True)
     cfg_fp = cfg.fingerprint()
-    _, train_ds, test_ds, _, _, _ = _fuzzify_inputs(cfg)
+    _, train_ds, test_ds = splits
 
     patterns_path = cfg.artifact("patterns")
     if not os.path.exists(patterns_path):
@@ -429,10 +416,7 @@ def cmd_report(cfg: PipelineConfig) -> None:
     _require_lineage(meta["lineage"].get("train_split", ""),
                      train_ds.fingerprint(), "patterns train split")
 
-    specs_doc = _read_json(cfg.artifact("specs"), "membership specs")
-    _require_lineage(specs_doc["lineage"].get("config", ""), cfg_fp,
-                     "membership specs")
-    specs = [fuzzify.MembershipSpec.from_dict(d) for d in specs_doc["specs"]]
+    specs = _read_specs(cfg, train_ds)
 
     baseline_doc = _read_json(cfg.artifact("baseline"), "baseline metrics")
     _require_lineage(baseline_doc["lineage"].get("config", ""), cfg_fp,
@@ -460,12 +444,12 @@ def cmd_report(cfg: PipelineConfig) -> None:
     print(f"wrote {cfg.artifact('report_md')}")
 
 
-def cmd_pipeline(cfg: PipelineConfig) -> None:
+def cmd_pipeline(cfg: PipelineConfig, splits: Splits) -> None:
     """train -> fuzzify -> mine -> report, identical to running them separately."""
-    cmd_train(cfg)
-    cmd_fuzzify(cfg)
-    cmd_mine(cfg)
-    cmd_report(cfg)
+    cmd_train(cfg, splits)
+    cmd_fuzzify(cfg, splits)
+    cmd_mine(cfg, splits)
+    cmd_report(cfg, splits)
 
 
 def _parse_overrides(tokens: list[str]) -> dict[str, str]:
@@ -514,7 +498,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         overrides = _parse_overrides(extra)
         cfg = load_config(args.config, overrides)
-        _COMMANDS[args.command](cfg)
+        _COMMANDS[args.command](cfg, _load_splits(cfg))
     except MissingArtifact as e:
         print(f"error[{type(e).__name__}]: {e}", file=sys.stderr)
         return 3

@@ -2,9 +2,10 @@
 
 CSV cells are either numeric (every non-missing cell parses as a real number;
 non-finite ones such as inf or nan are rejected) or categorical (encoded as
-integer codes in first-appearance order). Missing values are rejected at load
-time — the mining pipeline assumes complete data and silently imputing would
-change every downstream statistic.
+integer codes in first-appearance order). A column where most cells are
+numbers but some are text is rejected rather than read as categorical.
+Missing values are rejected at load time — the mining pipeline assumes
+complete data and silently imputing would change every downstream statistic.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ from .errors import (
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 LABEL = "label"
+
+# A column where more than this share of the non-missing cells parse as real
+# numbers, but not all of them, is a numeric column with stray text in it.
+MOSTLY_NUMERIC = 0.5
 
 
 @dataclass(frozen=True)
@@ -162,7 +167,9 @@ def load_csv(path: str, label_column: str, positive_label: str) -> ColumnarDatas
 
     Column kinds are inferred: numeric iff every non-missing cell parses as a
     real number, categorical otherwise. A numeric column with a non-finite
-    cell (inf, nan) raises UnparseableCell naming its first such row. The
+    cell (inf, nan) raises UnparseableCell naming its first such row. So does
+    a column where more than MOSTLY_NUMERIC of the non-missing cells are real
+    numbers but some are not, naming its first non-numeric row. The
     label cell maps to 1 when it equals positive_label (case-sensitive), else
     0. Empty cells raise UnparseableCell — no imputation happens here.
     """
@@ -225,6 +232,15 @@ def load_csv(path: str, label_column: str, positive_label: str) -> ColumnarDatas
             schema.append(ColumnSchema(name, NUMERIC, None))
             columns[name] = values
         else:
+            # parse each distinct cell once; text columns repeat few values
+            reals = {c for c in set(non_missing) if _is_real(c)}
+            n_real = sum(c in reals for c in non_missing)
+            if n_real > MOSTLY_NUMERIC * len(non_missing):
+                i = next(i for i, c in enumerate(cells)
+                         if c != "" and c not in reals)
+                raise UnparseableCell(
+                    i, name, f"{cells[i]!r} is not a number, but {n_real} "
+                             f"of the column's {len(non_missing)} cells are")
             cats = []
             seen = {}
             codes = np.empty(n, dtype=np.int64)

@@ -26,7 +26,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import rng
-from .dataset import CATEGORICAL, LABEL, NUMERIC, ColumnarDataset
+from .dataset import CATEGORICAL, NUMERIC, ColumnarDataset, ColumnSchema
 from .errors import (
     DegenerateColumn,
     DuplicateItemName,
@@ -297,45 +297,71 @@ def categorical_item_name(column: str, value: str) -> str:
     return f"{column}={value}"
 
 
-def to_binary_frame(ds: ColumnarDataset, specs: list[MembershipSpec]) -> BinaryFrame:
-    """One-hot encode categoricals and fuzzify numerics into a BinaryFrame.
+def frame_items(schema: list[ColumnSchema], specs: list[MembershipSpec]
+                ) -> tuple[list[str], list[str]]:
+    """Item names and source columns of the frame `to_binary_frame` builds.
 
     Item order: categorical columns in schema order (each column's categories
     in code order), then numeric columns in schema order with terms L, M, H.
-    Every numeric column must have a spec, and all specs must come from the
-    same source split. Item names must be unique: categorical "a" with value
-    "b=c" next to categorical "a=b" with value "c" is rejected.
+    Every numeric column must have a spec. Item names must be unique:
+    categorical "a" with value "b=c" next to categorical "a=b" with value "c"
+    is rejected. Needs no rows, so a caller can validate the items before it
+    encodes anything.
     """
-    spec_by_col = {s.column: s for s in specs}
+    fitted = {s.column for s in specs}
+    names: list[str] = []
+    srcs: list[str] = []
+    for col in schema:
+        if col.kind == CATEGORICAL:
+            for value in col.category_map or ():
+                names.append(categorical_item_name(col.name, value))
+                srcs.append(col.name)
+    for col in schema:
+        if col.kind != NUMERIC:
+            continue
+        if col.name not in fitted:
+            raise MissingSpec(col.name)
+        for term in TERMS:
+            names.append(fuzzy_item_name(col.name, term))
+            srcs.append(col.name)
+
+    source_of: dict[str, str] = {}
+    for name, src in zip(names, srcs):
+        if name in source_of:
+            raise DuplicateItemName(name, source_of[name], src)
+        source_of[name] = src
+    return names, srcs
+
+
+def to_binary_frame(ds: ColumnarDataset, specs: list[MembershipSpec]) -> BinaryFrame:
+    """One-hot encode categoricals and fuzzify numerics into a BinaryFrame.
+
+    Items are those of `frame_items`, in its order. All specs must come from
+    the same source split.
+    """
     sources = {s.source_fingerprint for s in specs}
     if len(sources) > 1:
         raise LineageError(
             f"membership specs fitted on {len(sources)} different splits")
     specs_source = next(iter(sources)) if sources else ""
+    names, srcs = frame_items(ds.schema, specs)
+    spec_by_col = {s.column: s for s in specs}
 
-    names: list[str] = []
-    srcs: list[str] = []
     cols: list[np.ndarray] = []
     mems: list[np.ndarray] = []
     n = ds.n_rows
 
     for col in ds.schema:
-        if col.kind == LABEL:
-            continue
         if col.kind == CATEGORICAL:
             codes = ds.columns[col.name]
-            for code, value in enumerate(col.category_map or ()):
+            for code in range(len(col.category_map or ())):
                 hit = (codes == code).astype(np.uint8)
-                names.append(categorical_item_name(col.name, value))
-                srcs.append(col.name)
                 cols.append(hit)
                 mems.append(hit.astype(np.float64))
 
     for col in ds.schema:
         if col.kind != NUMERIC:
             continue
-        if col.name not in spec_by_col:
-            raise MissingSpec(col.name)
         spec = spec_by_col[col.name]
         values = ds.columns[col.name]
         assigned = [assign_term(float(v), spec) for v in values]
@@ -345,16 +371,8 @@ def to_binary_frame(ds: ColumnarDataset, specs: list[MembershipSpec]) -> BinaryF
             mem = np.fromiter(
                 (a.membership if a.term == term else 0.0 for a in assigned),
                 dtype=np.float64, count=n)
-            names.append(fuzzy_item_name(col.name, term))
-            srcs.append(col.name)
             cols.append(hit)
             mems.append(mem)
-
-    source_of: dict[str, str] = {}
-    for name, src in zip(names, srcs):
-        if name in source_of:
-            raise DuplicateItemName(name, source_of[name], src)
-        source_of[name] = src
 
     rows = np.column_stack(cols) if cols else np.zeros((n, 0), dtype=np.uint8)
     memberships = (np.column_stack(mems) if mems

@@ -6,11 +6,20 @@ import sys
 import pytest
 
 from hafcp import cli
+from hafcp.dataset import drop_columns
+from hafcp.fuzzify import MembershipSpec, to_binary_frame
 from hafcp.gbdt import load_model
 
 from conftest import TINY_CSV
 
 EXTERNAL_IMPORTANCE = "feature,score\nShop Location,0.2\nAge,0.5\nSpending,0.3\n"
+
+# categorical "a" with value "b=c" and categorical "a=b" with value "c" both
+# give the item name "a=b=c"
+DUPLICATE_ITEMS_CSV = "ID,a,a=b,Churn\n" + "\n".join(
+    f"{i},{'b=c' if i % 2 else 'x'},{'c' if i % 3 else 'y'},{i % 2}"
+    for i in range(10)) + "\n"
+DUPLICATE_ITEMS_IMPORTANCE = "feature,score\na,0.5\na=b,0.5\n"
 
 
 def make_project(tmp_path, config_extra=None, csv_text=TINY_CSV,
@@ -44,6 +53,17 @@ def make_project(tmp_path, config_extra=None, csv_text=TINY_CSV,
 
 def artifact(out_dir, name):
     return os.path.join(out_dir, cli.ARTIFACTS[name])
+
+
+def encoded_train_split(cfg_path, out_dir):
+    """The frame mine encodes: membership_specs.json over the train split."""
+    _, train_ds, _ = cli._load_splits(cli.load_config(cfg_path))
+    with open(artifact(out_dir, "specs"), encoding="utf-8") as f:
+        doc = json.load(f)
+    skipped = doc["skipped_zero_importance"]
+    frame_train = drop_columns(train_ds, skipped) if skipped else train_ds
+    return to_binary_frame(frame_train,
+                           [MembershipSpec.from_dict(d) for d in doc["specs"]])
 
 
 class TestConfigHandling:
@@ -167,7 +187,7 @@ class TestTrain:
 
 
 class TestFuzzify:
-    def test_writes_specs_and_frame(self, tmp_path):
+    def test_writes_specs_that_encode_the_train_split(self, tmp_path):
         cfg_path, out = make_project(tmp_path)
         assert cli.main(["train", "--config", cfg_path]) == 0
         assert cli.main(["fuzzify", "--config", cfg_path]) == 0
@@ -175,11 +195,10 @@ class TestFuzzify:
         assert [s["column"] for s in specs_doc["specs"]] == ["Age", "Spending"]
         assert [e["column"] for e in specs_doc["normality_log"]] == \
             ["Age", "Spending"]
-        frame = json.load(open(artifact(out, "frame")))
-        assert "Shop Location=N" in frame["item_names"]
-        assert "Age_L" in frame["item_names"]
-        assert len(frame["rows"]) == 8  # train split only
-        assert len(frame["labels"]) == 8
+        frame = encoded_train_split(cfg_path, out)
+        assert "Shop Location=N" in frame.item_names
+        assert "Age_L" in frame.item_names
+        assert frame.n_rows == 8  # train split only
 
     def test_requires_importance_artifact(self, tmp_path, capsys):
         cfg_path, _ = make_project(tmp_path)
@@ -199,8 +218,18 @@ class TestFuzzify:
         assert specs_doc["specs"] == []
         assert sorted(specs_doc["skipped_zero_importance"]) == \
             ["Age", "Spending"]
-        frame = json.load(open(artifact(out, "frame")))
-        assert all("=" in name for name in frame["item_names"])
+        frame = encoded_train_split(cfg_path, out)
+        assert frame.item_names
+        assert all("=" in name for name in frame.item_names)
+
+    def test_duplicate_item_names_write_no_specs(self, tmp_path, capsys):
+        cfg_path, out = make_project(
+            tmp_path, csv_text=DUPLICATE_ITEMS_CSV,
+            importance_text=DUPLICATE_ITEMS_IMPORTANCE)
+        assert cli.main(["train", "--config", cfg_path]) == 0
+        assert cli.main(["fuzzify", "--config", cfg_path]) == 2
+        assert "DuplicateItemName" in capsys.readouterr().err
+        assert not os.path.exists(artifact(out, "specs"))
 
     def test_constant_numeric_column_fails_loudly(self, tmp_path, capsys):
         rows = "\n".join(f"r{i},{i},5.0,{i % 2}" for i in range(10))
@@ -287,10 +316,42 @@ class TestMineAndReport:
         assert rc == 3
         assert "patterns" in capsys.readouterr().err
 
-    def test_mine_without_frame_exits_3(self, tmp_path):
+    def test_mine_without_specs_exits_3(self, tmp_path, capsys):
         cfg_path, _ = make_project(tmp_path)
         self.run_through(cfg_path, "train")
         assert cli.main(["mine", "--config", cfg_path]) == 3
+        assert "membership specs" in capsys.readouterr().err
+
+    def test_mine_rejects_specs_of_another_config(self, tmp_path, capsys):
+        cfg_path, out = make_project(tmp_path)
+        self.run_through(cfg_path, "train", "fuzzify")
+        with open(artifact(out, "specs"), encoding="utf-8") as f:
+            doc = json.load(f)
+        doc["lineage"]["config"] = "0" * 64
+        with open(artifact(out, "specs"), "w", encoding="utf-8") as f:
+            json.dump(doc, f)
+        capsys.readouterr()
+        assert cli.main(["mine", "--config", cfg_path]) == 2
+        assert "lineage" in capsys.readouterr().err.lower()
+
+    def test_mine_with_no_specs(self, tmp_path):
+        # every numeric column has zero importance: the frame is one-hot only
+        cfg_path, out = make_project(
+            tmp_path,
+            importance_text="feature,score\nShop Location,1.0\nAge,0\nSpending,0\n")
+        self.run_through(cfg_path, "train", "fuzzify", "mine")
+        meta = json.load(open(artifact(out, "patterns_meta")))
+        assert meta["lineage"]["specs_source"] == ""
+        assert meta["n_items"] > 0
+
+    def test_stale_frame_json_ignored(self, tmp_path):
+        cfg_path, out = make_project(tmp_path)
+        self.run_through(cfg_path, "train", "fuzzify", "mine")
+        first = open(artifact(out, "patterns"), "rb").read()
+        with open(os.path.join(out, "frame.json"), "w") as f:
+            f.write("not json")
+        self.run_through(cfg_path, "mine")
+        assert open(artifact(out, "patterns"), "rb").read() == first
 
     def test_stale_lineage_rejected(self, tmp_path, capsys):
         cfg_path, _ = make_project(tmp_path)
@@ -311,13 +372,26 @@ class TestMineAndReport:
 
 class TestPipelineCommand:
     def test_duplicate_item_names_exit_2(self, tmp_path, capsys):
-        rows = [f"{i},{'b=c' if i % 2 else 'x'},{'c' if i % 3 else 'y'},"
-                f"{i % 2}" for i in range(10)]
         cfg_path, _ = make_project(
-            tmp_path, csv_text="ID,a,a=b,Churn\n" + "\n".join(rows) + "\n",
-            importance_text="feature,score\na,0.5\na=b,0.5\n")
+            tmp_path, csv_text=DUPLICATE_ITEMS_CSV,
+            importance_text=DUPLICATE_ITEMS_IMPORTANCE)
         assert cli.main(["pipeline", "--config", cfg_path]) == 2
         assert "DuplicateItemName" in capsys.readouterr().err
+
+    def test_csv_parsed_once_and_no_frame_written(self, tmp_path,
+                                                  monkeypatch):
+        calls = []
+        real_load_csv = cli.load_csv
+
+        def counting_load_csv(*args, **kwargs):
+            calls.append(args)
+            return real_load_csv(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_csv", counting_load_csv)
+        cfg_path, out = make_project(tmp_path)
+        assert cli.main(["pipeline", "--config", cfg_path]) == 0
+        assert len(calls) == 1
+        assert not os.path.exists(os.path.join(out, "frame.json"))
 
     def test_baseline_carries_training_counters(self, tmp_path):
         cfg_path, out = make_project(tmp_path)

@@ -89,11 +89,12 @@ class TestLoadCsv:
             dataset.load_csv(path, "Churn", "1")
 
     def test_mixed_column_is_categorical(self, tmp_path):
-        # one non-numeric cell makes the whole column categorical
-        path = write_csv(tmp_path, "v,Churn\n1,0\ntwo,1\n3,0\n")
+        # half the cells are numbers, which is not "mostly": the column is
+        # categorical (a mostly numeric one is rejected, see below)
+        path = write_csv(tmp_path, "v,Churn\n1,0\ntwo,1\n3,0\nfour,1\n")
         ds = dataset.load_csv(path, "Churn", "1")
         assert ds.schema_of("v").kind == dataset.CATEGORICAL
-        assert ds.schema_of("v").category_map == ("1", "two", "3")
+        assert ds.schema_of("v").category_map == ("1", "two", "3", "four")
 
     def test_nan_literal_rejected(self, tmp_path):
         # float("nan") parses, so the column is numeric with a non-finite cell
@@ -110,6 +111,20 @@ class TestLoadCsv:
             dataset.load_csv(path, "Churn", "1")
         assert (exc.value.row, exc.value.column) == (99, "a")
         assert "inf" in str(exc.value)
+
+    def test_text_in_last_row_of_numbers_rejected(self, tmp_path):
+        # one stray word must not turn 100 numbers into 100 categories;
+        # two numbers out of three cells are enough
+        lines = ["a,Churn"] + [f"{i}.5,{i % 2}" for i in range(99)] + ["abc,1"]
+        path = write_csv(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(UnparseableCell) as exc:
+            dataset.load_csv(path, "Churn", "1")
+        assert (exc.value.row, exc.value.column) == (99, "a")
+        assert "abc" in str(exc.value)
+        path = write_csv(tmp_path, "v,Churn\n1,0\ntwo,1\n3,0\n")
+        with pytest.raises(UnparseableCell) as exc:
+            dataset.load_csv(path, "Churn", "1")
+        assert (exc.value.row, exc.value.column) == (1, "v")
 
 
 class TestFingerprint:

@@ -194,6 +194,8 @@ class TestBinaryFrame:
         assert frame.item_sources[13:16] == ["Age"] * 3
         assert frame.rows.dtype == np.uint8
         assert frame.dataset_fingerprint == ds.fingerprint()
+        assert fuzzify.frame_items(ds.schema, specs) == \
+            (frame.item_names, frame.item_sources)
 
     def test_exactly_one_item_per_column_per_row(self, tiny_csv):
         ds = load_csv(tiny_csv, "Churn", "1")
@@ -223,6 +225,9 @@ class TestBinaryFrame:
             to_binary_frame(ds, [])
         assert "'a=b=c'" in str(exc.value)
         assert "'a'" in str(exc.value) and "'a=b'" in str(exc.value)
+        # the names alone are checked, with no rows encoded
+        with pytest.raises(DuplicateItemName):
+            fuzzify.frame_items(ds.schema, [])
 
     def test_missing_spec(self, tiny_csv):
         ds = load_csv(tiny_csv, "Churn", "1")
