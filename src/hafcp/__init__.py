@@ -20,8 +20,7 @@ from .gbdt import (BoostParams, BoostedModel, ImportanceTable, Metrics,
 from .miner import (MiningConfig, Pattern, ProfitTable, SearchStats,
                     TransactionDB, brute_force_topk, build_transactions,
                     mine_topk, utility)
-from .augment import (ComparisonReport, PatternFeature, build_report,
-                      evaluate_with_pattern, pattern_feature, run_comparison)
+from .augment import ComparisonReport, build_report, run_comparison
 
 __version__ = "0.1.0"
 
@@ -37,7 +36,6 @@ __all__ = [
     "gaussian_mu", "assign_term", "to_binary_frame",
     "Pattern", "ProfitTable", "TransactionDB", "MiningConfig", "SearchStats",
     "build_transactions", "utility", "mine_topk", "brute_force_topk",
-    "PatternFeature", "ComparisonReport", "pattern_feature",
-    "evaluate_with_pattern", "build_report", "run_comparison",
+    "ComparisonReport", "build_report", "run_comparison",
     "__version__",
 ]

@@ -1,9 +1,10 @@
 """Turn mined patterns into engineered features and compare model metrics.
 
-A Pattern matches a row when every one of its items is present in the row's
-one-hot/fuzzified representation (computed with train-fitted membership
-specs, the same specs for train and test rows). Each top-i pattern becomes a
-binary indicator column appended after all original features; the model is
+A pattern's feature is a 0/1 indicator column: a row has it when the row's
+encoded frame (`fuzzify.to_binary_frame`, with the train-fitted membership
+specs for train and test rows alike) carries every item of the pattern.
+`match_rows` builds that column from a frame. Each top-i pattern's train and
+test columns are appended after all original features; the model is
 retrained with identical parameters and evaluated on the test split, giving
 the Baseline / Top-1..Top-k / AVG comparison table.
 """
@@ -14,20 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CATEGORICAL, ColumnarDataset, append_numeric_column
-from .errors import LineageError, UnresolvableItem
-from .fuzzify import TERMS, BinaryFrame, MembershipSpec, assign_term
+from .dataset import ColumnarDataset, append_numeric_column
+from .errors import UnresolvableItem
+from .fuzzify import BinaryFrame
 from .gbdt import BoostParams, Metrics, evaluate, predict_proba, train
 from .miner import Pattern
 
 METRIC_NAMES = ("auc", "accuracy", "recall", "precision", "f1")
 
-
-@dataclass(frozen=True)
-class PatternFeature:
-    pattern: Pattern
-    column_name: str
-    values: np.ndarray  # 0/1 per row
+# A pattern's indicator columns over the (train, test) splits.
+ColumnPair = tuple[np.ndarray, np.ndarray]
 
 
 def match_rows(frame: BinaryFrame, items) -> np.ndarray:
@@ -42,81 +39,19 @@ def match_rows(frame: BinaryFrame, items) -> np.ndarray:
     return out
 
 
-def _resolve_item(item: str, ds: ColumnarDataset,
-                  spec_by_col: dict[str, MembershipSpec]):
-    for term in TERMS:
-        suffix = f"_{term}"
-        if item.endswith(suffix):
-            col = item[: -len(suffix)]
-            if col in spec_by_col and col in ds.numeric_columns():
-                return ("fuzzy", col, term)
-    for col in ds.categorical_columns():
-        prefix = col + "="
-        if item.startswith(prefix):
-            value = item[len(prefix):]
-            cmap = ds.schema_of(col).category_map or ()
-            if value in cmap:
-                return ("categorical", col, cmap.index(value))
-    raise UnresolvableItem(
-        f"item {item!r} matches no fuzzified numeric or categorical column")
-
-
-def pattern_feature(pattern: Pattern, ds: ColumnarDataset,
-                    specs: list[MembershipSpec],
-                    column_name: str = "HAFCP_1") -> PatternFeature:
-    """Binary indicator column: row is 1 iff it exhibits every pattern item."""
-    spec_by_col = {s.column: s for s in specs}
-    values = np.ones(ds.n_rows, dtype=np.uint8)
-    for item in pattern.items:
-        kind, col, which = _resolve_item(item, ds, spec_by_col)
-        if kind == "fuzzy":
-            spec = spec_by_col[col]
-            hits = np.fromiter(
-                (1 if assign_term(float(x), spec).term == which else 0
-                 for x in ds.columns[col]),
-                dtype=np.uint8, count=ds.n_rows)
-        else:
-            hits = (ds.columns[col] == which).astype(np.uint8)
-        values &= hits
-    return PatternFeature(pattern=pattern, column_name=column_name,
-                          values=values)
-
-
-def _check_spec_lineage(train_ds: ColumnarDataset,
-                        specs: list[MembershipSpec]) -> None:
-    fp = train_ds.fingerprint()
-    for spec in specs:
-        if spec.source_fingerprint and spec.source_fingerprint != fp:
-            raise LineageError(
-                f"membership spec for {spec.column!r} was fitted on a "
-                f"different split than the given train data")
-
-
 def evaluate_with_patterns(train_ds: ColumnarDataset, test_ds: ColumnarDataset,
-                           specs: list[MembershipSpec],
-                           patterns: list[Pattern], params: BoostParams,
+                           columns: list[ColumnPair], params: BoostParams,
                            threshold: float = 0.5,
                            name_offset: int = 1) -> Metrics:
-    """Append one column per pattern to both splits, retrain, evaluate on test."""
-    _check_spec_lineage(train_ds, specs)
+    """Append each pattern's column pair to both splits, retrain, evaluate on test."""
     aug_train, aug_test = train_ds, test_ds
-    for i, pattern in enumerate(patterns):
+    for i, (train_col, test_col) in enumerate(columns):
         name = f"HAFCP_{name_offset + i}"
-        f_train = pattern_feature(pattern, train_ds, specs, name)
-        f_test = pattern_feature(pattern, test_ds, specs, name)
-        aug_train = append_numeric_column(aug_train, name, f_train.values)
-        aug_test = append_numeric_column(aug_test, name, f_test.values)
+        aug_train = append_numeric_column(aug_train, name, train_col)
+        aug_test = append_numeric_column(aug_test, name, test_col)
     model = train(aug_train, params)
     probs = predict_proba(model, aug_test)
     return evaluate(aug_test.label, probs, threshold=threshold)
-
-
-def evaluate_with_pattern(train_ds: ColumnarDataset, test_ds: ColumnarDataset,
-                          specs: list[MembershipSpec], pattern: Pattern,
-                          params: BoostParams,
-                          threshold: float = 0.5) -> Metrics:
-    return evaluate_with_patterns(train_ds, test_ds, specs, [pattern], params,
-                                  threshold=threshold)
 
 
 @dataclass(frozen=True)
@@ -177,20 +112,22 @@ def build_report(baseline: Metrics, augmented: list[tuple[int, Metrics]],
 
 
 def run_comparison(train_ds: ColumnarDataset, test_ds: ColumnarDataset,
-                   specs: list[MembershipSpec], patterns: list[Pattern],
+                   patterns: list[Pattern], columns: list[ColumnPair],
                    params: BoostParams, baseline: Metrics,
                    cumulative: bool = False, threshold: float = 0.5,
                    config_fingerprint: str = "") -> ComparisonReport:
     """Retrain once per top-i pattern, in rank order, and build the report.
 
-    Default is one engineered column per evaluation (top-i alone); cumulative
-    mode stacks columns for patterns 1..i instead.
+    `columns[i]` holds pattern i's indicator columns over the train and test
+    splits, as `match_rows` builds them. Default is one engineered column per
+    evaluation (top-i alone); cumulative mode stacks columns for patterns
+    1..i instead.
     """
     augmented = []
     for i in range(1, len(patterns) + 1):
-        chosen = patterns[:i] if cumulative else [patterns[i - 1]]
+        chosen = columns[:i] if cumulative else [columns[i - 1]]
         augmented.append((i, evaluate_with_patterns(
-            train_ds, test_ds, specs, chosen, params, threshold=threshold,
+            train_ds, test_ds, chosen, params, threshold=threshold,
             name_offset=1 if cumulative else i)))
     return build_report(baseline, augmented, patterns=patterns,
                         config_fingerprint=config_fingerprint)

@@ -4,10 +4,12 @@ Each invocation reads one JSON config (plus --dotted.key value overrides),
 then loads and splits the input CSV once; every subcommand takes those
 splits, so ``pipeline`` parses the CSV once for all four stages. Each stage
 writes artifacts into the config's output directory. ``fuzzify`` writes the
-fitted membership specs only; ``mine`` encodes the train split with the specs
-from ``membership_specs.json``. No encoded frame is written: a ``frame.json``
-left in the output directory by an older version is ignored and can be
-deleted.
+fitted membership specs and the numeric columns it skipped for zero
+importance; ``mine`` (train split) and ``report`` (train and test splits)
+encode rows through one helper, ``_encode``, with those specs and that skip
+set from ``membership_specs.json``. No encoded frame is written: a
+``frame.json`` left in the output directory by an older version is ignored
+and can be deleted.
 
 Every artifact embeds the config fingerprint and the content fingerprints of
 its inputs; downstream subcommands refuse to combine artifacts whose lineage
@@ -305,8 +307,9 @@ def cmd_train(cfg: PipelineConfig, splits: Splits) -> None:
     print(f"wrote {cfg.artifact('baseline')}")
 
 
-def _fuzzify_inputs(cfg: PipelineConfig, train_ds: ColumnarDataset):
-    """Shared by fuzzify/mine: importance, skip set, the train split to encode."""
+def _read_importance(cfg: PipelineConfig,
+                     train_ds: ColumnarDataset) -> gbdt.ImportanceTable:
+    """importance.csv, checked against the config and the train split."""
     imp_path = cfg.artifact("importance")
     try:
         table = gbdt.load_importance(imp_path)
@@ -318,21 +321,34 @@ def _fuzzify_inputs(cfg: PipelineConfig, train_ds: ColumnarDataset):
                          "importance file")
         _require_lineage(lineage.get("train_split", ""),
                          train_ds.fingerprint(), "importance train split")
-    skipped = [name for name in train_ds.numeric_columns()
-               if table.scores.get(name, 0.0) == 0.0]
-    frame_train = drop_columns(train_ds, skipped) if skipped else train_ds
-    return table, skipped, frame_train
+    return table
 
 
-def _read_specs(cfg: PipelineConfig,
-                train_ds: ColumnarDataset) -> list[fuzzify.MembershipSpec]:
-    """membership_specs.json, checked against the config and the train split."""
+def _read_specs(cfg: PipelineConfig, train_ds: ColumnarDataset
+                ) -> tuple[list[fuzzify.MembershipSpec], list[str]]:
+    """Specs and skipped columns, checked against the config and train split."""
     doc = _read_json(cfg.artifact("specs"), "membership specs")
     _require_lineage(doc["lineage"].get("config", ""), cfg.fingerprint(),
                      "membership specs")
     _require_lineage(doc["lineage"].get("train_split", ""),
                      train_ds.fingerprint(), "membership specs train split")
-    return [fuzzify.MembershipSpec.from_dict(d) for d in doc["specs"]]
+    return ([fuzzify.MembershipSpec.from_dict(d) for d in doc["specs"]],
+            doc["skipped_zero_importance"])
+
+
+def _encode(ds: ColumnarDataset, specs: list[fuzzify.MembershipSpec],
+            skipped: list[str], train_fp: str) -> fuzzify.BinaryFrame:
+    """Encode one split with the train-fitted specs.
+
+    The numeric columns fuzzify skipped are dropped first, so the frame holds
+    the items `mine` can find. Train and test rows go through this one path.
+    """
+    frame = fuzzify.to_binary_frame(
+        drop_columns(ds, skipped) if skipped else ds, specs)
+    if specs:  # a frame of categorical items only has no spec source
+        _require_lineage(frame.specs_source, train_fp,
+                         "membership spec source")
+    return frame
 
 
 def cmd_fuzzify(cfg: PipelineConfig, splits: Splits) -> None:
@@ -340,7 +356,9 @@ def cmd_fuzzify(cfg: PipelineConfig, splits: Splits) -> None:
     os.makedirs(cfg.output_dir, exist_ok=True)
     cfg_fp = cfg.fingerprint()
     ds, train_ds, _ = splits
-    _, skipped, frame_train = _fuzzify_inputs(cfg, train_ds)
+    table = _read_importance(cfg, train_ds)
+    skipped = [name for name in train_ds.numeric_columns()
+               if table.scores.get(name, 0.0) == 0.0]
 
     specs, normality_log = fuzzify.fit_all_memberships(
         train_ds, alpha=cfg.normality_alpha, seed=cfg.split.seed,
@@ -349,7 +367,7 @@ def cmd_fuzzify(cfg: PipelineConfig, splits: Splits) -> None:
         print("warning: no numeric columns to fuzzify; frame is one-hot only",
               file=sys.stderr)
     # duplicate item names fail here, before anything is written
-    fuzzify.frame_items(frame_train.schema, specs)
+    fuzzify.frame_items(drop_columns(train_ds, skipped).schema, specs)
 
     lineage = {"config": cfg_fp, "dataset": ds.fingerprint(),
                "train_split": train_ds.fingerprint()}
@@ -367,12 +385,9 @@ def cmd_mine(cfg: PipelineConfig, splits: Splits) -> None:
     os.makedirs(cfg.output_dir, exist_ok=True)
     cfg_fp = cfg.fingerprint()
     _, train_ds, _ = splits
-    table, _, frame_train = _fuzzify_inputs(cfg, train_ds)
-    specs = _read_specs(cfg, train_ds)
-    frame = fuzzify.to_binary_frame(frame_train, specs)
-    if specs:  # a frame of categorical items only has no spec source
-        _require_lineage(frame.specs_source, train_ds.fingerprint(),
-                         "membership spec source")
+    table = _read_importance(cfg, train_ds)
+    specs, skipped = _read_specs(cfg, train_ds)
+    frame = _encode(train_ds, specs, skipped, train_ds.fingerprint())
 
     db, profits = miner.build_transactions(frame, train_ds.label, table,
                                            mode=cfg.mining.mode)
@@ -416,7 +431,7 @@ def cmd_report(cfg: PipelineConfig, splits: Splits) -> None:
     _require_lineage(meta["lineage"].get("train_split", ""),
                      train_ds.fingerprint(), "patterns train split")
 
-    specs = _read_specs(cfg, train_ds)
+    specs, skipped = _read_specs(cfg, train_ds)
 
     baseline_doc = _read_json(cfg.artifact("baseline"), "baseline metrics")
     _require_lineage(baseline_doc["lineage"].get("config", ""), cfg_fp,
@@ -426,8 +441,13 @@ def cmd_report(cfg: PipelineConfig, splits: Splits) -> None:
     if not patterns:
         raise HafcpError("patterns file contains no patterns to evaluate")
 
+    train_fp = train_ds.fingerprint()
+    frames = [_encode(ds, specs, skipped, train_fp) for ds in (train_ds, test_ds)]
+    columns = [(augment.match_rows(frames[0], p.items),
+                augment.match_rows(frames[1], p.items)) for p in patterns]
+    del frames  # before the retrains, which set this step's peak memory
     report = augment.run_comparison(
-        train_ds, test_ds, specs, patterns, cfg.boost, baseline,
+        train_ds, test_ds, patterns, columns, cfg.boost, baseline,
         cumulative=cfg.cumulative, threshold=cfg.threshold,
         config_fingerprint=cfg_fp)
 

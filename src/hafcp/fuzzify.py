@@ -138,17 +138,23 @@ def shapiro_wilk(x, alpha: float = 0.05) -> NormalityResult:
     return NormalityResult(w_statistic=w, p_value=p, is_gaussian=p > alpha)
 
 
-def normality_decision(values, alpha: float = 0.05, seed: int = 0) -> NormalityResult:
-    """shapiro_wilk, subsampling to 5000 values (seeded) when the column is larger.
+def normality_rows(n: int, seed: int = 0) -> np.ndarray:
+    """Rows of an n-row column that the normality test sees.
 
-    AS R94 is only valid to n = 5000; bigger columns are decided on a
-    reproducible random subsample.
+    AS R94 is only valid to n = 5000, so a bigger column is decided on the
+    first 5000 rows of a seeded shuffle; a smaller one on all its rows. The
+    rows depend on n and the seed alone, so one draw serves every column of
+    a split.
     """
+    if n <= 5000:
+        return np.arange(n)
+    return np.asarray(rng.shuffled_indices(n, seed)[:5000], dtype=np.int64)
+
+
+def normality_decision(values, alpha: float = 0.05, seed: int = 0) -> NormalityResult:
+    """shapiro_wilk on the `normality_rows` of one column."""
     values = np.asarray(values, dtype=np.float64)
-    if len(values) > 5000:
-        perm = rng.shuffled_indices(len(values), seed)
-        values = values[np.asarray(perm[:5000], dtype=np.int64)]
-    return shapiro_wilk(values, alpha=alpha)
+    return shapiro_wilk(values[normality_rows(len(values), seed)], alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -264,6 +270,49 @@ def assign_term(x: float, spec: MembershipSpec) -> FuzzyAssignment:
     return FuzzyAssignment(term=best_term, membership=best_mu)
 
 
+def _triangular_mus(x: np.ndarray, a: float, b: float, c: float) -> np.ndarray:
+    """`triangular_mu` over an array; each branch computes the same operations."""
+    if not a <= b <= c:
+        raise InvalidVertices(f"need a <= b <= c, got ({a}, {b}, {c})")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu = np.where(x <= b, (x - a) / (b - a), (c - x) / (c - b))
+    mu = np.where((x <= a) | (x >= c), 0.0, mu)
+    if b == c:
+        mu = np.where(x >= b, 1.0, mu)
+    if a == b:
+        mu = np.where(x <= b, 1.0, mu)
+    return mu
+
+
+def _gaussian_mus(x: np.ndarray, center: float, width: float) -> np.ndarray:
+    """`gaussian_mu` over an array.
+
+    The exponent is computed in numpy, in `gaussian_mu`'s operation order;
+    the exponential is `math.exp` per value, because `np.exp` is not always
+    bit-identical to it.
+    """
+    if width <= 0:
+        raise NonpositiveWidth(f"width must be positive, got {width}")
+    z = (x - center) / width
+    return np.fromiter(map(math.exp, (-0.5 * z * z).tolist()),
+                       dtype=np.float64, count=len(x))
+
+
+def assign_terms(values, spec: MembershipSpec) -> tuple[np.ndarray, np.ndarray]:
+    """`assign_term` over an array: (term index into TERMS, membership).
+
+    The term is the first maximum over L, M, H, which is `assign_term`'s
+    L < M < H tie rule; terms and memberships equal `assign_term`'s bit for
+    bit.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    mus = _gaussian_mus if spec.family == "gaussian" else _triangular_mus
+    mu = np.stack([mus(x, *params)
+                   for params in (spec.low, spec.medium, spec.high)])
+    term = np.argmax(mu, axis=0)
+    return term, mu[term, np.arange(len(x))]
+
+
 @dataclass
 class BinaryFrame:
     """One-hot view of a dataset: categorical items plus fuzzy L/M/H items.
@@ -347,36 +396,25 @@ def to_binary_frame(ds: ColumnarDataset, specs: list[MembershipSpec]) -> BinaryF
     names, srcs = frame_items(ds.schema, specs)
     spec_by_col = {s.column: s for s in specs}
 
-    cols: list[np.ndarray] = []
-    mems: list[np.ndarray] = []
     n = ds.n_rows
-
+    rows = np.zeros((n, len(names)), dtype=np.uint8)
+    memberships = np.zeros((n, len(names)), dtype=np.float64)
+    j = 0
     for col in ds.schema:
         if col.kind == CATEGORICAL:
-            codes = ds.columns[col.name]
-            for code in range(len(col.category_map or ())):
-                hit = (codes == code).astype(np.uint8)
-                cols.append(hit)
-                mems.append(hit.astype(np.float64))
-
+            width = len(col.category_map or ())
+            hit = ds.columns[col.name][:, None] == np.arange(width)
+            rows[:, j:j + width] = hit
+            memberships[:, j:j + width] = hit
+            j += width
     for col in ds.schema:
-        if col.kind != NUMERIC:
-            continue
-        spec = spec_by_col[col.name]
-        values = ds.columns[col.name]
-        assigned = [assign_term(float(v), spec) for v in values]
-        for term in TERMS:
-            hit = np.fromiter((1 if a.term == term else 0 for a in assigned),
-                              dtype=np.uint8, count=n)
-            mem = np.fromiter(
-                (a.membership if a.term == term else 0.0 for a in assigned),
-                dtype=np.float64, count=n)
-            cols.append(hit)
-            mems.append(mem)
+        if col.kind == NUMERIC:
+            term, mu = assign_terms(ds.columns[col.name], spec_by_col[col.name])
+            hit = term[:, None] == np.arange(len(TERMS))
+            rows[:, j:j + len(TERMS)] = hit
+            memberships[:, j:j + len(TERMS)] = np.where(hit, mu[:, None], 0.0)
+            j += len(TERMS)
 
-    rows = np.column_stack(cols) if cols else np.zeros((n, 0), dtype=np.uint8)
-    memberships = (np.column_stack(mems) if mems
-                   else np.zeros((n, 0), dtype=np.float64))
     return BinaryFrame(item_names=names, item_sources=srcs, rows=rows,
                        memberships=memberships,
                        dataset_fingerprint=ds.fingerprint(),
@@ -395,15 +433,15 @@ def fit_all_memberships(train_ds: ColumnarDataset, alpha: float = 0.05,
     """
     skip = skip or set()
     fp = train_ds.fingerprint()
+    fitted = [name for name in train_ds.numeric_columns() if name not in skip]
+    sample = normality_rows(train_ds.n_rows, seed) if fitted else None
     specs: list[MembershipSpec] = []
     log: list[dict] = []
-    for name in train_ds.numeric_columns():
-        if name in skip:
-            continue
+    for name in fitted:
         values = train_ds.columns[name]
         if len(values) and float(values.min()) == float(values.max()):
             raise DegenerateColumn(name)
-        result = normality_decision(values, alpha=alpha, seed=seed)
+        result = shapiro_wilk(values[sample], alpha=alpha)
         spec = fit_membership(values, result, column=name,
                               source_fingerprint=fp, alpha=alpha)
         specs.append(spec)

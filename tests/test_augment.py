@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
-from hafcp import augment, dataset, fuzzify, gbdt
+from hafcp import cli, dataset, fuzzify, gbdt
 from hafcp.augment import (
     build_report,
-    evaluate_with_pattern,
+    evaluate_with_patterns,
     match_rows,
-    pattern_feature,
     report_to_markdown,
     run_comparison,
 )
 from hafcp.dataset import SplitSpec, load_csv
-from hafcp.errors import LineageError, UnresolvableItem
+from hafcp.errors import UnresolvableItem
 from hafcp.gbdt import BoostParams, Metrics
 from hafcp.miner import Pattern
 
@@ -20,10 +19,22 @@ from conftest import build_tiny_frame
 IDENTITY = Metrics(auc=0.8, accuracy=0.8, recall=0.8, precision=0.8, f1=0.8)
 
 
-def tiny_splits(tiny_csv):
+def tiny_splits(tiny_csv, fraction=0.8):
     ds = load_csv(tiny_csv, "Churn", "1")
     ds = dataset.drop_columns(ds, ["ID"])
-    return dataset.split(ds, SplitSpec(0.8, 0))
+    return dataset.split(ds, SplitSpec(fraction, 0))
+
+
+def encoded_splits(train_ds, test_ds, skip=()):
+    """Both splits encoded as the report encodes them: train-fitted specs."""
+    specs, _ = fuzzify.fit_all_memberships(train_ds, skip=set(skip))
+    return [cli._encode(ds, specs, list(skip), train_ds.fingerprint())
+            for ds in (train_ds, test_ds)]
+
+
+def pattern_columns(train_ds, test_ds, patterns):
+    frames = encoded_splits(train_ds, test_ds)
+    return [tuple(match_rows(f, p.items) for f in frames) for p in patterns]
 
 
 class TestMatchRows:
@@ -44,50 +55,54 @@ class TestMatchRows:
 
 
 class TestPatternFeature:
-    def test_fuzzy_items_resolved_through_specs(self, tiny_csv):
-        ds = load_csv(tiny_csv, "Churn", "1")
-        specs, _ = fuzzify.fit_all_memberships(ds)
-        frame = fuzzify.to_binary_frame(ds, specs)
-        pat = Pattern(items=("Age_L", "Spending_M"), utility=1.0, support=3)
-        feat = pattern_feature(pat, ds, specs, "HAFCP_1")
-        # must agree with the frame's own one-hot view
-        assert np.array_equal(feat.values,
-                              match_rows(frame, ("Age_L", "Spending_M")))
-        assert feat.column_name == "HAFCP_1"
+    """A pattern's column over the test split, encoded with train specs."""
 
-    def test_categorical_item_matches_codes(self, tiny_csv):
-        ds = load_csv(tiny_csv, "Churn", "1")
-        specs, _ = fuzzify.fit_all_memberships(ds)
-        pat = Pattern(items=("Shop Location=N",), utility=1.0, support=6)
-        feat = pattern_feature(pat, ds, specs)
-        expected = (ds.columns["Shop Location"] == 0).astype(np.uint8)
-        assert np.array_equal(feat.values, expected)
+    @pytest.fixture()
+    def held_out(self, tiny_csv):
+        # five test rows, so that items match some rows and miss others
+        train_ds, test_ds = tiny_splits(tiny_csv, fraction=0.5)
+        return train_ds, test_ds, encoded_splits(train_ds, test_ds)[1]
 
-    def test_conjunction_can_be_empty(self, tiny_csv):
-        ds = load_csv(tiny_csv, "Churn", "1")
-        specs, _ = fuzzify.fit_all_memberships(ds)
-        pat = Pattern(items=("Shop Location=C", "Shop Location=N"),
-                      utility=0.0, support=0)
-        feat = pattern_feature(pat, ds, specs)
-        assert feat.values.sum() == 0
+    def test_fuzzy_items_resolved_through_specs(self, held_out):
+        train_ds, test_ds, frame = held_out
+        specs, _ = fuzzify.fit_all_memberships(train_ds)
+        age, spending = specs
+        want = [fuzzify.assign_term(float(a), age).term == "L"
+                and fuzzify.assign_term(float(s), spending).term == "M"
+                for a, s in zip(test_ds.columns["Age"],
+                                test_ds.columns["Spending"])]
+        hits = match_rows(frame, ("Age_L", "Spending_M"))
+        assert hits.tolist() == [int(w) for w in want]
+        assert 0 < hits.sum() < test_ds.n_rows
 
-    def test_unresolvable_item(self, tiny_csv):
-        ds = load_csv(tiny_csv, "Churn", "1")
-        specs, _ = fuzzify.fit_all_memberships(ds)
+    def test_categorical_item_matches_codes(self, held_out):
+        _, test_ds, frame = held_out
+        expected = (test_ds.columns["Shop Location"] == 0).astype(np.uint8)
+        assert np.array_equal(match_rows(frame, ("Shop Location=N",)),
+                              expected)
+        assert 0 < expected.sum() < test_ds.n_rows
+
+    def test_conjunction_can_be_empty(self, held_out):
+        _, _, frame = held_out
+        hits = match_rows(frame, ("Shop Location=C", "Shop Location=N"))
+        assert hits.sum() == 0
+
+    def test_unresolvable_item(self, held_out):
+        _, _, frame = held_out
         with pytest.raises(UnresolvableItem):
-            pattern_feature(Pattern(("Tenure_H",), 0.0, 0), ds, specs)
+            match_rows(frame, ("Tenure_H",))
 
     def test_fuzzy_suffix_without_spec_is_unresolvable(self, tiny_csv):
-        ds = load_csv(tiny_csv, "Churn", "1")
-        specs, _ = fuzzify.fit_all_memberships(ds, skip={"Age"})
-        with pytest.raises(UnresolvableItem):
-            pattern_feature(Pattern(("Age_L",), 0.0, 0), ds, specs)
+        train_ds, test_ds = tiny_splits(tiny_csv, fraction=0.5)
+        frame = encoded_splits(train_ds, test_ds, skip=["Age"])[1]
+        with pytest.raises(UnresolvableItem) as exc:
+            match_rows(frame, ("Age_L",))
+        assert "'Age_L'" in str(exc.value)
 
 
 class TestEvaluateWithPatterns:
     def test_all_zero_pattern_reproduces_baseline_exactly(self, tiny_csv):
         train_ds, test_ds = tiny_splits(tiny_csv)
-        specs, _ = fuzzify.fit_all_memberships(train_ds)
         params = BoostParams(n_estimators=5, min_child_weight=0.0)
         model = gbdt.train(train_ds, params)
         baseline = gbdt.evaluate(test_ds.label,
@@ -96,24 +111,16 @@ class TestEvaluateWithPatterns:
         # which can never host a split: metrics must be bit-identical
         pat = Pattern(items=("Shop Location=C", "Shop Location=N"),
                       utility=0.0, support=0)
-        with_pat = evaluate_with_pattern(train_ds, test_ds, specs, pat, params)
+        columns = pattern_columns(train_ds, test_ds, [pat])
+        assert [c.sum() for c in columns[0]] == [0, 0]
+        with_pat = evaluate_with_patterns(train_ds, test_ds, columns, params)
         assert with_pat == baseline
-
-    def test_foreign_specs_rejected(self, tiny_csv):
-        train_ds, test_ds = tiny_splits(tiny_csv)
-        full = dataset.drop_columns(load_csv(tiny_csv, "Churn", "1"), ["ID"])
-        specs, _ = fuzzify.fit_all_memberships(full)  # not the train split
-        pat = Pattern(items=("Age_L",), utility=1.0, support=3)
-        with pytest.raises(LineageError):
-            evaluate_with_pattern(train_ds, test_ds, specs, pat,
-                                  BoostParams(n_estimators=2))
 
     def test_engineered_column_appended_after_features(self, tiny_csv):
         train_ds, test_ds = tiny_splits(tiny_csv)
-        specs, _ = fuzzify.fit_all_memberships(train_ds)
         pat = Pattern(items=("Age_L",), utility=1.0, support=3)
-        feat = pattern_feature(pat, train_ds, specs, "HAFCP_1")
-        aug = dataset.append_numeric_column(train_ds, "HAFCP_1", feat.values)
+        (train_col, _), = pattern_columns(train_ds, test_ds, [pat])
+        aug = dataset.append_numeric_column(train_ds, "HAFCP_1", train_col)
         assert aug.feature_names() == ["Shop Location", "Age", "Spending",
                                        "HAFCP_1"]
 
@@ -166,7 +173,6 @@ class TestRunComparison:
     @pytest.fixture()
     def setup(self, tiny_csv):
         train_ds, test_ds = tiny_splits(tiny_csv)
-        specs, _ = fuzzify.fit_all_memberships(train_ds)
         params = BoostParams(n_estimators=4, min_child_weight=0.0)
         model = gbdt.train(train_ds, params)
         baseline = gbdt.evaluate(test_ds.label,
@@ -174,27 +180,28 @@ class TestRunComparison:
         patterns = [Pattern(("Age_L", "Spending_M"), 2.4, 3),
                     Pattern(("Shop Location=N", "Spending_M"), 1.5, 3),
                     Pattern(("Age_H",), 1.0, 2)]
-        return train_ds, test_ds, specs, params, baseline, patterns
+        columns = pattern_columns(train_ds, test_ds, patterns)
+        return train_ds, test_ds, patterns, columns, params, baseline
 
     def test_one_row_per_pattern(self, setup):
-        train_ds, test_ds, specs, params, baseline, patterns = setup
-        report = run_comparison(train_ds, test_ds, specs, patterns, params,
+        train_ds, test_ds, patterns, columns, params, baseline = setup
+        report = run_comparison(train_ds, test_ds, patterns, columns, params,
                                 baseline)
         assert sorted(report.per_pattern) == [1, 2, 3]
         assert report.patterns == tuple(patterns)
 
     def test_cumulative_differs_from_independent(self, setup):
-        train_ds, test_ds, specs, params, baseline, patterns = setup
-        indep = run_comparison(train_ds, test_ds, specs, patterns, params,
+        train_ds, test_ds, patterns, columns, params, baseline = setup
+        indep = run_comparison(train_ds, test_ds, patterns, columns, params,
                                baseline, cumulative=False)
-        cumul = run_comparison(train_ds, test_ds, specs, patterns, params,
+        cumul = run_comparison(train_ds, test_ds, patterns, columns, params,
                                baseline, cumulative=True)
         # top-1 rows agree by construction (same single column)
         assert cumul.per_pattern[1] == indep.per_pattern[1]
 
     def test_markdown_layout(self, setup):
-        train_ds, test_ds, specs, params, baseline, patterns = setup
-        report = run_comparison(train_ds, test_ds, specs, patterns, params,
+        train_ds, test_ds, patterns, columns, params, baseline = setup
+        report = run_comparison(train_ds, test_ds, patterns, columns, params,
                                 baseline, config_fingerprint="deadbeef")
         text = report_to_markdown(report)
         header = [l for l in text.split("\n") if l.startswith("| Metric")][0]

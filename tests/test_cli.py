@@ -5,9 +5,9 @@ import sys
 
 import pytest
 
-from hafcp import cli
-from hafcp.dataset import drop_columns
-from hafcp.fuzzify import MembershipSpec, to_binary_frame
+from hafcp import augment, cli, fuzzify
+from hafcp.dataset import SplitSpec, drop_columns, load_csv, split
+from hafcp.errors import LineageError
 from hafcp.gbdt import load_model
 
 from conftest import TINY_CSV
@@ -55,15 +55,12 @@ def artifact(out_dir, name):
     return os.path.join(out_dir, cli.ARTIFACTS[name])
 
 
-def encoded_train_split(cfg_path, out_dir):
+def encoded_train_split(cfg_path):
     """The frame mine encodes: membership_specs.json over the train split."""
-    _, train_ds, _ = cli._load_splits(cli.load_config(cfg_path))
-    with open(artifact(out_dir, "specs"), encoding="utf-8") as f:
-        doc = json.load(f)
-    skipped = doc["skipped_zero_importance"]
-    frame_train = drop_columns(train_ds, skipped) if skipped else train_ds
-    return to_binary_frame(frame_train,
-                           [MembershipSpec.from_dict(d) for d in doc["specs"]])
+    cfg = cli.load_config(cfg_path)
+    _, train_ds, _ = cli._load_splits(cfg)
+    specs, skipped = cli._read_specs(cfg, train_ds)
+    return cli._encode(train_ds, specs, skipped, train_ds.fingerprint())
 
 
 class TestConfigHandling:
@@ -195,7 +192,7 @@ class TestFuzzify:
         assert [s["column"] for s in specs_doc["specs"]] == ["Age", "Spending"]
         assert [e["column"] for e in specs_doc["normality_log"]] == \
             ["Age", "Spending"]
-        frame = encoded_train_split(cfg_path, out)
+        frame = encoded_train_split(cfg_path)
         assert "Shop Location=N" in frame.item_names
         assert "Age_L" in frame.item_names
         assert frame.n_rows == 8  # train split only
@@ -218,7 +215,7 @@ class TestFuzzify:
         assert specs_doc["specs"] == []
         assert sorted(specs_doc["skipped_zero_importance"]) == \
             ["Age", "Spending"]
-        frame = encoded_train_split(cfg_path, out)
+        frame = encoded_train_split(cfg_path)
         assert frame.item_names
         assert all("=" in name for name in frame.item_names)
 
@@ -362,6 +359,22 @@ class TestMineAndReport:
         assert rc == 2
         assert "lineage" in capsys.readouterr().err.lower()
 
+    def test_report_item_missing_from_frame_exits_2(self, tmp_path, capsys):
+        # Age has zero importance, so fuzzify skips it and no frame has Age_L
+        cfg_path, out = make_project(
+            tmp_path,
+            importance_text="feature,score\nShop Location,1.0\nAge,0\n"
+                            "Spending,0.5\n")
+        self.run_through(cfg_path, "train", "fuzzify", "mine")
+        with open(artifact(out, "patterns"), "w", encoding="utf-8") as f:
+            f.write(json.dumps({"items": ["Age_L", "Spending_M"],
+                                "utility": 1.0, "support": 2}) + "\n")
+        capsys.readouterr()
+        assert cli.main(["report", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert "UnresolvableItem" in err and "'Age_L'" in err
+        assert not os.path.exists(artifact(out, "report"))
+
     def test_cumulative_report(self, tmp_path):
         cfg_path, out = make_project(tmp_path,
                                      {"report": {"cumulative": True}})
@@ -393,6 +406,23 @@ class TestPipelineCommand:
         assert len(calls) == 1
         assert not os.path.exists(os.path.join(out, "frame.json"))
 
+    def test_one_encoder_for_train_and_test_rows(self, tmp_path,
+                                                 monkeypatch):
+        calls = []
+        real_to_binary_frame = fuzzify.to_binary_frame
+
+        def counting_to_binary_frame(ds, specs):
+            calls.append(ds.n_rows)
+            return real_to_binary_frame(ds, specs)
+
+        monkeypatch.setattr(fuzzify, "to_binary_frame",
+                            counting_to_binary_frame)
+        cfg_path, _ = make_project(tmp_path)
+        assert cli.main(["pipeline", "--config", cfg_path]) == 0
+        # mine: train split; report: train split, then test split
+        assert calls == [8, 8, 2]
+        assert not hasattr(augment, "assign_term")
+
     def test_baseline_carries_training_counters(self, tmp_path):
         cfg_path, out = make_project(tmp_path)
         assert cli.main(["train", "--config", cfg_path]) == 0
@@ -420,6 +450,16 @@ class TestPipelineCommand:
             assert cli.main([cmd, "--config", cfg_path]) == 0
         for name, blob in combined.items():
             assert open(artifact(out, name), "rb").read() == blob, name
+
+
+class TestEncode:
+    def test_foreign_specs_rejected(self, tiny_csv):
+        full = drop_columns(load_csv(tiny_csv, "Churn", "1"), ["ID"])
+        train_ds, test_ds = split(full, SplitSpec(0.8, 0))
+        specs, _ = fuzzify.fit_all_memberships(full)  # not the train split
+        for ds in (train_ds, test_ds):
+            with pytest.raises(LineageError):
+                cli._encode(ds, specs, [], train_ds.fingerprint())
 
 
 def test_module_entry_point(tmp_path):

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hafcp import fuzzify
+from hafcp import fuzzify, rng
 from hafcp.dataset import LABEL, NUMERIC, ColumnSchema, ColumnarDataset, load_csv
 from hafcp.errors import (
     DegenerateColumn,
@@ -14,9 +16,11 @@ from hafcp.errors import (
     NonpositiveWidth,
 )
 from hafcp.fuzzify import (
+    TERMS,
     MembershipSpec,
     NormalityResult,
     assign_term,
+    assign_terms,
     fit_all_memberships,
     fit_membership,
     gaussian_mu,
@@ -181,6 +185,77 @@ class TestAssignTerm:
         assert last == 2
 
 
+# Few distinct levels, so equal vertices (shoulders, degenerate triangles)
+# and values exactly on a vertex are common.
+LEVEL = st.sampled_from([-1e6, -3.0, 0.0, 1.0, 2.5, 4.0, 1e6]) | \
+    st.floats(-1e6, 1e6)
+
+
+@st.composite
+def specs_and_values(draw):
+    if draw(st.booleans()):
+        a, b, c = sorted(draw(LEVEL) for _ in range(3))
+        # the fitted shape (shoulders at min and max), or any three triples
+        if draw(st.booleans()):
+            terms = [(a, a, b), (a, b, c), (b, c, c)]
+        else:
+            terms = [tuple(sorted(draw(LEVEL) for _ in range(3)))
+                     for _ in range(3)]
+        family = "triangular"
+        marks = [v for t in terms for v in t]
+        marks += [(t[0] + t[1]) / 2 for t in terms]  # exact L/M, M/H ties
+        marks += [(t[1] + t[2]) / 2 for t in terms]
+    else:
+        center = draw(st.floats(-1e3, 1e3))
+        spread = draw(st.sampled_from([1e-3, 0.5, 1.0]) | st.floats(1e-3, 1e3))
+        width = draw(st.sampled_from([spread / 2, spread]))
+        terms = [(center - spread, width), (center, width),
+                 (center + spread, width)]
+        family = "gaussian"
+        # midpoints tie two terms; far values underflow all three to 0.0
+        marks = [center - spread, center - spread / 2, center,
+                 center + spread / 2, center + spread]
+    spec = MembershipSpec(column="v", family=family, low=terms[0],
+                          medium=terms[1], high=terms[2], stats={},
+                          alpha=0.05, source_fingerprint="")
+    values = draw(st.lists(st.sampled_from(marks) | LEVEL, min_size=1,
+                           max_size=40))
+    return spec, np.array(values, dtype=np.float64)
+
+
+class TestAssignTerms:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(specs_and_values())
+    def test_equals_assign_term_bit_for_bit(self, case):
+        spec, values = case
+        term, mu = assign_terms(values, spec)
+        want = [assign_term(float(x), spec) for x in values]
+        assert [TERMS[t] for t in term] == [a.term for a in want]
+        assert mu.tobytes() == \
+            np.array([a.membership for a in want]).tobytes()
+
+    def test_ties_and_underflow(self):
+        term, mu = assign_terms([2.5, 7.5, -50.0, 50.0], TRI)
+        assert term.tolist() == [0, 1, 0, 2]
+        assert mu.tolist() == [0.5, 0.5, 1.0, 1.0]
+        spec = fit_membership(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), NORMAL,
+                              column="v")
+        term, mu = assign_terms([1e6, -1e6], spec)
+        assert term.tolist() == [0, 0]
+        assert mu.tolist() == [0.0, 0.0]
+
+    def test_invalid_parameters_rejected(self):
+        with pytest.raises(InvalidVertices):
+            assign_terms([1.0], MembershipSpec.from_dict(
+                {**TRI.to_dict(), "medium": [5.0, 0.0, 10.0]}))
+        gauss = MembershipSpec(column="v", family="gaussian", low=(0.0, 0.0),
+                               medium=(1.0, 0.0), high=(2.0, 0.0), stats={},
+                               alpha=0.05, source_fingerprint="")
+        with pytest.raises(NonpositiveWidth):
+            assign_terms([1.0], gauss)
+
+
 class TestBinaryFrame:
     def test_tiny_frame_layout(self, tiny_csv):
         ds = load_csv(tiny_csv, "Churn", "1")
@@ -267,6 +342,34 @@ class TestFitAllMemberships:
             assert entry["family"] == spec.family
             assert entry["n"] == 10
         assert all(s.source_fingerprint == ds.fingerprint() for s in specs)
+
+    def test_one_normality_shuffle_per_split(self, monkeypatch):
+        # every column of a split has the same length and seed, so one
+        # subsample serves them all
+        n = 6000
+        columns = {name: np.array(make_sample(dist, n, seed))
+                   for name, dist, seed in (("a", "normal", 1),
+                                            ("b", "exponential", 2),
+                                            ("c", "uniform", 3))}
+        y = np.arange(n) % 2
+        ds = ColumnarDataset(
+            [ColumnSchema(name, NUMERIC) for name in columns]
+            + [ColumnSchema("y", LABEL, ("0", "1"))],
+            {**columns, "y": y}, y)
+        calls = []
+        real = rng.shuffled_indices
+
+        def counting(n, seed):
+            calls.append((n, seed))
+            return real(n, seed)
+
+        monkeypatch.setattr(rng, "shuffled_indices", counting)
+        _, log = fit_all_memberships(ds, seed=7)
+        assert calls == [(n, 7)]
+        for entry, (name, values) in zip(log, columns.items()):
+            one = fuzzify.normality_decision(values, seed=7)
+            assert (entry["column"], entry["w_statistic"], entry["p_value"]) \
+                == (name, one.w_statistic, one.p_value)
 
     def test_skip_set_respected(self, tiny_csv):
         ds = load_csv(tiny_csv, "Churn", "1")
