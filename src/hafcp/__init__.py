@@ -17,9 +17,8 @@ from .fuzzify import (BinaryFrame, FuzzyAssignment, MembershipSpec,
 from .gbdt import (BoostParams, BoostedModel, ImportanceTable, Metrics,
                    TrainStats, evaluate, importance, load_importance,
                    predict_proba, train)
-from .miner import (MiningConfig, Pattern, ProfitTable, SearchStats,
-                    TransactionDB, brute_force_topk, build_transactions,
-                    mine_topk, utility)
+from .miner import (MiningConfig, Pattern, SearchStats, TransactionDB,
+                    brute_force_topk, build_transactions, mine_topk, utility)
 from .augment import ComparisonReport, build_report, run_comparison
 
 __version__ = "0.1.0"
@@ -34,7 +33,7 @@ __all__ = [
     "NormalityResult", "MembershipSpec", "FuzzyAssignment", "BinaryFrame",
     "shapiro_wilk", "fit_membership", "fit_all_memberships", "triangular_mu",
     "gaussian_mu", "assign_term", "to_binary_frame",
-    "Pattern", "ProfitTable", "TransactionDB", "MiningConfig", "SearchStats",
+    "Pattern", "TransactionDB", "MiningConfig", "SearchStats",
     "build_transactions", "utility", "mine_topk", "brute_force_topk",
     "ComparisonReport", "build_report", "run_comparison",
     "__version__",

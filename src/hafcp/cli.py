@@ -12,8 +12,8 @@ set from ``membership_specs.json``. No encoded frame is written: a
 and can be deleted.
 
 Every artifact embeds the config fingerprint and the content fingerprints of
-its inputs; downstream subcommands refuse to combine artifacts whose lineage
-does not match the current config. All writes are atomic and all randomness
+its inputs; a subcommand refuses every artifact it reads whose lineage does
+not name the current config and train split (``_check_lineage``). All writes are atomic and all randomness
 flows from config seeds, so rerunning any subcommand with unchanged inputs
 reproduces byte-identical files.
 
@@ -27,7 +27,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from types import UnionType
 
 from . import augment, fuzzify, gbdt, miner, rng
 from ._util import atomic_write_text, fingerprint_of, jsonable
@@ -53,133 +53,95 @@ ARTIFACTS = {
 }
 
 
-@dataclass
+# Every config key with its default; a nested object is a section. A key
+# whose entry is a type has no default: it is required, or null when the
+# type admits None. Values are typed strictly: a bool is no int, an int is
+# taken for a float key and stored as a float, strings are non-empty and a
+# list holds strings.
+DEFAULTS = {
+    "input": str,
+    "label_column": str,
+    "positive_label": str,
+    "output_dir": str,
+    "drop_columns": [],
+    "split": {"fraction": 0.8, "seed": 0},
+    "boost": {"max_depth": 6, "learning_rate": 0.3, "n_estimators": 100,
+              "min_child_weight": 1.0, "lambda_l2": 1.0},
+    "importance": {"method": "gain", "path": str | None},
+    "normality_alpha": 0.05,
+    "mining": {"k": 5, "min_length": 2, "max_length": int | None,
+               "mode": "binary", "algorithm": "exact"},
+    "report": {"cumulative": False, "threshold": 0.5},
+}
+
+_KIND_NAMES = {str: "a non-empty string", int: "an integer", float: "a number",
+               bool: "true or false", list: "a list of strings"}
+
+
+def _checked(table: dict, raw, prefix: str = "") -> dict:
+    """raw with table's defaults filled in; unknown keys and bad types fail."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config section {prefix[:-1]!r} must be an object")
+    unknown = sorted(prefix + key for key in set(raw) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {unknown}")
+    out = {}
+    for key, entry in table.items():
+        if isinstance(entry, dict):
+            out[key] = _checked(entry, raw.get(key, {}), f"{prefix}{key}.")
+            continue
+        kind = entry if isinstance(entry, (type, UnionType)) else type(entry)
+        value = raw.get(key, None if kind is entry else entry)
+        if kind is float and type(value) is int:
+            value = float(value)
+        if (not isinstance(value, kind) or value == ""
+                or isinstance(value, bool) is not (kind is bool)
+                or (kind is list
+                    and not all(isinstance(v, str) for v in value))):
+            name = (_KIND_NAMES[kind] if kind in _KIND_NAMES
+                    else _KIND_NAMES[kind.__args__[0]] + " or null")
+            raise ConfigError(f"config key {prefix + key!r} must be {name}, "
+                              f"got {json.dumps(value)}")
+        out[key] = list(value) if kind is list else value
+    return out
+
+
 class PipelineConfig:
-    input: str
-    label_column: str
-    positive_label: str
-    output_dir: str
-    drop_columns: list[str] = field(default_factory=list)
-    split: SplitSpec = field(default_factory=SplitSpec)
-    boost: gbdt.BoostParams = field(default_factory=gbdt.BoostParams)
-    importance_method: str = "gain"
-    importance_path: str | None = None
-    normality_alpha: float = 0.05
-    mining: miner.MiningConfig = field(
-        default_factory=lambda: miner.MiningConfig(k=5))
-    cumulative: bool = False
-    threshold: float = 0.5
+    """A checked config. Each top-level key of DEFAULTS is an attribute:
+    split, boost and mining as library objects, the other sections as dicts.
+    """
+
+    def __init__(self, values: dict):
+        self.values = values
+        vars(self).update(values)
+        self.split = SplitSpec(values["split"]["fraction"],
+                               values["split"]["seed"])
+        self.boost = gbdt.BoostParams(**values["boost"]).validate()
+        self.mining = miner.MiningConfig(**values["mining"]).validate()
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
-        known = {"input", "label_column", "positive_label", "output_dir",
-                 "drop_columns", "split", "boost", "importance",
-                 "normality_alpha", "mining", "report"}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("input", "label_column", "positive_label", "output_dir"):
-            if key not in raw or not isinstance(raw[key], str) or not raw[key]:
-                raise ConfigError(f"config key {key!r} must be a non-empty string")
-
-        def section(name: str, defaults: dict) -> dict:
-            got = raw.get(name, {})
-            if not isinstance(got, dict):
-                raise ConfigError(f"config section {name!r} must be an object")
-            bad = set(got) - set(defaults)
-            if bad:
-                raise ConfigError(f"unknown keys in {name!r}: {sorted(bad)}")
-            merged = dict(defaults)
-            merged.update(got)
-            return merged
-
-        split_d = section("split", {"fraction": 0.8, "seed": 0})
-        boost_d = section("boost", {"max_depth": 6, "learning_rate": 0.3,
-                                    "n_estimators": 100,
-                                    "min_child_weight": 1.0,
-                                    "lambda_l2": 1.0, "seed": 0})
-        imp_d = section("importance", {"method": "gain", "path": None})
-        mine_d = section("mining", {"k": 5, "min_length": 2,
-                                    "max_length": None, "mode": "binary",
-                                    "algorithm": "exact"})
-        report_d = section("report", {"cumulative": False, "threshold": 0.5})
-
-        drops = raw.get("drop_columns", [])
-        if not isinstance(drops, list) or not all(isinstance(d, str) for d in drops):
-            raise ConfigError("drop_columns must be a list of column names")
-        alpha = raw.get("normality_alpha", 0.05)
-        if not isinstance(alpha, (int, float)) or not 0.0 < alpha < 1.0:
-            raise ConfigError(f"normality_alpha must be in (0,1), got {alpha}")
-        method = imp_d["method"]
-        if method not in ("gain", "path_attribution", "external"):
-            raise ConfigError(f"unknown importance method {method!r}")
-        if method == "external" and not imp_d["path"]:
-            raise ConfigError("importance.path is required for method external")
-        try:
-            fraction = float(split_d["fraction"])
-            seed = int(split_d["seed"])
-            if seed < 0:
-                raise ConfigError("split.seed must be >= 0")
-            boost = gbdt.BoostParams(
-                max_depth=int(boost_d["max_depth"]),
-                learning_rate=float(boost_d["learning_rate"]),
-                n_estimators=int(boost_d["n_estimators"]),
-                min_child_weight=float(boost_d["min_child_weight"]),
-                lambda_l2=float(boost_d["lambda_l2"]),
-                seed=int(boost_d["seed"])).validate()
-            mining = miner.MiningConfig(
-                k=int(mine_d["k"]),
-                min_length=int(mine_d["min_length"]),
-                max_length=(None if mine_d["max_length"] is None
-                            else int(mine_d["max_length"])),
-                mode=str(mine_d["mode"]),
-                algorithm=str(mine_d["algorithm"])).validate()
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"malformed config value: {e}") from None
+        values = _checked(DEFAULTS, raw)
+        fraction = values["split"]["fraction"]
+        alpha = values["normality_alpha"]
+        method = values["importance"]["method"]
         if not 0.0 < fraction < 1.0:
             raise ConfigError(f"split.fraction must be in (0,1), got {fraction}")
-        threshold = report_d["threshold"]
-        if not isinstance(threshold, (int, float)) or not 0.0 <= threshold <= 1.0:
+        if values["split"]["seed"] < 0:
+            raise ConfigError("split.seed must be >= 0")
+        if not 0.0 < alpha < 1.0:
+            raise ConfigError(f"normality_alpha must be in (0,1), got {alpha}")
+        if method not in ("gain", "path_attribution", "external"):
+            raise ConfigError(f"unknown importance method {method!r}")
+        if method == "external" and values["importance"]["path"] is None:
+            raise ConfigError("importance.path is required for method external")
+        if not 0.0 <= values["report"]["threshold"] <= 1.0:
             raise ConfigError("report.threshold must be in [0,1]")
-
-        return cls(input=raw["input"], label_column=raw["label_column"],
-                   positive_label=raw["positive_label"],
-                   output_dir=raw["output_dir"], drop_columns=list(drops),
-                   split=SplitSpec(train_fraction=fraction, seed=seed),
-                   boost=boost, importance_method=method,
-                   importance_path=imp_d["path"],
-                   normality_alpha=float(alpha), mining=mining,
-                   cumulative=bool(report_d["cumulative"]),
-                   threshold=float(threshold))
+        return cls(values)
 
     def effective_dict(self) -> dict:
-        return {
-            "config_version": CONFIG_VERSION,
-            "shuffle_algorithm": rng.ALGORITHM,
-            "input": self.input,
-            "label_column": self.label_column,
-            "positive_label": self.positive_label,
-            "output_dir": self.output_dir,
-            "drop_columns": list(self.drop_columns),
-            "split": {"fraction": self.split.train_fraction,
-                      "seed": self.split.seed},
-            "boost": {"max_depth": self.boost.max_depth,
-                      "learning_rate": self.boost.learning_rate,
-                      "n_estimators": self.boost.n_estimators,
-                      "min_child_weight": self.boost.min_child_weight,
-                      "lambda_l2": self.boost.lambda_l2,
-                      "seed": self.boost.seed},
-            "importance": {"method": self.importance_method,
-                           "path": self.importance_path},
-            "normality_alpha": self.normality_alpha,
-            "mining": {"k": self.mining.k,
-                       "min_length": self.mining.min_length,
-                       "max_length": self.mining.max_length,
-                       "mode": self.mining.mode,
-                       "algorithm": self.mining.algorithm},
-            "report": {"cumulative": self.cumulative,
-                       "threshold": self.threshold},
-        }
+        return {"config_version": CONFIG_VERSION,
+                "shuffle_algorithm": rng.ALGORITHM, **self.values}
 
     def fingerprint(self) -> str:
         return fingerprint_of(self.effective_dict())
@@ -238,38 +200,42 @@ def _write_json(path: str, doc: dict) -> None:
                                        sort_keys=True) + "\n")
 
 
-def _read_json(path: str, what: str) -> dict:
+def _check_lineage(cfg: PipelineConfig, train_ds: ColumnarDataset, path: str,
+                   lineage) -> None:
+    """Fail unless an artifact's lineage names this config and train split."""
+    if not isinstance(lineage, dict):
+        raise LineageError(f"{path} carries no lineage object")
+    for key, expected in (("config", cfg.fingerprint()),
+                          ("train_split", train_ds.fingerprint())):
+        found = str(lineage.get(key))
+        if found != expected:
+            raise LineageError(
+                f"{path} {key} lineage mismatch: artifact carries "
+                f"{found[:12]}..., current run expects {expected[:12]}...")
+
+
+def _read_artifact(cfg: PipelineConfig, train_ds: ColumnarDataset, name: str,
+                   what: str) -> dict:
+    """A JSON artifact of this output directory, checked by _check_lineage."""
+    path = cfg.artifact(name)
     try:
         with open(path, encoding="utf-8") as f:
-            return json.load(f)
+            doc = json.load(f)
     except FileNotFoundError:
         raise MissingArtifact(f"{what} artifact not found: {path}") from None
     except json.JSONDecodeError as e:
         raise HafcpError(f"{what} artifact {path} is corrupt: {e}") from None
-
-
-def _require_lineage(found: str, expected: str, what: str) -> None:
-    if found != expected:
-        raise LineageError(
-            f"{what} lineage mismatch: artifact carries {found[:12]}..., "
-            f"current run expects {expected[:12]}...")
+    if not isinstance(doc, dict):
+        raise HafcpError(f"{what} artifact {path} is corrupt: "
+                         f"its root is not a JSON object")
+    _check_lineage(cfg, train_ds, path, doc.get("lineage"))
+    return doc
 
 
 def _write_effective_config(cfg: PipelineConfig) -> None:
     doc = cfg.effective_dict()
     doc["fingerprint"] = cfg.fingerprint()
     _write_json(cfg.artifact("config"), doc)
-
-
-def _read_importance_lineage(path: str) -> dict | None:
-    try:
-        with open(path, encoding="utf-8") as f:
-            for line in f:
-                if line.startswith("# lineage "):
-                    return json.loads(line[len("# lineage "):])
-    except FileNotFoundError:
-        raise MissingArtifact(f"importance artifact not found: {path}") from None
-    return None
 
 
 def cmd_train(cfg: PipelineConfig, splits: Splits) -> None:
@@ -280,17 +246,18 @@ def cmd_train(cfg: PipelineConfig, splits: Splits) -> None:
     stats = gbdt.TrainStats()
     model = gbdt.train(train_ds, cfg.boost, stats)
     probs = gbdt.predict_proba(model, test_ds)
-    metrics = gbdt.evaluate(test_ds.label, probs, threshold=cfg.threshold)
+    threshold = cfg.report["threshold"]
+    metrics = gbdt.evaluate(test_ds.label, probs, threshold=threshold)
 
-    if cfg.importance_method == "external":
+    if cfg.importance["method"] == "external":
         try:
-            table = gbdt.load_importance(cfg.importance_path)
+            table = gbdt.load_importance(cfg.importance["path"])
         except FileNotFoundError:
             raise MissingArtifact(
-                f"external importance file not found: {cfg.importance_path}"
+                f"external importance file not found: {cfg.importance['path']}"
             ) from None
     else:
-        table = gbdt.importance(model, train_ds, cfg.importance_method)
+        table = gbdt.importance(model, train_ds, cfg.importance["method"])
 
     lineage = {"config": cfg_fp, "dataset": ds.fingerprint(),
                "train_split": train_ds.fingerprint(),
@@ -299,7 +266,7 @@ def cmd_train(cfg: PipelineConfig, splits: Splits) -> None:
     gbdt.write_importance(table, cfg.artifact("importance"),
                           lineage=dict(lineage, method=table.method))
     _write_json(cfg.artifact("baseline"),
-                {"metrics": metrics.as_dict(), "threshold": cfg.threshold,
+                {"metrics": metrics.as_dict(), "threshold": threshold,
                  **stats.to_dict(), "lineage": lineage})
     _write_effective_config(cfg)
     print(f"wrote {cfg.artifact('model')}")
@@ -310,28 +277,19 @@ def cmd_train(cfg: PipelineConfig, splits: Splits) -> None:
 def _read_importance(cfg: PipelineConfig,
                      train_ds: ColumnarDataset) -> gbdt.ImportanceTable:
     """importance.csv, checked against the config and the train split."""
-    imp_path = cfg.artifact("importance")
+    path = cfg.artifact("importance")
     try:
-        table = gbdt.load_importance(imp_path)
+        table = gbdt.load_importance(path)
     except FileNotFoundError:
-        raise MissingArtifact(f"importance artifact not found: {imp_path}") from None
-    lineage = _read_importance_lineage(imp_path)
-    if lineage is not None:
-        _require_lineage(lineage.get("config", ""), cfg.fingerprint(),
-                         "importance file")
-        _require_lineage(lineage.get("train_split", ""),
-                         train_ds.fingerprint(), "importance train split")
+        raise MissingArtifact(f"importance artifact not found: {path}") from None
+    _check_lineage(cfg, train_ds, path, table.lineage)
     return table
 
 
 def _read_specs(cfg: PipelineConfig, train_ds: ColumnarDataset
                 ) -> tuple[list[fuzzify.MembershipSpec], list[str]]:
     """Specs and skipped columns, checked against the config and train split."""
-    doc = _read_json(cfg.artifact("specs"), "membership specs")
-    _require_lineage(doc["lineage"].get("config", ""), cfg.fingerprint(),
-                     "membership specs")
-    _require_lineage(doc["lineage"].get("train_split", ""),
-                     train_ds.fingerprint(), "membership specs train split")
+    doc = _read_artifact(cfg, train_ds, "specs", "membership specs")
     return ([fuzzify.MembershipSpec.from_dict(d) for d in doc["specs"]],
             doc["skipped_zero_importance"])
 
@@ -345,9 +303,12 @@ def _encode(ds: ColumnarDataset, specs: list[fuzzify.MembershipSpec],
     """
     frame = fuzzify.to_binary_frame(
         drop_columns(ds, skipped) if skipped else ds, specs)
-    if specs:  # a frame of categorical items only has no spec source
-        _require_lineage(frame.specs_source, train_fp,
-                         "membership spec source")
+    # a frame of categorical items only has no spec source
+    if specs and frame.specs_source != train_fp:
+        raise LineageError(
+            f"membership spec source lineage mismatch: artifact carries "
+            f"{frame.specs_source[:12]}..., current run expects "
+            f"{train_fp[:12]}...")
     return frame
 
 
@@ -426,16 +387,11 @@ def cmd_report(cfg: PipelineConfig, splits: Splits) -> None:
     if not os.path.exists(patterns_path):
         raise MissingArtifact(f"patterns artifact not found: {patterns_path}")
     patterns = miner.read_patterns(patterns_path)
-    meta = _read_json(cfg.artifact("patterns_meta"), "patterns metadata")
-    _require_lineage(meta["lineage"].get("config", ""), cfg_fp, "patterns")
-    _require_lineage(meta["lineage"].get("train_split", ""),
-                     train_ds.fingerprint(), "patterns train split")
-
+    meta = _read_artifact(cfg, train_ds, "patterns_meta",
+                          "patterns metadata")
     specs, skipped = _read_specs(cfg, train_ds)
-
-    baseline_doc = _read_json(cfg.artifact("baseline"), "baseline metrics")
-    _require_lineage(baseline_doc["lineage"].get("config", ""), cfg_fp,
-                     "baseline metrics")
+    baseline_doc = _read_artifact(cfg, train_ds, "baseline",
+                                  "baseline metrics")
     baseline = gbdt.Metrics.from_dict(baseline_doc["metrics"])
 
     if not patterns:
@@ -448,7 +404,8 @@ def cmd_report(cfg: PipelineConfig, splits: Splits) -> None:
     del frames  # before the retrains, which set this step's peak memory
     report = augment.run_comparison(
         train_ds, test_ds, patterns, columns, cfg.boost, baseline,
-        cumulative=cfg.cumulative, threshold=cfg.threshold,
+        cumulative=cfg.report["cumulative"],
+        threshold=cfg.report["threshold"],
         config_fingerprint=cfg_fp)
 
     doc = report.to_dict()

@@ -104,9 +104,6 @@ class ColumnarDataset:
     def numeric_columns(self) -> list[str]:
         return [c.name for c in self.schema if c.kind == NUMERIC]
 
-    def categorical_columns(self) -> list[str]:
-        return [c.name for c in self.schema if c.kind == CATEGORICAL]
-
     def schema_of(self, name: str) -> ColumnSchema:
         for col in self.schema:
             if col.name == name:

@@ -31,7 +31,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from .errors import (
 
 MODEL_FORMAT = "hafcp-gbdt"
 MODEL_VERSION = 1
+LINEAGE_COMMENT = "# lineage "
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,6 @@ class BoostParams:
     n_estimators: int = 100
     min_child_weight: float = 1.0
     lambda_l2: float = 1.0
-    seed: int = 0
 
     def validate(self) -> "BoostParams":
         if self.max_depth < 1:
@@ -75,8 +75,6 @@ class BoostParams:
             raise ConfigError("min_child_weight must be >= 0")
         if self.lambda_l2 < 0:
             raise ConfigError("lambda_l2 must be >= 0")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
         return self
 
 
@@ -104,6 +102,7 @@ class Metrics:
 class ImportanceTable:
     method: str  # gain | path_attribution | external
     scores: dict[str, float]
+    lineage: dict | None = None  # read back from write_importance's comment
 
 
 class Tree:
@@ -230,6 +229,10 @@ class BoostedModel:
     def from_dict(cls, d: dict) -> "BoostedModel":
         if d.get("format") != MODEL_FORMAT:
             raise ParseError(f"not a {MODEL_FORMAT} document")
+        known = {f.name for f in fields(BoostParams)}
+        unknown = sorted(set(d["params"]) - known)
+        if unknown:
+            raise ParseError(f"unknown model params: {unknown}")
         params = BoostParams(**d["params"])
         trees = [Tree.from_dict(t) for t in d["trees"]]
         return cls(trees, float(d["base_score"]), list(d["feature_names"]),
@@ -587,10 +590,20 @@ def load_importance(path: str) -> ImportanceTable:
     """Read a two-column CSV (feature,score) as an external importance table.
 
     A first row of exactly feature,score is treated as a header; lines
-    starting with '#' are ignored (the CLI appends a lineage comment).
+    starting with '#' are ignored, except that the JSON of a lineage comment
+    as write_importance appends it becomes the table's lineage.
     """
     with open(path, newline="", encoding="utf-8") as f:
-        rows = [r for r in csv.reader(f) if r and not r[0].lstrip().startswith("#")]
+        lines = list(f)
+    lineage = None
+    for line in lines:
+        if line.startswith(LINEAGE_COMMENT):
+            try:
+                lineage = json.loads(line[len(LINEAGE_COMMENT):])
+            except json.JSONDecodeError as e:
+                raise ParseError(f"{path}: lineage comment: {e}") from None
+    rows = [r for r in csv.reader(lines)
+            if r and not r[0].lstrip().startswith("#")]
     if rows and [c.strip().lower() for c in rows[0]] == ["feature", "score"]:
         rows = rows[1:]
     if not rows:
@@ -611,7 +624,7 @@ def load_importance(path: str) -> ImportanceTable:
         scores[name] = value
     if not any(v > 0 for v in scores.values()):
         raise ParseError(f"{path}: all importance scores are zero")
-    return ImportanceTable(method="external", scores=scores)
+    return ImportanceTable(method="external", scores=scores, lineage=lineage)
 
 
 def write_importance(table: ImportanceTable, path: str, lineage: dict | None = None) -> None:
@@ -622,7 +635,7 @@ def write_importance(table: ImportanceTable, path: str, lineage: dict | None = N
         w.writerow([name, repr(float(score))])
     text = buf.getvalue()
     if lineage is not None:
-        text += "# lineage " + canonical_json(jsonable(lineage)) + "\n"
+        text += LINEAGE_COMMENT + canonical_json(jsonable(lineage)) + "\n"
     atomic_write_text(path, text)
 
 

@@ -81,11 +81,6 @@ class Pattern:
                    support=int(d["support"]))
 
 
-@dataclass(frozen=True)
-class ProfitTable:
-    profits: dict[str, float]
-
-
 @dataclass(eq=False)
 class TransactionDB:
     """Churn-only transactions in a vertical layout.
@@ -172,7 +167,8 @@ class SearchStats:
 
 
 def build_transactions(frame: BinaryFrame, labels, profits_src: ImportanceTable,
-                       mode: str = BINARY) -> tuple[TransactionDB, ProfitTable]:
+                       mode: str = BINARY
+                       ) -> tuple[TransactionDB, dict[str, float]]:
     """Filter churned rows and assemble the transaction database + profits.
 
     Each item inherits its parent column's importance score as unit profit.
@@ -207,10 +203,10 @@ def build_transactions(frame: BinaryFrame, labels, profits_src: ImportanceTable,
     db = TransactionDB(items=items, present=present, quantity=quantity,
                        mode=mode, dataset_fingerprint=frame.dataset_fingerprint,
                        specs_source=frame.specs_source)
-    return db, ProfitTable(profits=profits)
+    return db, profits
 
 
-def _canonical_utility(db: TransactionDB, pt: ProfitTable,
+def _canonical_utility(db: TransactionDB, pt: dict[str, float],
                        names_sorted: list[str], idxs: list[int],
                        tids) -> float:
     """The one utility computation every code path shares.
@@ -221,19 +217,19 @@ def _canonical_utility(db: TransactionDB, pt: ProfitTable,
     if db.mode == BINARY:
         total = 0.0
         for name in names_sorted:
-            total += pt.profits[name]
+            total += pt[name]
         return len(tids) * total
     if len(tids) == 0:
         return 0.0
     tids = np.asarray(tids)
-    per = db.quantity[tids, idxs[0]] * pt.profits[names_sorted[0]]
+    per = db.quantity[tids, idxs[0]] * pt[names_sorted[0]]
     for name, idx in zip(names_sorted[1:], idxs[1:]):
-        per = per + db.quantity[tids, idx] * pt.profits[name]
+        per = per + db.quantity[tids, idx] * pt[name]
     # add.accumulate is a strict left-to-right fold, unlike the pairwise sum
     return float(np.add.accumulate(per)[-1])
 
 
-def _itemset_utility(db: TransactionDB, pt: ProfitTable, idxs,
+def _itemset_utility(db: TransactionDB, pt: dict[str, float], idxs,
                      tids) -> Pattern:
     """The canonical Pattern of the itemset with item indices idxs."""
     idxs = sorted(idxs, key=db.items.__getitem__)
@@ -242,14 +238,15 @@ def _itemset_utility(db: TransactionDB, pt: ProfitTable, idxs,
     return Pattern(items=tuple(names), utility=u, support=len(tids))
 
 
-def utility(db: TransactionDB, pt: ProfitTable, items) -> tuple[float, int]:
+def utility(db: TransactionDB, pt: dict[str, float],
+            items) -> tuple[float, int]:
     """Utility and support of an itemset, by definition (full database scan)."""
     names_sorted = sorted(set(items))
     if not names_sorted:
         raise UnknownItem("empty itemset")
     idxs = [db.index_of(n) for n in names_sorted]
     for n in names_sorted:
-        if n not in pt.profits:
+        if n not in pt:
             raise UnknownItem(f"item {n!r} has no profit entry")
     tids = np.nonzero(db.present[:, idxs].all(axis=1))[0]
     return _canonical_utility(db, pt, names_sorted, idxs, tids), len(tids)
@@ -285,13 +282,13 @@ def _prune_below(theta: float) -> float:
     return theta - 1e-9 * max(1.0, abs(theta))
 
 
-def _contributions(db: TransactionDB, pt: ProfitTable) -> np.ndarray:
+def _contributions(db: TransactionDB, pt: dict[str, float]) -> np.ndarray:
     """quantity * profit per transaction and item; 0 where the item is absent."""
     profit = np.empty(len(db.items))
     for i, name in enumerate(db.items):
-        if name not in pt.profits:
+        if name not in pt:
             raise UnknownItem(f"item {name!r} has no profit entry")
-        profit[i] = pt.profits[name]
+        profit[i] = pt[name]
     return np.where(db.present, db.quantity * profit, 0.0)
 
 
@@ -301,7 +298,7 @@ def _twu_order(present: np.ndarray, contrib: np.ndarray) -> np.ndarray:
     return np.argsort(twu, kind="stable")
 
 
-def search_order(db: TransactionDB, pt: ProfitTable) -> list[int]:
+def search_order(db: TransactionDB, pt: dict[str, float]) -> list[int]:
     """The item indices in the order the exact search extends prefixes."""
     return _twu_order(db.present, _contributions(db, pt)).tolist()
 
@@ -313,7 +310,7 @@ def _remaining(contrib: np.ndarray) -> np.ndarray:
     return rest
 
 
-def _pair_floor(db: TransactionDB, pt: ProfitTable, contrib: np.ndarray,
+def _pair_floor(db: TransactionDB, pt: dict[str, float], contrib: np.ndarray,
                 k: int) -> float:
     """A utility that at least k pairs reach, or -inf with fewer than k pairs.
 
@@ -337,7 +334,7 @@ def _pair_floor(db: TransactionDB, pt: ProfitTable, contrib: np.ndarray,
     return floor
 
 
-def mine_topk(db: TransactionDB, pt: ProfitTable, cfg: MiningConfig,
+def mine_topk(db: TransactionDB, pt: dict[str, float], cfg: MiningConfig,
               stats: SearchStats | None = None) -> list[Pattern]:
     """Exact top-k patterns (or the beam approximation when configured).
 
@@ -407,24 +404,7 @@ def mine_topk(db: TransactionDB, pt: ProfitTable, cfg: MiningConfig,
     return pool.result()
 
 
-def prefix_bound(db: TransactionDB, pt: ProfitTable, prefix_items) -> float:
-    """The remaining-utility upper bound of a prefix, exposed for testing.
-
-    Upper-bounds the utility of every extension of the prefix by items that
-    follow all of its items in search_order().
-    """
-    contrib = _contributions(db, pt)
-    order = _twu_order(db.present, contrib)
-    position = np.empty(len(order), dtype=np.int64)
-    position[order] = np.arange(len(order))
-    idxs = [db.index_of(n) for n in prefix_items]
-    last = max(position[i] for i in idxs)
-    tids = np.nonzero(db.present[:, idxs].all(axis=1))[0]
-    rest = _remaining(contrib[:, order])[tids, last]
-    return float(contrib[np.ix_(tids, idxs)].sum() + rest.sum())
-
-
-def brute_force_topk(db: TransactionDB, pt: ProfitTable,
+def brute_force_topk(db: TransactionDB, pt: dict[str, float],
                      cfg: MiningConfig) -> list[Pattern]:
     """Exhaustive enumeration oracle with the same sort and tie rules."""
     cfg.validate()
@@ -458,7 +438,7 @@ def brute_force_topk(db: TransactionDB, pt: ProfitTable,
     return [p for _, p in found[:cfg.k]]
 
 
-def _beam_topk(db: TransactionDB, pt: ProfitTable, cfg: MiningConfig,
+def _beam_topk(db: TransactionDB, pt: dict[str, float], cfg: MiningConfig,
                stats: SearchStats) -> list[Pattern]:
     """Appendix-style approximate search: keep only the top-k prefixes per level."""
     n_items = len(db.items)

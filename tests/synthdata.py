@@ -11,7 +11,7 @@ import numpy as np
 
 from hafcp.dataset import (CATEGORICAL, LABEL, NUMERIC, ColumnSchema,
                            ColumnarDataset)
-from hafcp.miner import BINARY, MEMBERSHIP, ProfitTable, TransactionDB
+from hafcp.miner import BINARY, MEMBERSHIP, TransactionDB
 from hafcp.rng import SplitMix64
 
 
@@ -57,7 +57,7 @@ def db_from_dicts(items: list[str], transactions: list[dict[int, float]],
 
 
 def random_db(seed: int, max_items: int = 12, max_transactions: int = 50
-              ) -> tuple[TransactionDB, ProfitTable]:
+              ) -> tuple[TransactionDB, dict[str, float]]:
     """Random mining instance: items a..l, random profits in [0,1]."""
     r = SplitMix64(seed)
     n_items = 2 + r.below(max_items - 1)  # 2..max_items
@@ -74,7 +74,7 @@ def random_db(seed: int, max_items: int = 12, max_transactions: int = 50
         if not txn:
             txn[r.below(n_items)] = 1.0 if mode == BINARY else sm_uniform(r)
         transactions.append(txn)
-    return db_from_dicts(items, transactions, mode), ProfitTable(profits=profits)
+    return db_from_dicts(items, transactions, mode), profits
 
 
 def planted_dataset(n: int = 2000, seed: int = 424243) -> ColumnarDataset:

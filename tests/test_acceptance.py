@@ -286,11 +286,11 @@ def test_criterion_10_determinism(planted_run):
                 f"artifact {name} differs after a fresh mine+report"
 
 
-# sha256 of the planted pipeline's artifacts, computed with the recursive
-# per-node grower that tests/gbdt_reference.py keeps as the oracle
+# sha256 of the planted pipeline's artifacts; their trees are those of the
+# recursive per-node grower that tests/gbdt_reference.py keeps as the oracle
 PLANTED_SHA256 = {
-    "model": "32cbb57e2a23282c3721d1a491d4e63f004407b6f585e99586f8cdf6e969b717",
-    "report": "427a47e27c19c2c10292c19de3becdf9895929e6f174f0288398d70c8247f8d1",
+    "model": "3184d0ffaf37cad79ea0f32187486b8ed7b3275931b6aa2afbef6b980dad8b00",
+    "report": "e363c9bf8fc22997cf6c86a18eb8e9f5d54440b3ef9242d30453cf62297b4aca",
 }
 
 

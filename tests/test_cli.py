@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +54,37 @@ def make_project(tmp_path, config_extra=None, csv_text=TINY_CSV,
 
 def artifact(out_dir, name):
     return os.path.join(out_dir, cli.ARTIFACTS[name])
+
+
+def without_lineage(text):
+    doc = json.loads(text)
+    del doc["lineage"]
+    return json.dumps(doc)
+
+
+def with_test_split_as_train_split(text):
+    doc = json.loads(text)
+    doc["lineage"]["train_split"] = doc["lineage"]["test_split"]
+    return json.dumps(doc)
+
+
+def without_lineage_comment(text):
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith("# lineage"))
+
+
+# (artifact, the step that reads it, the edit that leaves it without this
+# run's config and train-split lineage)
+FOREIGN_ARTIFACTS = [
+    pytest.param("specs", "mine", without_lineage, id="specs-no-lineage"),
+    pytest.param("specs", "mine", lambda text: "[]", id="specs-list-root"),
+    pytest.param("patterns_meta", "report", without_lineage,
+                 id="patterns-meta-no-lineage"),
+    pytest.param("importance", "fuzzify", without_lineage_comment,
+                 id="importance-no-comment"),
+    pytest.param("baseline", "report", with_test_split_as_train_split,
+                 id="baseline-other-train-split"),
+]
 
 
 def encoded_train_split(cfg_path):
@@ -123,6 +155,29 @@ class TestConfigHandling:
     def test_value_missing_for_override(self, tmp_path, capsys):
         cfg_path, _ = make_project(tmp_path)
         assert cli.main(["train", "--config", cfg_path, "--split.seed"]) == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("report.cumulative", '"false"'),
+        ("mining.k", "2.9"),
+        ("boost.max_depth", "3.7"),
+        ("mining.k", "true"),
+        ("boost.n_estimators", '"5"'),
+        ("boost.seed", "3"),  # not a config key
+    ])
+    def test_value_is_never_reinterpreted(self, tmp_path, capsys, key, value):
+        cfg_path, _ = make_project(tmp_path)
+        assert cli.main(["train", "--config", cfg_path, f"--{key}", value]) == 2
+        assert repr(key) in capsys.readouterr().err
+
+    def test_readme_config_block_holds_the_defaults(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(
+            encoding="utf-8")
+        block = readme.split("\n## CLI\n", 1)[1]
+        block = block.split("```json\n", 1)[1].split("```", 1)[0]
+        documented = json.loads(block)
+        got = cli.PipelineConfig.from_dict(documented).effective_dict()
+        del got["config_version"], got["shuffle_algorithm"]
+        assert got == documented
 
 
 class TestTrain:
@@ -331,6 +386,20 @@ class TestMineAndReport:
         assert cli.main(["mine", "--config", cfg_path]) == 2
         assert "lineage" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize("name, cmd, edit", FOREIGN_ARTIFACTS)
+    def test_artifact_without_this_runs_lineage_exits_2(self, tmp_path, capsys,
+                                                         name, cmd, edit):
+        cfg_path, out = make_project(tmp_path)
+        self.run_through(cfg_path, "train", "fuzzify", "mine")
+        path = artifact(out, name)
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(edit(text))
+        capsys.readouterr()
+        assert cli.main([cmd, "--config", cfg_path]) == 2
+        assert cli.ARTIFACTS[name] in capsys.readouterr().err
+
     def test_mine_with_no_specs(self, tmp_path):
         # every numeric column has zero importance: the frame is one-hot only
         cfg_path, out = make_project(
@@ -464,9 +533,12 @@ class TestEncode:
 
 def test_module_entry_point(tmp_path):
     cfg_path, out = make_project(tmp_path)
+    # the child imports the package this process imported
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "hafcp.cli", "train", "--config", cfg_path],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
     assert os.path.exists(artifact(out, "model"))
     assert "wrote" in proc.stdout

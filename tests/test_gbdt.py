@@ -258,6 +258,7 @@ class TestImportanceCsv:
         loaded = gbdt.load_importance(path)
         assert loaded.scores == table.scores
         assert loaded.method == "external"
+        assert loaded.lineage == {"config": "abc"}
 
     def test_header_optional(self, tmp_path):
         p = tmp_path / "imp.csv"
@@ -281,6 +282,7 @@ class TestImportanceCsv:
         "feature,score\nAge,0.0\n",       # all-zero table
         "feature,score\n",                # empty
         "feature,score\nAge,0.5,extra\n",  # wrong arity
+        "feature,score\nAge,0.5\n# lineage {\"config\n",  # corrupt lineage
     ])
     def test_parse_errors(self, tmp_path, body):
         p = tmp_path / "imp.csv"
@@ -313,6 +315,17 @@ class TestModelIo:
         p = tmp_path / "model.json"
         p.write_text('{"format": "other"}')
         with pytest.raises(ParseError):
+            gbdt.load_model(str(p))
+
+    def test_params_of_an_older_version_rejected(self, tmp_path):
+        # model.json written while BoostParams still had a seed field
+        model = gbdt.train(make_ds([[1.0], [2.0], [3.0], [4.0]], [0, 0, 1, 1]),
+                           STUMP)
+        doc = model.to_dict()
+        doc["params"]["seed"] = 0
+        p = tmp_path / "model.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="seed"):
             gbdt.load_model(str(p))
 
     def test_garbage_rejected(self, tmp_path):

@@ -22,12 +22,10 @@ from hafcp.miner import (
     MEMBERSHIP,
     MiningConfig,
     Pattern,
-    ProfitTable,
     SearchStats,
     brute_force_topk,
     build_transactions,
     mine_topk,
-    prefix_bound,
     read_patterns,
     render_patterns_table,
     search_order,
@@ -63,7 +61,7 @@ class TestBuildTransactions:
         # SL_C and Spend_H never occur in a churned row
         assert set(db.items) == {"SL_N", "SL_S", "Age_L", "Age_M", "Age_H",
                                  "Spend_L", "Spend_M"}
-        assert "SL_C" not in pt.profits and "Spend_H" not in pt.profits
+        assert "SL_C" not in pt and "Spend_H" not in pt
 
     def test_six_churned_transactions(self):
         db, _ = tiny_db()
@@ -73,9 +71,9 @@ class TestBuildTransactions:
 
     def test_profits_inherited_from_source_column(self):
         _, pt = tiny_db()
-        assert pt.profits["Age_H"] == 0.5
-        assert pt.profits["SL_N"] == 0.2
-        assert pt.profits["Spend_M"] == 0.3
+        assert pt["Age_H"] == 0.5
+        assert pt["SL_N"] == 0.2
+        assert pt["Spend_M"] == 0.3
 
     def test_membership_mode_keeps_degrees(self):
         db, _ = tiny_db(mode=MEMBERSHIP)
@@ -187,7 +185,7 @@ class TestMineTopK:
 
     def test_single_transaction(self):
         db = db_from_dicts(["a", "b"], [{0: 1.0, 1: 1.0}], BINARY)
-        pt = ProfitTable({"a": 1.0, "b": 2.0})
+        pt = {"a": 1.0, "b": 2.0}
         got = mine_topk(db, pt, MiningConfig(k=1))
         assert got == [Pattern(items=("a", "b"), utility=3.0, support=1)]
 
@@ -231,7 +229,7 @@ class TestMineTopK:
     def test_empty_database(self):
         db = db_from_dicts([], [], BINARY)
         with pytest.raises(EmptyDatabase):
-            mine_topk(db, ProfitTable({}), MiningConfig(k=1))
+            mine_topk(db, {}, MiningConfig(k=1))
 
     def test_deterministic(self):
         db, pt = random_db(5)
@@ -270,16 +268,33 @@ class TestOracleAgreement:
     def test_oracle_item_limit(self):
         items = [chr(ord("a") + i) for i in range(21)]
         db = db_from_dicts(items, [{i: 1.0 for i in range(21)}], BINARY)
-        pt = ProfitTable({n: 1.0 for n in items})
+        pt = {n: 1.0 for n in items}
         with pytest.raises(TooManyItemsForOracle):
             brute_force_topk(db, pt, MiningConfig(k=1))
+
+
+def prefix_bound(db, pt, prefix_items) -> float:
+    """The remaining-utility upper bound of a prefix.
+
+    Upper-bounds the utility of every extension of the prefix by items that
+    follow all of its items in search_order().
+    """
+    contrib = miner._contributions(db, pt)
+    order = miner._twu_order(db.present, contrib)
+    position = np.empty(len(order), dtype=np.int64)
+    position[order] = np.arange(len(order))
+    idxs = [db.index_of(n) for n in prefix_items]
+    last = max(position[i] for i in idxs)
+    tids = np.nonzero(db.present[:, idxs].all(axis=1))[0]
+    rest = miner._remaining(contrib[:, order])[tids, last]
+    return float(contrib[np.ix_(tids, idxs)].sum() + rest.sum())
 
 
 class TestPruningSoundness:
     @staticmethod
     def twu_by_definition(db, pt):
         """Each item's summed utility of the transactions that hold it."""
-        tu = [sum(db.quantity[t, i] * pt.profits[name]
+        tu = [sum(db.quantity[t, i] * pt[name]
                   for i, name in enumerate(db.items) if db.present[t, i])
               for t in range(len(db.transactions))]
         return [sum(tu[t] for t in range(len(tu)) if db.present[t, i])
@@ -325,7 +340,7 @@ class TestPruningSoundness:
 
     def test_profit_scaling_scales_utilities(self):
         db, pt = random_db(222)
-        scaled = ProfitTable({n: 2.5 * v for n, v in pt.profits.items()})
+        scaled = {n: 2.5 * v for n, v in pt.items()}
         cfg = MiningConfig(k=6, mode=db.mode)
         base = mine_topk(db, pt, cfg)
         big = mine_topk(db, scaled, cfg)
