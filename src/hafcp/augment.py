@@ -7,10 +7,16 @@ specs for train and test rows alike) carries every item of the pattern.
 test columns are appended after all original features; the model is
 retrained with identical parameters and evaluated on the test split, giving
 the Baseline / Top-1..Top-k / AVG comparison table.
+
+The k retrains are independent. `run_comparison` runs them in a fork-based
+process pool of min(k, usable CPUs) workers, or serially when that is one
+or the platform cannot fork; results are gathered in rank order, so the
+report's bytes do not depend on the worker count.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,25 +117,85 @@ def build_report(baseline: Metrics, augmented: list[tuple[int, Metrics]],
                             patterns=tuple(patterns or ()))
 
 
+# The retrains' inputs while run_comparison runs: (train_ds, test_ds,
+# columns, params, cumulative, threshold). Pool workers inherit them through
+# fork instead of receiving pickled copies of the datasets.
+_JOB: tuple | None = None
+
+
+def _retrain(i: int) -> Metrics:
+    """The top-i evaluation of the current job."""
+    train_ds, test_ds, columns, params, cumulative, threshold = _JOB
+    chosen = columns[:i] if cumulative else [columns[i - 1]]
+    return evaluate_with_patterns(train_ds, test_ds, chosen, params,
+                                  threshold=threshold,
+                                  name_offset=1 if cumulative else i)
+
+
+def _worker_retrain(i: int):
+    """_retrain in a pool worker; a failure comes back as (type, message).
+
+    Some error types take other constructor arguments than their message,
+    so the exception object itself would not unpickle in the caller.
+    """
+    try:
+        return _retrain(i)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _retrain_all(k: int, workers: int) -> list[Metrics]:
+    """_retrain for ranks 1..k in rank order, forked when workers > 1."""
+    ranks = range(1, k + 1)
+    if workers > 1:
+        # imported here: the CLI imports this module, and set-up time counts
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            # unlike multiprocessing.Pool, this raises BrokenProcessPool
+            # when a worker dies instead of waiting for it forever
+            from concurrent.futures import ProcessPoolExecutor
+            pool = ProcessPoolExecutor(workers,
+                                       multiprocessing.get_context("fork"))
+            try:
+                outcomes = list(pool.map(_worker_retrain, ranks))
+            finally:
+                # joins every worker; after a failure, drops unstarted ranks
+                pool.shutdown(cancel_futures=True)
+            for outcome in outcomes:
+                if not isinstance(outcome, Metrics):
+                    cls, message = outcome
+                    # the worker's error type, built without its __init__
+                    raise cls.__new__(cls, message)
+            return outcomes
+    return [_retrain(i) for i in ranks]
+
+
 def run_comparison(train_ds: ColumnarDataset, test_ds: ColumnarDataset,
                    patterns: list[Pattern], columns: list[ColumnPair],
                    params: BoostParams, baseline: Metrics,
                    cumulative: bool = False, threshold: float = 0.5,
-                   config_fingerprint: str = "") -> ComparisonReport:
-    """Retrain once per top-i pattern, in rank order, and build the report.
+                   config_fingerprint: str = "",
+                   _workers: int | None = None) -> ComparisonReport:
+    """Retrain once per top-i pattern and build the report.
 
     `columns[i]` holds pattern i's indicator columns over the train and test
     splits, as `match_rows` builds them. Default is one engineered column per
     evaluation (top-i alone); cumulative mode stacks columns for patterns
-    1..i instead.
+    1..i instead. The retrains run in min(k, usable CPUs) forked workers;
+    `_workers` forces the count (tests only).
     """
-    augmented = []
-    for i in range(1, len(patterns) + 1):
-        chosen = columns[:i] if cumulative else [columns[i - 1]]
-        augmented.append((i, evaluate_with_patterns(
-            train_ds, test_ds, chosen, params, threshold=threshold,
-            name_offset=1 if cumulative else i)))
-    return build_report(baseline, augmented, patterns=patterns,
+    global _JOB
+    k = len(patterns)
+    if _workers is None:
+        _workers = (min(k, len(os.sched_getaffinity(0)))
+                    if hasattr(os, "sched_getaffinity") else 1)
+    _JOB = (train_ds, test_ds, columns, params, cumulative, threshold)
+    try:
+        metrics = _retrain_all(k, _workers)
+    finally:
+        _JOB = None
+    return build_report(baseline, list(enumerate(metrics, start=1)),
+                        patterns=patterns,
                         config_fingerprint=config_fingerprint)
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from types import UnionType
@@ -57,7 +58,8 @@ ARTIFACTS = {
 # whose entry is a type has no default: it is required, or null when the
 # type admits None. Values are typed strictly: a bool is no int, an int is
 # taken for a float key and stored as a float, strings are non-empty and a
-# list holds strings.
+# list holds strings. A float key takes no NaN or infinity, which the
+# override parser reads from JSON and strict JSON readers reject.
 DEFAULTS = {
     "input": str,
     "label_column": str,
@@ -74,7 +76,8 @@ DEFAULTS = {
     "report": {"cumulative": False, "threshold": 0.5},
 }
 
-_KIND_NAMES = {str: "a non-empty string", int: "an integer", float: "a number",
+_KIND_NAMES = {str: "a non-empty string", int: "an integer",
+               float: "a finite number",
                bool: "true or false", list: "a list of strings"}
 
 
@@ -97,7 +100,8 @@ def _checked(table: dict, raw, prefix: str = "") -> dict:
         if (not isinstance(value, kind) or value == ""
                 or isinstance(value, bool) is not (kind is bool)
                 or (kind is list
-                    and not all(isinstance(v, str) for v in value))):
+                    and not all(isinstance(v, str) for v in value))
+                or (kind is float and not math.isfinite(value))):
             name = (_KIND_NAMES[kind] if kind in _KIND_NAMES
                     else _KIND_NAMES[kind.__args__[0]] + " or null")
             raise ConfigError(f"config key {prefix + key!r} must be {name}, "
@@ -215,8 +219,11 @@ def _check_lineage(cfg: PipelineConfig, train_ds: ColumnarDataset, path: str,
 
 
 def _read_artifact(cfg: PipelineConfig, train_ds: ColumnarDataset, name: str,
-                   what: str) -> dict:
-    """A JSON artifact of this output directory, checked by _check_lineage."""
+                   what: str, keys: tuple[str, ...] = ()) -> dict:
+    """A JSON artifact of this output directory, checked by _check_lineage.
+
+    Every dotted key in `keys` ("metrics.auc") must be present.
+    """
     path = cfg.artifact(name)
     try:
         with open(path, encoding="utf-8") as f:
@@ -229,6 +236,13 @@ def _read_artifact(cfg: PipelineConfig, train_ds: ColumnarDataset, name: str,
         raise HafcpError(f"{what} artifact {path} is corrupt: "
                          f"its root is not a JSON object")
     _check_lineage(cfg, train_ds, path, doc.get("lineage"))
+    for dotted in keys:
+        node = doc
+        for part in dotted.split("."):
+            if not isinstance(node, dict) or part not in node:
+                raise HafcpError(f"{what} artifact {path} is corrupt: "
+                                 f"key {dotted!r} is missing")
+            node = node[part]
     return doc
 
 
@@ -289,7 +303,8 @@ def _read_importance(cfg: PipelineConfig,
 def _read_specs(cfg: PipelineConfig, train_ds: ColumnarDataset
                 ) -> tuple[list[fuzzify.MembershipSpec], list[str]]:
     """Specs and skipped columns, checked against the config and train split."""
-    doc = _read_artifact(cfg, train_ds, "specs", "membership specs")
+    doc = _read_artifact(cfg, train_ds, "specs", "membership specs",
+                         keys=("specs", "skipped_zero_importance"))
     return ([fuzzify.MembershipSpec.from_dict(d) for d in doc["specs"]],
             doc["skipped_zero_importance"])
 
@@ -390,8 +405,9 @@ def cmd_report(cfg: PipelineConfig, splits: Splits) -> None:
     meta = _read_artifact(cfg, train_ds, "patterns_meta",
                           "patterns metadata")
     specs, skipped = _read_specs(cfg, train_ds)
-    baseline_doc = _read_artifact(cfg, train_ds, "baseline",
-                                  "baseline metrics")
+    baseline_doc = _read_artifact(
+        cfg, train_ds, "baseline", "baseline metrics",
+        keys=("metrics", *(f"metrics.{m}" for m in augment.METRIC_NAMES)))
     baseline = gbdt.Metrics.from_dict(baseline_doc["metrics"])
 
     if not patterns:
@@ -460,7 +476,34 @@ _COMMANDS = {
 }
 
 
+# glibc mallopt parameters and the values _keep_heap sets
+M_TRIM_THRESHOLD, TRIM_THRESHOLD = -1, 256 << 20
+M_MMAP_THRESHOLD, MMAP_THRESHOLD = -3, 32 << 20  # glibc's dynamic maximum
+
+
+def _keep_heap() -> None:
+    """Keep freed memory in the heap for the process and its forked workers.
+
+    By default glibc returns the free top of the heap to the system once it
+    passes the trim threshold, so a fit whose levels free and reallocate
+    large arrays faults its working set back in at every level. A fixed trim
+    threshold also freezes glibc's dynamic mmap threshold, so that one is
+    raised too; otherwise level-sized arrays would be mapped and unmapped on
+    every allocation. A no-op where libc has no mallopt.
+    """
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _keep_heap()
     parser = argparse.ArgumentParser(
         prog="hafcp",
         description="Mine highly associated fuzzy churn patterns and "

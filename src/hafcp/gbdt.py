@@ -71,10 +71,13 @@ class BoostParams:
         if self.n_estimators < 1:
             raise ConfigError(
                 f"n_estimators must be >= 1, got {self.n_estimators}")
-        if self.min_child_weight < 0:
-            raise ConfigError("min_child_weight must be >= 0")
-        if self.lambda_l2 < 0:
-            raise ConfigError("lambda_l2 must be >= 0")
+        # written so that NaN fails too
+        if not 0.0 <= self.min_child_weight < math.inf:
+            raise ConfigError(f"min_child_weight must be finite and >= 0, "
+                              f"got {self.min_child_weight}")
+        if not 0.0 <= self.lambda_l2 < math.inf:
+            raise ConfigError(
+                f"lambda_l2 must be finite and >= 0, got {self.lambda_l2}")
         return self
 
 

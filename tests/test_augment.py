@@ -1,7 +1,11 @@
+import concurrent.futures
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
-from hafcp import cli, dataset, fuzzify, gbdt
+from hafcp import augment, cli, dataset, fuzzify, gbdt
 from hafcp.augment import (
     build_report,
     evaluate_with_patterns,
@@ -9,8 +13,8 @@ from hafcp.augment import (
     report_to_markdown,
     run_comparison,
 )
-from hafcp.dataset import SplitSpec, load_csv
-from hafcp.errors import UnresolvableItem
+from hafcp.dataset import ColumnarDataset, SplitSpec, load_csv
+from hafcp.errors import SingleClassTraining, UnparseableCell, UnresolvableItem
 from hafcp.gbdt import BoostParams, Metrics
 from hafcp.miner import Pattern
 
@@ -169,20 +173,22 @@ class TestBuildReport:
         assert doc["config_fingerprint"] == "c"
 
 
-class TestRunComparison:
-    @pytest.fixture()
-    def setup(self, tiny_csv):
-        train_ds, test_ds = tiny_splits(tiny_csv)
-        params = BoostParams(n_estimators=4, min_child_weight=0.0)
-        model = gbdt.train(train_ds, params)
-        baseline = gbdt.evaluate(test_ds.label,
-                                 gbdt.predict_proba(model, test_ds))
-        patterns = [Pattern(("Age_L", "Spending_M"), 2.4, 3),
-                    Pattern(("Shop Location=N", "Spending_M"), 1.5, 3),
-                    Pattern(("Age_H",), 1.0, 2)]
-        columns = pattern_columns(train_ds, test_ds, patterns)
-        return train_ds, test_ds, patterns, columns, params, baseline
+@pytest.fixture()
+def setup(tiny_csv):
+    """run_comparison's leading arguments over three tiny-table patterns."""
+    train_ds, test_ds = tiny_splits(tiny_csv)
+    params = BoostParams(n_estimators=4, min_child_weight=0.0)
+    model = gbdt.train(train_ds, params)
+    baseline = gbdt.evaluate(test_ds.label,
+                             gbdt.predict_proba(model, test_ds))
+    patterns = [Pattern(("Age_L", "Spending_M"), 2.4, 3),
+                Pattern(("Shop Location=N", "Spending_M"), 1.5, 3),
+                Pattern(("Age_H",), 1.0, 2)]
+    columns = pattern_columns(train_ds, test_ds, patterns)
+    return train_ds, test_ds, patterns, columns, params, baseline
 
+
+class TestRunComparison:
     def test_one_row_per_pattern(self, setup):
         train_ds, test_ds, patterns, columns, params, baseline = setup
         report = run_comparison(train_ds, test_ds, patterns, columns, params,
@@ -217,3 +223,58 @@ class TestRunComparison:
         report = build_report(IDENTITY, [(1, better)])
         text = report_to_markdown(report)
         assert "**0.9000**" in text
+
+
+class NoPool:
+    """Stands in for ProcessPoolExecutor where the serial path is expected."""
+
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+
+class TestRetrainPool:
+    @pytest.mark.parametrize("cumulative", [False, True])
+    def test_worker_count_does_not_change_the_report(self, setup, cumulative):
+        docs = [run_comparison(*setup, cumulative=cumulative,
+                               _workers=workers).to_dict()
+                for workers in (1, 2, len(setup[2]))]
+        assert docs[1] == docs[0]
+        assert docs[2] == docs[0]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_retrain_error_keeps_its_type(self, setup, workers):
+        train_ds, test_ds, patterns, columns, params, baseline = setup
+        one_class = ColumnarDataset(train_ds.schema, train_ds.columns,
+                                    np.zeros(train_ds.n_rows))
+        with pytest.raises(SingleClassTraining):
+            run_comparison(one_class, test_ds, patterns, columns, params,
+                           baseline, _workers=workers)
+        assert multiprocessing.active_children() == []
+        assert augment._JOB is None
+
+    def test_error_with_its_own_constructor_keeps_its_type(self, setup,
+                                                           monkeypatch):
+        def failing_train(ds, params):
+            raise UnparseableCell(7, "Age", "not a number")
+
+        monkeypatch.setattr(augment, "train", failing_train)
+        with pytest.raises(UnparseableCell) as exc:
+            run_comparison(*setup, _workers=2)
+        assert "column 'Age'" in str(exc.value)
+        assert multiprocessing.active_children() == []
+
+    def test_one_cpu_runs_serially(self, setup, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = run_comparison(*setup)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(AssertionError, match="pool was started"):
+            run_comparison(*setup)
+        assert serial.to_dict() == run_comparison(*setup, _workers=1).to_dict()
+
+    def test_no_fork_runs_serially(self, setup, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        run_comparison(*setup, _workers=2)

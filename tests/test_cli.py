@@ -1,14 +1,17 @@
+import ctypes
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from hafcp import augment, cli, fuzzify
 from hafcp.dataset import SplitSpec, drop_columns, load_csv, split
-from hafcp.errors import LineageError
+from hafcp.errors import LineageError, SingleClassTraining
 from hafcp.gbdt import load_model
 
 from conftest import TINY_CSV
@@ -84,6 +87,30 @@ FOREIGN_ARTIFACTS = [
                  id="importance-no-comment"),
     pytest.param("baseline", "report", with_test_split_as_train_split,
                  id="baseline-other-train-split"),
+]
+
+
+def without_key(dotted):
+    """An edit that deletes one dotted key from a JSON artifact."""
+    def edit(text):
+        doc = json.loads(text)
+        *parents, last = dotted.split(".")
+        node = doc
+        for part in parents:
+            node = node[part]
+        del node[last]
+        return json.dumps(doc)
+    return edit
+
+
+# (artifact, the step that reads it, the key deleted from its body)
+ARTIFACTS_MISSING_A_KEY = [
+    pytest.param("specs", "mine", "specs", id="specs-no-specs"),
+    pytest.param("specs", "mine", "skipped_zero_importance",
+                 id="specs-no-skipped"),
+    pytest.param("specs", "report", "specs", id="report-specs-no-specs"),
+    pytest.param("baseline", "report", "metrics", id="baseline-no-metrics"),
+    pytest.param("baseline", "report", "metrics.f1", id="baseline-no-f1"),
 ]
 
 
@@ -163,6 +190,8 @@ class TestConfigHandling:
         ("mining.k", "true"),
         ("boost.n_estimators", '"5"'),
         ("boost.seed", "3"),  # not a config key
+        ("boost.lambda_l2", "NaN"),
+        ("boost.min_child_weight", "Infinity"),
     ])
     def test_value_is_never_reinterpreted(self, tmp_path, capsys, key, value):
         cfg_path, _ = make_project(tmp_path)
@@ -400,6 +429,21 @@ class TestMineAndReport:
         assert cli.main([cmd, "--config", cfg_path]) == 2
         assert cli.ARTIFACTS[name] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, cmd, key", ARTIFACTS_MISSING_A_KEY)
+    def test_artifact_missing_a_key_exits_2(self, tmp_path, capsys, name, cmd,
+                                            key):
+        cfg_path, out = make_project(tmp_path)
+        self.run_through(cfg_path, "train", "fuzzify", "mine")
+        path = artifact(out, name)
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(without_key(key)(text))
+        capsys.readouterr()
+        assert cli.main([cmd, "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert cli.ARTIFACTS[name] in err and repr(key) in err
+
     def test_mine_with_no_specs(self, tmp_path):
         # every numeric column has zero importance: the frame is one-hot only
         cfg_path, out = make_project(
@@ -520,6 +564,21 @@ class TestPipelineCommand:
         for name, blob in combined.items():
             assert open(artifact(out, name), "rb").read() == blob, name
 
+    def test_failed_retrain_exits_2_and_leaves_no_worker(self, tmp_path,
+                                                         monkeypatch, capsys):
+        cfg_path, _ = make_project(tmp_path)
+        assert cli.main(["pipeline", "--config", cfg_path]) == 0
+        assert multiprocessing.active_children() == []
+
+        def failing_train(ds, params):
+            raise SingleClassTraining("every retrain fails here")
+
+        monkeypatch.setattr(augment, "train", failing_train)
+        capsys.readouterr()
+        assert cli.main(["report", "--config", cfg_path]) == 2
+        assert "SingleClassTraining" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
 
 class TestEncode:
     def test_foreign_specs_rejected(self, tiny_csv):
@@ -531,14 +590,67 @@ class TestEncode:
                 cli._encode(ds, specs, [], train_ds.fingerprint())
 
 
-def test_module_entry_point(tmp_path):
-    cfg_path, out = make_project(tmp_path)
-    # the child imports the package this process imported
+def _src_env():
+    """The environment of a child that imports the package this process did."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_module_entry_point(tmp_path):
+    cfg_path, out = make_project(tmp_path)
     proc = subprocess.run(
         [sys.executable, "-m", "hafcp.cli", "train", "--config", cfg_path],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+        capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr
     assert os.path.exists(artifact(out, "model"))
     assert "wrote" in proc.stdout
+
+
+def test_import_loads_no_pool_or_ctypes():
+    # set-up time is the import of hafcp.cli; the pool and the heap setting
+    # import their modules when they run. numpy imports ctypes itself, so
+    # ctypes is checked against a bare numpy import.
+    code = ("import json, sys; import numpy; before = set(sys.modules); "
+            "import hafcp.cli; print(json.dumps({m: [m in before, "
+            "m in sys.modules] for m in sys.argv[1:]}))")
+    names = ["multiprocessing", "concurrent.futures", "ctypes"]
+    proc = subprocess.run([sys.executable, "-c", code, *names],
+                          capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    for name, (by_numpy, after) in loaded.items():
+        assert after == by_numpy, name
+    assert not any(loaded["multiprocessing"] + loaded["concurrent.futures"])
+
+
+class TestKeepHeap:
+    def test_main_sets_the_heap_once(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_keep_heap", lambda: calls.append(1))
+        cfg_path, _ = make_project(tmp_path)
+        assert cli.main(["train", "--config", cfg_path]) == 0
+        assert calls == [1]
+
+    def test_sets_trim_and_mmap_thresholds(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(ctypes, "CDLL",
+                            lambda name: SimpleNamespace(mallopt=mallopt))
+        cli._keep_heap()
+        assert calls == [(-1, 256 << 20), (-3, 32 << 20)]
+
+    def test_libc_without_mallopt_is_a_no_op(self, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        assert cli._keep_heap() is None
+
+    def test_unloadable_libc_is_a_no_op(self, monkeypatch):
+        def no_libc(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_libc)
+        assert cli._keep_heap() is None

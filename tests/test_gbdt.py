@@ -129,6 +129,10 @@ class TestTraining:
         BoostParams(n_estimators=0),
         BoostParams(min_child_weight=-1.0),
         BoostParams(lambda_l2=-0.1),
+        BoostParams(min_child_weight=float("nan")),
+        BoostParams(min_child_weight=float("inf")),
+        BoostParams(lambda_l2=float("nan")),
+        BoostParams(lambda_l2=float("inf")),
     ])
     def test_param_validation(self, bad):
         with pytest.raises(ConfigError):
