@@ -1,11 +1,15 @@
-"""Shared helpers: canonical JSON, SHA-256 fingerprints, atomic file writes."""
+"""Shared helpers: canonical JSON, SHA-256 fingerprints, atomic file writes,
+checked reads of parsed JSON documents."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from typing import Any
+
+from .errors import ParseError
 
 
 def canonical_json(obj: Any) -> str:
@@ -58,3 +62,36 @@ def jsonable(value: Any) -> Any:
     if isinstance(value, (np.bool_,)):
         return bool(value)
     return value
+
+
+_KINDS = {str: "a string", int: "an integer", float: "a finite number",
+          list: "a list", dict: "an object"}
+
+
+def json_field(doc, key: str, kind: type, what: str):
+    """doc[key] of type `kind` from a parsed JSON document, else ParseError.
+
+    `what` names the document in the message. A bool is no number; float
+    takes any finite JSON number and returns it as a float.
+    """
+    if not isinstance(doc, dict):
+        raise ParseError(f"{what} is not a JSON object")
+    if key not in doc:
+        raise ParseError(f"{what} has no key {key!r}")
+    value = doc[key]
+    if kind is float and type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:  # beyond the float range: no finite number
+            value = math.inf
+    if (isinstance(value, bool) or not isinstance(value, kind)
+            or (kind is float and not math.isfinite(value))):
+        raise ParseError(f"{what} key {key!r} must be {_KINDS[kind]}, "
+                         f"got {json.dumps(value)}")
+    return value
+
+
+def json_floats(doc, key: str, what: str) -> list[float]:
+    """doc[key] as a list of finite numbers, else ParseError."""
+    values = json_field(doc, key, list, what)
+    return [json_field({key: v}, key, float, what) for v in values]

@@ -11,7 +11,10 @@ the Baseline / Top-1..Top-k / AVG comparison table.
 The k retrains are independent. `run_comparison` runs them in a fork-based
 process pool of min(k, usable CPUs) workers, or serially when that is one
 or the platform cannot fork; results are gathered in rank order, so the
-report's bytes do not depend on the worker count.
+report's bytes do not depend on the worker count. Given the baseline model,
+each retrain is warm-started from it (`gbdt.train`'s `prefix`): it takes
+the baseline's trees for as long as the appended columns would not change
+them, and its model stays bit-identical to a cold fit.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ import numpy as np
 from .dataset import ColumnarDataset, append_numeric_column
 from .errors import UnresolvableItem
 from .fuzzify import BinaryFrame
-from .gbdt import BoostParams, Metrics, evaluate, predict_proba, train
+from .gbdt import (BoostedModel, BoostParams, Metrics, TrainStats, evaluate,
+                   predict_proba, train)
 from .miner import Pattern
 
 METRIC_NAMES = ("auc", "accuracy", "recall", "precision", "f1")
@@ -48,14 +52,20 @@ def match_rows(frame: BinaryFrame, items) -> np.ndarray:
 def evaluate_with_patterns(train_ds: ColumnarDataset, test_ds: ColumnarDataset,
                            columns: list[ColumnPair], params: BoostParams,
                            threshold: float = 0.5,
-                           name_offset: int = 1) -> Metrics:
-    """Append each pattern's column pair to both splits, retrain, evaluate on test."""
+                           name_offset: int = 1,
+                           prefix: BoostedModel | None = None,
+                           stats: TrainStats | None = None) -> Metrics:
+    """Append each pattern's column pair to both splits, retrain, evaluate on test.
+
+    `prefix`, the baseline model of train_ds, warm-starts the retrain;
+    `stats` receives its work counts.
+    """
     aug_train, aug_test = train_ds, test_ds
     for i, (train_col, test_col) in enumerate(columns):
         name = f"HAFCP_{name_offset + i}"
         aug_train = append_numeric_column(aug_train, name, train_col)
         aug_test = append_numeric_column(aug_test, name, test_col)
-    model = train(aug_train, params)
+    model = train(aug_train, params, stats, prefix)
     probs = predict_proba(model, aug_test)
     return evaluate(aug_test.label, probs, threshold=threshold)
 
@@ -69,6 +79,9 @@ class ComparisonReport:
     average_flags: dict[str, str]
     config_fingerprint: str
     patterns: tuple[Pattern, ...] = ()
+    # baseline trees each rank's retrain reused, in rank order; a work
+    # count, so not part of to_dict
+    reused_trees: tuple[int, ...] = ()
 
     def to_dict(self) -> dict:
         return {
@@ -95,7 +108,8 @@ def _flag(value: float, base: float) -> str:
 
 def build_report(baseline: Metrics, augmented: list[tuple[int, Metrics]],
                  patterns: list[Pattern] | None = None,
-                 config_fingerprint: str = "") -> ComparisonReport:
+                 config_fingerprint: str = "",
+                 reused_trees: tuple[int, ...] = ()) -> ComparisonReport:
     """Assemble the comparison: per-pattern rows, AVG row, improvement flags."""
     if not augmented:
         raise ValueError("need at least one augmented evaluation")
@@ -114,37 +128,42 @@ def build_report(baseline: Metrics, augmented: list[tuple[int, Metrics]],
                             average=average, flags=flags,
                             average_flags=average_flags,
                             config_fingerprint=config_fingerprint,
-                            patterns=tuple(patterns or ()))
+                            patterns=tuple(patterns or ()),
+                            reused_trees=tuple(reused_trees))
 
 
 # The retrains' inputs while run_comparison runs: (train_ds, test_ds,
-# columns, params, cumulative, threshold). Pool workers inherit them through
-# fork instead of receiving pickled copies of the datasets.
+# columns, params, cumulative, threshold, prefix). Pool workers inherit them
+# through fork instead of receiving pickled copies of the datasets.
 _JOB: tuple | None = None
 
 
-def _retrain(i: int) -> Metrics:
-    """The top-i evaluation of the current job."""
-    train_ds, test_ds, columns, params, cumulative, threshold = _JOB
+def _retrain(i: int) -> tuple[Metrics, int]:
+    """The top-i evaluation of the current job, and the trees it reused."""
+    train_ds, test_ds, columns, params, cumulative, threshold, prefix = _JOB
     chosen = columns[:i] if cumulative else [columns[i - 1]]
-    return evaluate_with_patterns(train_ds, test_ds, chosen, params,
-                                  threshold=threshold,
-                                  name_offset=1 if cumulative else i)
+    stats = TrainStats()
+    metrics = evaluate_with_patterns(train_ds, test_ds, chosen, params,
+                                     threshold=threshold,
+                                     name_offset=1 if cumulative else i,
+                                     prefix=prefix, stats=stats)
+    return metrics, stats.reused_trees
 
 
 def _worker_retrain(i: int):
-    """_retrain in a pool worker; a failure comes back as (type, message).
+    """_retrain in a pool worker, as (result, None) or (None, failure).
 
-    Some error types take other constructor arguments than their message,
-    so the exception object itself would not unpickle in the caller.
+    A failure is (type, message): some error types take other constructor
+    arguments than their message, so the exception object itself would not
+    unpickle in the caller.
     """
     try:
-        return _retrain(i)
+        return _retrain(i), None
     except Exception as e:
-        return type(e), str(e)
+        return None, (type(e), str(e))
 
 
-def _retrain_all(k: int, workers: int) -> list[Metrics]:
+def _retrain_all(k: int, workers: int) -> list[tuple[Metrics, int]]:
     """_retrain for ranks 1..k in rank order, forked when workers > 1."""
     ranks = range(1, k + 1)
     if workers > 1:
@@ -161,12 +180,12 @@ def _retrain_all(k: int, workers: int) -> list[Metrics]:
             finally:
                 # joins every worker; after a failure, drops unstarted ranks
                 pool.shutdown(cancel_futures=True)
-            for outcome in outcomes:
-                if not isinstance(outcome, Metrics):
-                    cls, message = outcome
+            for _, failure in outcomes:
+                if failure is not None:
+                    cls, message = failure
                     # the worker's error type, built without its __init__
                     raise cls.__new__(cls, message)
-            return outcomes
+            return [result for result, _ in outcomes]
     return [_retrain(i) for i in ranks]
 
 
@@ -175,13 +194,15 @@ def run_comparison(train_ds: ColumnarDataset, test_ds: ColumnarDataset,
                    params: BoostParams, baseline: Metrics,
                    cumulative: bool = False, threshold: float = 0.5,
                    config_fingerprint: str = "",
+                   prefix: BoostedModel | None = None,
                    _workers: int | None = None) -> ComparisonReport:
     """Retrain once per top-i pattern and build the report.
 
     `columns[i]` holds pattern i's indicator columns over the train and test
     splits, as `match_rows` builds them. Default is one engineered column per
     evaluation (top-i alone); cumulative mode stacks columns for patterns
-    1..i instead. The retrains run in min(k, usable CPUs) forked workers;
+    1..i instead. `prefix`, the baseline model of train_ds, warm-starts
+    every retrain. The retrains run in min(k, usable CPUs) forked workers;
     `_workers` forces the count (tests only).
     """
     global _JOB
@@ -189,14 +210,16 @@ def run_comparison(train_ds: ColumnarDataset, test_ds: ColumnarDataset,
     if _workers is None:
         _workers = (min(k, len(os.sched_getaffinity(0)))
                     if hasattr(os, "sched_getaffinity") else 1)
-    _JOB = (train_ds, test_ds, columns, params, cumulative, threshold)
+    _JOB = (train_ds, test_ds, columns, params, cumulative, threshold, prefix)
     try:
-        metrics = _retrain_all(k, _workers)
+        results = _retrain_all(k, _workers)
     finally:
         _JOB = None
-    return build_report(baseline, list(enumerate(metrics, start=1)),
+    return build_report(baseline,
+                        [(i, m) for i, (m, _) in enumerate(results, start=1)],
                         patterns=patterns,
-                        config_fingerprint=config_fingerprint)
+                        config_fingerprint=config_fingerprint,
+                        reused_trees=tuple(r for _, r in results))
 
 
 def report_to_markdown(report: ComparisonReport) -> str:

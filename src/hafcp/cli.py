@@ -7,9 +7,10 @@ writes artifacts into the config's output directory. ``fuzzify`` writes the
 fitted membership specs and the numeric columns it skipped for zero
 importance; ``mine`` (train split) and ``report`` (train and test splits)
 encode rows through one helper, ``_encode``, with those specs and that skip
-set from ``membership_specs.json``. No encoded frame is written: a
-``frame.json`` left in the output directory by an older version is ignored
-and can be deleted.
+set from ``membership_specs.json``. ``report`` warm-starts its retrains
+from ``model.json`` and prints how many baseline trees each one reused. No
+encoded frame is written: a ``frame.json`` left in the output directory by
+an older version is ignored and can be deleted.
 
 Every artifact embeds the config fingerprint and the content fingerprints of
 its inputs; a subcommand refuses every artifact it reads whose lineage does
@@ -31,9 +32,10 @@ import sys
 from types import UnionType
 
 from . import augment, fuzzify, gbdt, miner, rng
-from ._util import atomic_write_text, fingerprint_of, jsonable
+from ._util import atomic_write_text, fingerprint_of, json_field, jsonable
 from .dataset import ColumnarDataset, SplitSpec, drop_columns, load_csv, split
-from .errors import ConfigError, HafcpError, LineageError, MissingArtifact
+from .errors import (ConfigError, HafcpError, LineageError, MissingArtifact,
+                     ParseError, PrefixMismatch)
 
 CONFIG_VERSION = 1
 
@@ -219,10 +221,12 @@ def _check_lineage(cfg: PipelineConfig, train_ds: ColumnarDataset, path: str,
 
 
 def _read_artifact(cfg: PipelineConfig, train_ds: ColumnarDataset, name: str,
-                   what: str, keys: tuple[str, ...] = ()) -> dict:
+                   what: str, keys: tuple[str, ...] = (), parse=None):
     """A JSON artifact of this output directory, checked by _check_lineage.
 
-    Every dotted key in `keys` ("metrics.auc") must be present.
+    Every dotted key in `keys` ("metrics.auc") must be present. `parse`, if
+    given, turns the document into the value returned; its ParseError
+    becomes one that names the file.
     """
     path = cfg.artifact(name)
     try:
@@ -243,7 +247,12 @@ def _read_artifact(cfg: PipelineConfig, train_ds: ColumnarDataset, name: str,
                 raise HafcpError(f"{what} artifact {path} is corrupt: "
                                  f"key {dotted!r} is missing")
             node = node[part]
-    return doc
+    if parse is None:
+        return doc
+    try:
+        return parse(doc)
+    except ParseError as e:
+        raise ParseError(f"{what} artifact {path} is corrupt: {e}") from None
 
 
 def _write_effective_config(cfg: PipelineConfig) -> None:
@@ -303,10 +312,15 @@ def _read_importance(cfg: PipelineConfig,
 def _read_specs(cfg: PipelineConfig, train_ds: ColumnarDataset
                 ) -> tuple[list[fuzzify.MembershipSpec], list[str]]:
     """Specs and skipped columns, checked against the config and train split."""
-    doc = _read_artifact(cfg, train_ds, "specs", "membership specs",
-                         keys=("specs", "skipped_zero_importance"))
-    return ([fuzzify.MembershipSpec.from_dict(d) for d in doc["specs"]],
-            doc["skipped_zero_importance"])
+    def parse(doc):
+        skipped = json_field(doc, "skipped_zero_importance", list, "its body")
+        if not all(isinstance(name, str) for name in skipped):
+            raise ParseError("skipped_zero_importance must list column names")
+        return ([fuzzify.MembershipSpec.from_dict(d)
+                 for d in json_field(doc, "specs", list, "its body")], skipped)
+
+    return _read_artifact(cfg, train_ds, "specs", "membership specs",
+                          parse=parse)
 
 
 def _encode(ds: ColumnarDataset, specs: list[fuzzify.MembershipSpec],
@@ -405,10 +419,18 @@ def cmd_report(cfg: PipelineConfig, splits: Splits) -> None:
     meta = _read_artifact(cfg, train_ds, "patterns_meta",
                           "patterns metadata")
     specs, skipped = _read_specs(cfg, train_ds)
-    baseline_doc = _read_artifact(
+    baseline = _read_artifact(
         cfg, train_ds, "baseline", "baseline metrics",
-        keys=("metrics", *(f"metrics.{m}" for m in augment.METRIC_NAMES)))
-    baseline = gbdt.Metrics.from_dict(baseline_doc["metrics"])
+        keys=("metrics", *(f"metrics.{m}" for m in augment.METRIC_NAMES)),
+        parse=lambda doc: gbdt.Metrics.from_dict(doc["metrics"]))
+    model_path = cfg.artifact("model")
+    model = _read_artifact(cfg, train_ds, "model", "model",
+                           parse=gbdt.BoostedModel.from_dict)
+    if model.feature_names != train_ds.feature_names():
+        raise PrefixMismatch(
+            f"model artifact {model_path} has features "
+            f"{model.feature_names}, the train split "
+            f"{train_ds.feature_names()}")
 
     if not patterns:
         raise HafcpError("patterns file contains no patterns to evaluate")
@@ -418,11 +440,15 @@ def cmd_report(cfg: PipelineConfig, splits: Splits) -> None:
     columns = [(augment.match_rows(frames[0], p.items),
                 augment.match_rows(frames[1], p.items)) for p in patterns]
     del frames  # before the retrains, which set this step's peak memory
-    report = augment.run_comparison(
-        train_ds, test_ds, patterns, columns, cfg.boost, baseline,
-        cumulative=cfg.report["cumulative"],
-        threshold=cfg.report["threshold"],
-        config_fingerprint=cfg_fp)
+    try:
+        report = augment.run_comparison(
+            train_ds, test_ds, patterns, columns, cfg.boost, baseline,
+            cumulative=cfg.report["cumulative"],
+            threshold=cfg.report["threshold"],
+            config_fingerprint=cfg_fp, prefix=model)
+    except PrefixMismatch as e:
+        raise PrefixMismatch(f"model artifact {model_path} does not match "
+                             f"this run's baseline fit: {e}") from None
 
     doc = report.to_dict()
     doc["lineage"] = {"config": cfg_fp,
@@ -435,6 +461,9 @@ def cmd_report(cfg: PipelineConfig, splits: Splits) -> None:
     _write_effective_config(cfg)
     print(f"wrote {cfg.artifact('report')}")
     print(f"wrote {cfg.artifact('report_md')}")
+    print("baseline trees reused: " + ", ".join(
+        f"top-{i} {n}/{cfg.boost.n_estimators}"
+        for i, n in enumerate(report.reused_trees, start=1)))
 
 
 def cmd_pipeline(cfg: PipelineConfig, splits: Splits) -> None:

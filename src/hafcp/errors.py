@@ -75,6 +75,10 @@ class ParseError(HafcpError):
     pass
 
 
+class PrefixMismatch(HafcpError):
+    """A baseline model given to warm-start a fit does not fit its inputs."""
+
+
 # --- fuzzify ---------------------------------------------------------------
 
 class SampleTooSmall(HafcpError):

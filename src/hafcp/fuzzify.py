@@ -26,6 +26,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import rng
+from ._util import json_field, json_floats
 from .dataset import CATEGORICAL, NUMERIC, ColumnarDataset, ColumnSchema
 from .errors import (
     DegenerateColumn,
@@ -34,12 +35,16 @@ from .errors import (
     LineageError,
     MissingSpec,
     NonpositiveWidth,
+    ParseError,
     SampleTooLarge,
     SampleTooSmall,
     ZeroVariance,
 )
 
 TERMS = ("L", "M", "H")
+
+# parameters per term: (center, width) or vertices (a, b, c)
+FAMILY_ARITY = {"gaussian": 2, "triangular": 3}
 
 _STD_NORMAL = NormalDist()
 
@@ -194,11 +199,25 @@ class MembershipSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MembershipSpec":
-        return cls(column=d["column"], family=d["family"],
-                   low=tuple(d["low"]), medium=tuple(d["medium"]),
-                   high=tuple(d["high"]), stats=dict(d["stats"]),
-                   alpha=float(d["alpha"]),
-                   source_fingerprint=d["source_fingerprint"])
+        """to_dict's output back; ParseError on a missing or mistyped key."""
+        what = "membership spec"
+        family = json_field(d, "family", str, what)
+        arity = FAMILY_ARITY.get(family)
+        if arity is None:
+            raise ParseError(f"{what} family must be one of "
+                             f"{sorted(FAMILY_ARITY)}, got {family!r}")
+        terms = {}
+        for key in ("low", "medium", "high"):
+            terms[key] = tuple(json_floats(d, key, what))
+            if len(terms[key]) != arity:
+                raise ParseError(f"{what} key {key!r} must hold {arity} "
+                                 f"numbers for family {family!r}")
+        return cls(column=json_field(d, "column", str, what), family=family,
+                   stats=json_field(d, "stats", dict, what),
+                   alpha=json_field(d, "alpha", float, what),
+                   source_fingerprint=json_field(d, "source_fingerprint",
+                                                 str, what),
+                   **terms)
 
 
 def triangular_mu(x: float, a: float, b: float, c: float) -> float:

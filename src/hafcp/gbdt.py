@@ -20,6 +20,12 @@ child's row order is its parent's order by the winning feature); cumsums
 run left to right per node and feature; node totals and leaf weights use
 numpy's pairwise sum over the node's rows in that order.
 
+A fit can start from a model fitted with the same params on the leading
+columns (train's `prefix`, the baseline before pattern columns were
+appended). While the appended columns change nothing, a round replays the
+prefix's tree, searching only the appended columns, and takes it; the
+ensemble is the cold fit's, bit for bit.
+
 Feature importance comes in two flavors: "gain" (per-feature sum of split
 gains) and "path_attribution" (mean absolute Saabas contribution over the
 training rows, a deterministic stand-in for mean |SHAP|).
@@ -35,7 +41,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from ._util import atomic_write_text, canonical_json, jsonable
+from ._util import (atomic_write_text, canonical_json, json_field,
+                    json_floats, jsonable)
 from .dataset import ColumnarDataset
 from .errors import (
     ConfigError,
@@ -45,6 +52,7 @@ from .errors import (
     LengthMismatch,
     NegativeScore,
     ParseError,
+    PrefixMismatch,
     SchemaMismatch,
     SingleClassTraining,
 )
@@ -96,9 +104,9 @@ class Metrics:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Metrics":
-        return cls(auc=float(d["auc"]), accuracy=float(d["accuracy"]),
-                   recall=float(d["recall"]), precision=float(d["precision"]),
-                   f1=float(d["f1"]))
+        """as_dict's output back; ParseError unless every metric is a number."""
+        return cls(**{f.name: json_field(d, f.name, float, "metrics")
+                      for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -106,6 +114,11 @@ class ImportanceTable:
     method: str  # gain | path_attribution | external
     scores: dict[str, float]
     lineage: dict | None = None  # read back from write_importance's comment
+
+
+# A Tree's parallel arrays, in to_dict's order, with their JSON value types.
+TREE_ARRAYS = {"feature": int, "threshold": float, "left": int, "right": int,
+               "weight": float, "gain": float, "cover": int}
 
 
 class Tree:
@@ -185,20 +198,38 @@ class Tree:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "weight": self.weight.tolist(),
-            "gain": self.gain.tolist(),
-            "cover": self.cover.tolist(),
-        }
+        return {key: getattr(self, key).tolist() for key in TREE_ARRAYS}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Tree":
-        return cls(d["feature"], d["threshold"], d["left"], d["right"],
-                   d["weight"], d["gain"], d["cover"])
+        """to_dict's output back; ParseError unless the arrays make a tree.
+
+        The arrays must share one nonzero length; a split node's children
+        must come after it (so a walk from the root ends) and a leaf has none.
+        """
+        arrays = []
+        for key, kind in TREE_ARRAYS.items():
+            values = json_field(d, key, list, "tree")
+            if not all(type(v) is kind or (kind is float and type(v) is int)
+                       for v in values):
+                raise ParseError(f"tree array {key!r} must hold only "
+                                 f"{kind.__name__} values")
+            arrays.append(values)
+        lengths = {len(a) for a in arrays}
+        if len(lengths) != 1 or not arrays[0]:
+            raise ParseError(f"tree arrays must share one nonzero length, got "
+                             f"lengths {[len(a) for a in arrays]}")
+        feature, _, left, right = arrays[:4]
+        n = len(feature)
+        for i, (f, l, r) in enumerate(zip(feature, left, right)):
+            if f < -1 or not (i < l < n and i < r < n if f >= 0
+                              else l == r == -1):
+                raise ParseError(f"tree node {i} has feature {f} and children "
+                                 f"{l}, {r}")
+        try:
+            return cls(*arrays)
+        except OverflowError as e:  # an int beyond int64 or float64
+            raise ParseError(f"tree arrays: {e}") from None
 
 
 class BoostedModel:
@@ -230,16 +261,27 @@ class BoostedModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BoostedModel":
-        if d.get("format") != MODEL_FORMAT:
+        """to_dict's output back; ParseError on a missing or mistyped key."""
+        if not isinstance(d, dict) or d.get("format") != MODEL_FORMAT:
             raise ParseError(f"not a {MODEL_FORMAT} document")
-        known = {f.name for f in fields(BoostParams)}
-        unknown = sorted(set(d["params"]) - known)
+        raw = json_field(d, "params", dict, "model")
+        unknown = sorted(set(raw) - {f.name for f in fields(BoostParams)})
         if unknown:
             raise ParseError(f"unknown model params: {unknown}")
-        params = BoostParams(**d["params"])
-        trees = [Tree.from_dict(t) for t in d["trees"]]
-        return cls(trees, float(d["base_score"]), list(d["feature_names"]),
-                   params, [float(x) for x in d["train_loss"]])
+        # every field has a default, whose type is the field's
+        params = BoostParams(**{
+            f.name: json_field(raw, f.name, type(f.default), "model params")
+            for f in fields(BoostParams)})
+        names = json_field(d, "feature_names", list, "model")
+        if not all(isinstance(name, str) for name in names):
+            raise ParseError("model feature_names must all be strings")
+        trees = [Tree.from_dict(t)
+                 for t in json_field(d, "trees", list, "model")]
+        if any(t.feature.max() >= len(names) for t in trees):
+            raise ParseError(f"a model tree splits on a feature beyond its "
+                             f"{len(names)} feature_names")
+        return cls(trees, json_field(d, "base_score", float, "model"), names,
+                   params, json_floats(d, "train_loss", "model"))
 
 
 def _sigmoid(m: np.ndarray) -> np.ndarray:
@@ -274,10 +316,26 @@ class TrainStats:
     trees: int = 0
     nodes: int = 0
     split_candidates: int = 0
+    # trees a warm-started fit took from its prefix model; printed by the
+    # report, not part of to_dict
+    reused_trees: int = 0
 
     def to_dict(self) -> dict:
         return {"trees": self.trees, "nodes": self.nodes,
                 "split_candidates": self.split_candidates}
+
+
+def _node_order(node: np.ndarray, rank: np.ndarray, n_rank) -> np.ndarray:
+    """Level positions node by node, each node's by (x rank, position).
+
+    node holds each position's node index, in ascending order; rank the x
+    rank at each position, one row per feature or a single row; n_rank
+    exceeds every rank in its row. This is the order in which a node's
+    children receive its rows, so it defines how equal x values tie.
+    """
+    N = node.shape[-1]
+    # the keys are unique, so any sort gives this stable order
+    return np.argsort((node * n_rank + rank) * N + np.arange(N), axis=-1)
 
 
 def _search_level(Xt, ranks, n_ranks, gh_rows, parts, lam, min_child_weight,
@@ -301,11 +359,7 @@ def _search_level(Xt, ranks, n_ranks, gh_rows, parts, lam, min_child_weight,
     rows = np.concatenate(parts)
     N = len(rows)
     node = np.repeat(np.arange(k), sizes)
-    pos = np.arange(N)
-    # level positions node by node, each node's by (x rank, position);
-    # the keys are unique, so any sort gives this stable order
-    keys = (node * n_ranks[:, None] + ranks[:, rows]) * N + pos
-    sorted_rows = rows[np.argsort(keys, axis=1)]
+    sorted_rows = rows[_node_order(node, ranks[:, rows], n_ranks[:, None])]
     xs = np.take(Xt, sorted_rows + (np.arange(F) * n)[:, None])
     gh = np.take(gh_rows, sorted_rows, axis=1)
     # C order matters: a sum along the contiguous axis is numpy's pairwise
@@ -326,7 +380,7 @@ def _search_level(Xt, ranks, n_ranks, gh_rows, parts, lam, min_child_weight,
     cut = np.flatnonzero(rises)
     stats.split_candidates += len(cut)
     left = np.take(cum.reshape(2, -1), cut, axis=1)
-    node_totals = np.take(totals, np.tile(node, F)[cut], axis=1)
+    node_totals = np.take(totals, node[cut % N], axis=1)
     right = node_totals - left
     gl, hl = left
     gr, hr = right
@@ -343,7 +397,7 @@ def _search_level(Xt, ranks, n_ranks, gh_rows, parts, lam, min_child_weight,
     row_best[np.isnan(row_best)] = -np.inf
     best = row_best.max(axis=0)
     f_best = np.argmax(row_best == best, axis=0)
-    hits = np.flatnonzero(score[f_best[node] * N + pos] == best[node])
+    hits = np.flatnonzero(score[f_best[node] * N + np.arange(N)] == best[node])
     p_best = hits[np.searchsorted(hits, start)]
     out = []
     for j in range(k):
@@ -430,13 +484,136 @@ def _grow_tree(Xt, ranks, n_ranks, g, h, params: BoostParams,
                 [cover[i] for i in preorder])
 
 
+def _same(a, b) -> bool:
+    """Whether two floats serialize alike: -0.0 is not 0.0, NaN is NaN."""
+    return repr(float(a)) == repr(float(b))
+
+
+def _replay_tree(tree: Tree, Xt, ranks, n_ranks, n_prefix: int, g, h,
+                 params: BoostParams, stats: TrainStats) -> bool:
+    """Whether _grow_tree, given these gradients, would grow `tree` again.
+
+    `tree` is a prefix model's tree over Xt's first n_prefix features, and
+    g, h are the gradients it was grown from. It is replayed level by level
+    with each node's rows in node-position order, as _grow_tree holds them:
+    a split node's rows go to its children in the _node_order of its
+    feature, cut at the left child's cover. Only the appended features
+    Xt[n_prefix:] are searched. A searched node takes an appended feature
+    when that feature's best gain beats the prefix's: the node's gain at a
+    split, 0 at a leaf. A tie goes to the prefix feature, the lower index.
+    Every replayed node must agree with `tree` (depth, cover, the cut's
+    threshold and gain, the leaf weight), or PrefixMismatch is raised.
+    """
+    lam, lr = params.lambda_l2, params.learning_rate
+    appended = slice(n_prefix, None)
+    gh = np.stack((g, h))
+    ids = [0]
+    parts = [np.arange(len(g), dtype=np.int64)]
+    seen: set[int] = set()
+    depth = 0
+    while ids:
+        seen.update(ids)
+        search = ([j for j, p in enumerate(parts) if len(p) >= 2]
+                  if depth < params.max_depth and len(Xt) > n_prefix else [])
+        found = dict(zip(search, _search_level(
+            Xt[appended], ranks[appended], n_ranks[appended], gh,
+            [parts[j] for j in search], lam, params.min_child_weight,
+            stats))) if search else {}
+        splits = []  # (node id, rows, G, H) of this level's split nodes
+        for j, (i, rows) in enumerate(zip(ids, parts)):
+            if tree.cover[i] != len(rows):
+                raise PrefixMismatch(f"tree node {i} covers {tree.cover[i]} "
+                                     f"rows, its replay {len(rows)}")
+            g_sum, h_sum, split = found.get(j) or (g[rows].sum(),
+                                                   h[rows].sum(), None)
+            if tree.feature[i] < 0:
+                if split is not None:
+                    return False
+                weight = -lr * g_sum / (h_sum + lam)
+                if not _same(tree.weight[i], weight):
+                    raise PrefixMismatch(
+                        f"tree node {i} has leaf weight {tree.weight[i]!r}, "
+                        f"its replay {weight!r}")
+                continue
+            if not (depth < params.max_depth and len(rows) >= 2
+                    and tree.feature[i] < n_prefix):
+                raise PrefixMismatch(f"tree node {i} splits where the fit "
+                                     f"cannot split")
+            if split is not None and split[0] > tree.gain[i]:
+                return False
+            splits.append((i, rows, g_sum, h_sum))
+
+        ids, parts = [], []
+        if splits:
+            feats = tree.feature[[i for i, *_ in splits]]
+            sizes = [len(rows) for _, rows, *_ in splits]
+            rows = np.concatenate([rows for _, rows, *_ in splits])
+            feat = np.repeat(feats, sizes)
+            sorted_rows = rows[_node_order(np.repeat(np.arange(len(splits)),
+                                                     sizes),
+                                           ranks[feat, rows],
+                                           n_ranks[feats].max())]
+            xs = Xt[feat, sorted_rows]
+            gh_sorted = gh[:, sorted_rows]
+            a = 0
+            for (i, _, g_sum, h_sum), size in zip(splits, sizes):
+                c = a + tree.cover[tree.left[i]]  # the right child's first
+                if not a < c < a + size:
+                    raise PrefixMismatch(f"tree node {i}'s left child covers "
+                                         f"{c - a} of its {size} rows")
+                lo, hi = xs[c - 1], xs[c]
+                thr = (lo + hi) / 2.0
+                if not thr > lo:
+                    thr = hi
+                gl, hl = np.cumsum(gh_sorted[:, a:c], axis=1)[:, -1]
+                gr, hr = g_sum - gl, h_sum - hl
+                gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam)
+                              - g_sum * g_sum / (h_sum + lam))
+                if not (lo < hi and _same(thr, tree.threshold[i])
+                        and _same(gain, tree.gain[i])):
+                    raise PrefixMismatch(
+                        f"tree node {i} has threshold {tree.threshold[i]!r} "
+                        f"and gain {tree.gain[i]!r}, the cut at its left "
+                        f"child's cover {thr!r} and {gain!r}")
+                ids += [int(tree.left[i]), int(tree.right[i])]
+                parts += [sorted_rows[a:c], sorted_rows[c:a + size]]
+                a += size
+        depth += 1
+    if len(seen) != tree.n_nodes:
+        raise PrefixMismatch(f"tree has {tree.n_nodes} nodes, {len(seen)} "
+                             f"reachable from its root")
+    return True
+
+
+def _check_prefix(prefix: BoostedModel, names: list[str], params: BoostParams,
+                  base_score: float) -> None:
+    """PrefixMismatch unless prefix was fitted with params on names' head."""
+    for what, have, want in (
+            ("params", asdict(prefix.params), asdict(params)),
+            ("feature names", prefix.feature_names,
+             names[:len(prefix.feature_names)]),
+            ("tree count", len(prefix.trees), params.n_estimators),
+            ("base score", repr(prefix.base_score), repr(base_score))):
+        if have != want:
+            raise PrefixMismatch(f"model {what} {have} != this fit's {want}")
+
+
 def train(train_ds: ColumnarDataset, params: BoostParams,
-          stats: TrainStats | None = None) -> BoostedModel:
+          stats: TrainStats | None = None,
+          prefix: BoostedModel | None = None) -> BoostedModel:
     """Fit the boosted ensemble on the train split.
 
     base_score is the log-odds of the training churn rate; train_loss records
     the training log-loss before boosting and after each round. Work counts
     are added to stats when one is given.
+
+    `prefix` warm-starts the fit from a model fitted with the same params on
+    the same rows and the leading columns of train_ds (a baseline before
+    columns were appended). While every earlier round took prefix's tree,
+    a round replays prefix's tree (_replay_tree) and takes it if it is the
+    tree the round would grow; from the first round where it is not, trees
+    are grown. The model equals the cold fit's bit for bit. A prefix that
+    does not fit these inputs raises PrefixMismatch.
     """
     params.validate()
     X, names = train_ds.feature_matrix()
@@ -465,15 +642,25 @@ def train(train_ds: ColumnarDataset, params: BoostParams,
 
     prior = n_pos / n
     base_score = math.log(prior / (1.0 - prior))
+    if prefix is not None:
+        _check_prefix(prefix, names, params, base_score)
     margin = np.full(n, base_score, dtype=np.float64)
     losses = [_log_loss(y, _sigmoid(margin))]
 
     trees: list[Tree] = []
-    for _ in range(params.n_estimators):
+    reusing = prefix is not None
+    for t in range(params.n_estimators):
         p = _sigmoid(margin)
         g = p - y
         h = p * (1.0 - p)
-        tree = _grow_tree(Xt, ranks, n_ranks, g, h, params, stats)
+        reusing = reusing and _replay_tree(
+            prefix.trees[t], Xt, ranks, n_ranks, len(prefix.feature_names),
+            g, h, params, stats)
+        if reusing:
+            tree = prefix.trees[t]
+            stats.reused_trees += 1
+        else:
+            tree = _grow_tree(Xt, ranks, n_ranks, g, h, params, stats)
         trees.append(tree)
         stats.trees += 1
         stats.nodes += tree.n_nodes

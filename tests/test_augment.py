@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hafcp import augment, cli, dataset, fuzzify, gbdt
 from hafcp.augment import (
@@ -13,7 +15,8 @@ from hafcp.augment import (
     report_to_markdown,
     run_comparison,
 )
-from hafcp.dataset import ColumnarDataset, SplitSpec, load_csv
+from hafcp.dataset import (CATEGORICAL, LABEL, NUMERIC, ColumnarDataset,
+                           ColumnSchema, SplitSpec, load_csv)
 from hafcp.errors import SingleClassTraining, UnparseableCell, UnresolvableItem
 from hafcp.gbdt import BoostParams, Metrics
 from hafcp.miner import Pattern
@@ -56,6 +59,70 @@ class TestMatchRows:
         frame, _ = build_tiny_frame()
         with pytest.raises(UnresolvableItem):
             match_rows(frame, ("Age_L", "Tenure_H"))
+
+
+@st.composite
+def encoded_tables(draw):
+    """A small table of numeric and categorical columns, its specs, and an
+    itemset drawn from its frame's items."""
+    n = draw(st.integers(1, 12))
+    schema, columns, specs = [], {}, []
+    for c in range(draw(st.integers(1, 3))):
+        name = f"c{c}"
+        if draw(st.booleans()):
+            values = draw(st.lists(st.sampled_from(["a", "b", "c"]),
+                                   min_size=n, max_size=n))
+            cats = tuple(dict.fromkeys(values))
+            schema.append(ColumnSchema(name, CATEGORICAL, cats))
+            columns[name] = np.array([cats.index(v) for v in values])
+            continue
+        values = draw(st.lists(st.sampled_from([0.0, 2.5, 5.0, 7.5, 10.0])
+                               | st.floats(-5.0, 15.0), min_size=n,
+                               max_size=n))
+        schema.append(ColumnSchema(name, NUMERIC))
+        columns[name] = np.array(values)
+        if draw(st.booleans()):
+            terms = ((0.0, 0.0, 5.0), (0.0, 5.0, 10.0), (5.0, 10.0, 10.0))
+            family = "triangular"
+        else:
+            terms = ((0.0, 2.5), (5.0, 2.5), (10.0, 2.5))
+            family = "gaussian"
+        specs.append(fuzzify.MembershipSpec(name, family, *terms, stats={},
+                                            alpha=0.05,
+                                            source_fingerprint="src"))
+    label = np.array(draw(st.lists(st.integers(0, 1), min_size=n,
+                                   max_size=n)))
+    schema.append(ColumnSchema("y", LABEL, ("0", "1")))
+    columns["y"] = label
+    ds = ColumnarDataset(schema, columns, label)
+    names, _ = fuzzify.frame_items(ds.schema, specs)
+    items = draw(st.lists(st.sampled_from(names), max_size=3, unique=True))
+    return ds, specs, items
+
+
+class TestMatchRowsRoundTrip:
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(encoded_tables())
+    def test_matches_the_rows_whose_values_give_every_item(self, case):
+        """A row matches iff the items read back from its values (the
+        category, or the term assign_term gives) include every item."""
+        ds, specs, items = case
+        spec_of = {s.column: s for s in specs}
+        want = []
+        for r in range(ds.n_rows):
+            row_items = set()
+            for col in ds.feature_schema():
+                value = ds.columns[col.name][r]
+                if col.kind == CATEGORICAL:
+                    row_items.add(f"{col.name}={col.decode(int(value))}")
+                else:
+                    term = fuzzify.assign_term(float(value),
+                                               spec_of[col.name]).term
+                    row_items.add(f"{col.name}_{term}")
+            want.append(int(set(items) <= row_items))
+        frame = fuzzify.to_binary_frame(ds, specs)
+        assert match_rows(frame, items).tolist() == want
 
 
 class TestPatternFeature:
@@ -205,6 +272,18 @@ class TestRunComparison:
         # top-1 rows agree by construction (same single column)
         assert cumul.per_pattern[1] == indep.per_pattern[1]
 
+    @pytest.mark.parametrize("cumulative", [False, True])
+    def test_baseline_prefix_does_not_change_the_report(self, setup,
+                                                        cumulative):
+        train_ds, _, _, _, params, _ = setup
+        cold = run_comparison(*setup, cumulative=cumulative)
+        warm = run_comparison(*setup, cumulative=cumulative,
+                              prefix=gbdt.train(train_ds, params))
+        assert warm.to_dict() == cold.to_dict()
+        assert cold.reused_trees == (0, 0, 0)
+        assert len(warm.reused_trees) == 3
+        assert all(0 <= r <= params.n_estimators for r in warm.reused_trees)
+
     def test_markdown_layout(self, setup):
         train_ds, test_ds, patterns, columns, params, baseline = setup
         report = run_comparison(train_ds, test_ds, patterns, columns, params,
@@ -255,7 +334,7 @@ class TestRetrainPool:
 
     def test_error_with_its_own_constructor_keeps_its_type(self, setup,
                                                            monkeypatch):
-        def failing_train(ds, params):
+        def failing_train(ds, params, stats=None, prefix=None):
             raise UnparseableCell(7, "Age", "not a number")
 
         monkeypatch.setattr(augment, "train", failing_train)

@@ -114,6 +114,60 @@ ARTIFACTS_MISSING_A_KEY = [
 ]
 
 
+def edit_json(path, edit):
+    """Apply edit(doc) to a JSON artifact in place."""
+    with open(path, encoding="utf-8") as f:
+        doc = json.load(f)
+    edit(doc)
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f)
+
+
+def set_key(dotted, value):
+    """An edit that sets (or, for value ..., deletes) one dotted key; a
+    numeric part indexes a list."""
+    def edit(doc):
+        *parents, last = [int(p) if p.isdigit() else p
+                          for p in dotted.split(".")]
+        node = doc
+        for part in parents:
+            node = node[part]
+        if value is ...:
+            del node[last]
+        else:
+            node[last] = value
+    return edit
+
+
+# (artifact, the step that reads it, the key edited, its new value or ...
+# to delete it): corrupt bodies under lineage that names this run
+CORRUPT_BODIES = [
+    pytest.param("specs", "mine", "specs.0.alpha", ..., id="spec-no-alpha"),
+    pytest.param("specs", "mine", "specs.0.low", [1.0], id="spec-short-low"),
+    pytest.param("specs", "mine", "specs.0.family", "cubic",
+                 id="spec-unknown-family"),
+    pytest.param("specs", "report", "specs", {"a": 1}, id="specs-not-a-list"),
+    pytest.param("baseline", "report", "metrics.auc", "x", id="auc-text"),
+    pytest.param("baseline", "report", "metrics.f1", None, id="f1-null"),
+    pytest.param("model", "report", "trees", ..., id="model-no-trees"),
+    pytest.param("model", "report", "params", ..., id="model-no-params"),
+    pytest.param("model", "report", "trees.0.weight", [], id="tree-lengths"),
+    pytest.param("model", "report", "trees.0.cover", ["8"],
+                 id="tree-cover-text"),
+]
+
+# (the key of model.json edited, its new value): a model that is not this
+# run's baseline fit, under lineage that names this run
+FOREIGN_MODELS = [
+    pytest.param("trees.0.weight.0", 0.125, id="leaf-weight"),
+    pytest.param("trees.0.cover.0", 7, id="cover"),
+    pytest.param("params.lambda_l2", 2.0, id="params"),
+    pytest.param("params.n_estimators", 4, id="tree-count"),
+    pytest.param("feature_names.0", "Region", id="feature-names"),
+    pytest.param("base_score", 0.5, id="base-score"),
+]
+
+
 def encoded_train_split(cfg_path):
     """The frame mine encodes: membership_specs.json over the train split."""
     cfg = cli.load_config(cfg_path)
@@ -444,6 +498,59 @@ class TestMineAndReport:
         err = capsys.readouterr().err
         assert cli.ARTIFACTS[name] in err and repr(key) in err
 
+    @pytest.mark.parametrize("name, cmd, key, value", CORRUPT_BODIES)
+    def test_corrupt_artifact_body_exits_2(self, tmp_path, capsys, name, cmd,
+                                           key, value):
+        cfg_path, out = make_project(tmp_path)
+        self.run_through(cfg_path, "train", "fuzzify", "mine")
+        edit_json(artifact(out, name), set_key(key, value))
+        capsys.readouterr()
+        assert cli.main([cmd, "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert "ParseError" in err and cli.ARTIFACTS[name] in err
+        assert not os.path.exists(artifact(out, "report"))
+
+    @pytest.mark.parametrize("key, value", FOREIGN_MODELS)
+    def test_model_that_is_not_the_baseline_fit_exits_2(self, tmp_path,
+                                                         capsys, key, value):
+        cfg_path, out = make_project(tmp_path)
+        self.run_through(cfg_path, "train", "fuzzify", "mine")
+        edit_json(artifact(out, "model"), set_key(key, value))
+        capsys.readouterr()
+        assert cli.main(["report", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert "PrefixMismatch" in err and cli.ARTIFACTS["model"] in err
+        assert not os.path.exists(artifact(out, "report"))
+
+    def test_model_of_another_config_exits_2(self, tmp_path, capsys):
+        cfg_path, out = make_project(tmp_path)
+        self.run_through(cfg_path, "train", "fuzzify", "mine")
+        edit_json(artifact(out, "model"),
+                  set_key("lineage.config", "0" * 64))
+        capsys.readouterr()
+        assert cli.main(["report", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert "LineageError" in err and cli.ARTIFACTS["model"] in err
+
+    def test_report_without_model_exits_3(self, tmp_path, capsys):
+        cfg_path, out = make_project(tmp_path)
+        self.run_through(cfg_path, "train", "fuzzify", "mine")
+        os.remove(artifact(out, "model"))
+        capsys.readouterr()
+        assert cli.main(["report", "--config", cfg_path]) == 3
+        assert cli.ARTIFACTS["model"] in capsys.readouterr().err
+
+    def test_report_prints_the_reused_trees_only(self, tmp_path, capsys):
+        # no tree of the tiny table splits, so every retrain reuses all five
+        cfg_path, out = make_project(tmp_path)
+        self.run_through(cfg_path, "train", "fuzzify", "mine")
+        capsys.readouterr()
+        self.run_through(cfg_path, "report")
+        assert ("baseline trees reused: top-1 5/5, top-2 5/5, top-3 5/5, "
+                "top-4 5/5, top-5 5/5\n") in capsys.readouterr().out
+        for name in ("report", "report_md"):
+            assert "reused" not in open(artifact(out, name)).read()
+
     def test_mine_with_no_specs(self, tmp_path):
         # every numeric column has zero importance: the frame is one-hot only
         cfg_path, out = make_project(
@@ -570,7 +677,7 @@ class TestPipelineCommand:
         assert cli.main(["pipeline", "--config", cfg_path]) == 0
         assert multiprocessing.active_children() == []
 
-        def failing_train(ds, params):
+        def failing_train(ds, params, stats=None, prefix=None):
             raise SingleClassTraining("every retrain fails here")
 
         monkeypatch.setattr(augment, "train", failing_train)

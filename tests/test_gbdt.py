@@ -1,8 +1,9 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hafcp import gbdt
@@ -14,10 +15,11 @@ from hafcp.errors import (
     EmptyTrainingSet,
     NegativeScore,
     ParseError,
+    PrefixMismatch,
     SchemaMismatch,
     SingleClassTraining,
 )
-from hafcp.gbdt import BoostParams, BoostedModel, ImportanceTable
+from hafcp.gbdt import BoostParams, BoostedModel, ImportanceTable, Tree
 
 from gbdt_reference import train_reference
 from synthdata import planted_dataset, random_labeled, toy_separable
@@ -339,6 +341,83 @@ class TestModelIo:
             gbdt.load_model(str(p))
 
 
+def model_doc():
+    ds = make_ds([[1.0], [2.0], [3.0], [4.0]], [0, 0, 1, 1])
+    return gbdt.train(ds, BoostParams(max_depth=2, n_estimators=2,
+                                      min_child_weight=0.0)).to_dict()
+
+
+def edited(doc, path, value):
+    """doc with the entry at a key path replaced, or deleted if value is ...."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is ...:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+class TestModelFromDict:
+    """A corrupt model document raises ParseError naming what is wrong."""
+
+    @pytest.mark.parametrize("path, value, words", [
+        (("trees",), ..., "'trees'"),
+        (("params",), ..., "'params'"),
+        (("params", "max_depth"), ..., "'max_depth'"),
+        (("params", "max_depth"), "6", "'max_depth'"),
+        (("params", "learning_rate"), True, "'learning_rate'"),
+        (("base_score",), None, "'base_score'"),
+        (("feature_names",), [1], "feature_names"),
+        (("train_loss",), ["x"], "'train_loss'"),
+        (("trees", 0, "weight"), [0.5], "length"),
+        (("trees", 0, "cover"), [4, 2, 2.0], "'cover'"),
+        (("trees", 0, "cover"), [4, 2, 2 ** 63], "too large"),
+        (("trees", 0, "threshold"), [10 ** 400, 0.0, 0.0], "too large"),
+        (("trees", 0, "feature"), [0, -1, True], "'feature'"),
+        (("trees", 0, "gain"), ..., "'gain'"),
+        (("trees", 0, "left"), [0, -1, -1], "node 0"),
+        (("trees", 0, "right"), [2, 1, -1], "node 1"),
+        (("trees", 0, "feature"), [1, -1, -1], "beyond"),
+        (("trees", 0), [], "object"),
+    ])
+    def test_corrupt_model_rejected(self, path, value, words):
+        with pytest.raises(ParseError, match=words):
+            BoostedModel.from_dict(edited(model_doc(), path, value))
+
+    def test_empty_tree_rejected(self):
+        empty = {key: [] for key in gbdt.TREE_ARRAYS}
+        with pytest.raises(ParseError, match="nonzero length"):
+            Tree.from_dict(empty)
+
+    def test_whole_document_round_trips(self):
+        doc = model_doc()
+        assert BoostedModel.from_dict(doc).to_dict() == doc
+
+
+class TestMetricsFromDict:
+    GOOD = {"auc": 0.5, "accuracy": 1, "recall": 0.0, "precision": 0.25,
+            "f1": 0.1}
+
+    def test_round_trip(self):
+        m = gbdt.Metrics.from_dict(self.GOOD)
+        assert gbdt.Metrics.from_dict(m.as_dict()) == m
+        assert type(m.accuracy) is float
+
+    @pytest.mark.parametrize("value", ["x", None, True, float("nan"),
+                                       [0.5], 10 ** 400])
+    def test_a_metric_that_is_no_number_is_rejected(self, value):
+        with pytest.raises(ParseError, match="'auc'"):
+            gbdt.Metrics.from_dict({**self.GOOD, "auc": value})
+
+    def test_missing_metric_rejected(self):
+        with pytest.raises(ParseError, match="'f1'"):
+            gbdt.Metrics.from_dict({k: v for k, v in self.GOOD.items()
+                                    if k != "f1"})
+
+
 @st.composite
 def tie_heavy_problems(draw):
     """Small tables whose columns are mostly ties: integer-valued, 0/1,
@@ -426,6 +505,135 @@ class TestReferenceOracle:
         got = gbdt.train(make_ds(X, y), params)
         want = train_reference(X, y, ["f0"], params)
         assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
+
+@st.composite
+def warm_start_problems(draw):
+    """A tie_heavy_problems table with 1-3 appended columns, each a random
+    0/1 column, a copy of a table column (never wins a split) or the label
+    (wins where it splits)."""
+    X, y, params = draw(tie_heavy_problems())
+    appended = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["binary", "copy", "label"]))
+        if kind == "binary":
+            appended.append(draw(st.lists(st.integers(0, 1), min_size=len(y),
+                                          max_size=len(y))))
+        elif kind == "copy":
+            appended.append(X[:, draw(st.integers(0, X.shape[1] - 1))])
+        else:
+            appended.append(y)
+    return X, np.array(appended, dtype=np.float64).T, y, params
+
+
+def corrupted_first_tree(model: BoostedModel, what: str) -> BoostedModel:
+    """A copy of model whose first tree has one wrong leaf weight or cover.
+
+    The last node in preorder is a leaf: the rightmost, or the root.
+    """
+    copy = BoostedModel.from_dict(model.to_dict())
+    tree = copy.trees[0]
+    w = tree.weight[-1]
+    if what == "weight":
+        tree.weight[-1] = np.nextafter(w, np.inf) if np.isfinite(w) else 0.0
+    else:
+        tree.cover[-1] += 1
+    return copy
+
+
+UNIT = BoostParams(max_depth=2, learning_rate=1.0, n_estimators=3,
+                   min_child_weight=0.0, lambda_l2=1.0)
+
+
+class TestWarmStart:
+    """train(prefix=baseline) must equal the cold fit, byte for byte."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(warm_start_problems())
+    # the appended label splits a root the table leaves as a leaf
+    @example((np.full((6, 1), 2.5), np.array([[0, 1, 0, 1, 1, 0]]).T,
+              np.array([0, 1, 0, 1, 1, 0]), UNIT))
+    # the root's threshold overflows to inf, so prediction routes every row
+    # left while the partition cuts at the left child's cover
+    @example((np.array([[1.0e308], [1.5e308], [1.6e308], [1.7e308]]),
+              np.array([[1.0e308, 1.5e308, 1.6e308, 1.7e308]]).T,
+              np.array([0, 0, 1, 1]), UNIT))
+    # lam = 0 saturates p to 0 or 1, so hessians reach 0 and gains 0/0 = NaN
+    @example((np.arange(6, dtype=np.float64).reshape(6, 1),
+              np.array([[1, 0, 1, 1, 0, 0]]).T, np.array([0, 0, 1, 0, 1, 1]),
+              BoostParams(max_depth=2, learning_rate=1.0, n_estimators=100,
+                          min_child_weight=0.0, lambda_l2=0.0)))
+    # cumulative mode: three pattern columns at once
+    @example((np.array([[0, 3], [1, 3], [2, 1], [0, 0], [1, 4], [2, 2]],
+                       dtype=np.float64),
+              np.array([[0, 1, 1, 0, 1, 0], [1, 1, 1, 0, 0, 0],
+                        [0, 1, 2, 0, 1, 2]], dtype=np.float64).T,
+              np.array([0, 1, 1, 0, 1, 0]), UNIT))
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered")
+    def test_warm_equals_cold(self, problem):
+        X, appended, y, params = problem
+        prefix = gbdt.train(make_ds(X, y), params)
+        ds = make_ds(np.column_stack([X, appended]), y)
+        stats = gbdt.TrainStats()
+        warm = gbdt.train(ds, params, stats, prefix=prefix)
+        cold = gbdt.train(ds, params)
+        assert json.dumps(warm.to_dict()) == json.dumps(cold.to_dict())
+        # every tree the cold fit grows again, up to its first new one, is
+        # reused; a tied appended column leaves the tree to the prefix
+        same = [a.to_dict() == b.to_dict()
+                for a, b in zip(cold.trees, prefix.trees)] + [False]
+        assert stats.reused_trees == same.index(False)
+        assert stats.trees == params.n_estimators
+        # a reused tree is checked node by node before it is taken
+        if stats.reused_trees:
+            for what in ("weight", "cover"):
+                with pytest.raises(PrefixMismatch, match="tree node"):
+                    gbdt.train(ds, params,
+                               prefix=corrupted_first_tree(prefix, what))
+
+    def test_overflowing_threshold_tree_is_reused(self):
+        X = np.array([[1.0e308], [1.5e308], [1.6e308], [1.7e308]])
+        y = np.array([0, 0, 1, 1])
+        with np.errstate(over="ignore"):
+            prefix = gbdt.train(make_ds(X, y), UNIT)
+            stats = gbdt.TrainStats()
+            gbdt.train(make_ds(np.column_stack([X, X]), y), UNIT, stats,
+                       prefix=prefix)
+        assert prefix.trees[0].threshold[0] == np.inf
+        assert prefix.trees[0].n_nodes == 3
+        assert stats.reused_trees == UNIT.n_estimators
+
+    @pytest.mark.parametrize("change", [{"lambda_l2": 2.0},
+                                        {"n_estimators": 2}])
+    def test_other_params_rejected(self, change):
+        ds = random_labeled(40, 2, seed=1)
+        prefix = gbdt.train(ds, UNIT)
+        with pytest.raises(PrefixMismatch, match="params"):
+            gbdt.train(ds, replace(UNIT, **change), prefix=prefix)
+
+    def test_other_features_rejected(self):
+        ds = random_labeled(40, 2, seed=1)
+        prefix = gbdt.train(drop_columns(ds, ["f0"]), UNIT)
+        with pytest.raises(PrefixMismatch, match="feature names"):
+            gbdt.train(ds, UNIT, prefix=prefix)
+
+    def test_other_rows_rejected(self):
+        ds = random_labeled(40, 2, seed=1)
+        prefix = gbdt.train(random_labeled(40, 2, seed=2), UNIT)
+        with pytest.raises(PrefixMismatch):
+            gbdt.train(ds, UNIT, prefix=prefix)
+
+    def test_edited_gain_or_threshold_rejected(self):
+        ds = random_labeled(60, 2, seed=3)
+        prefix = gbdt.train(ds, UNIT)
+        for key in ("gain", "threshold"):
+            copy = BoostedModel.from_dict(prefix.to_dict())
+            getattr(copy.trees[0], key)[0] *= 2.0
+            with pytest.raises(PrefixMismatch, match="node 0"):
+                gbdt.train(ds, UNIT, prefix=copy)
 
 
 class TestTrainStats:

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from hafcp import rng
 from hafcp.rng import ALGORITHM, SplitMix64, shuffled_indices
 
 # Published splitmix64 reference outputs (same finalizer as Java's
@@ -66,3 +69,54 @@ def test_shuffle_deterministic():
 
 def test_algorithm_tag():
     assert "splitmix64" in ALGORITHM
+
+
+def scalar_shuffle(n, seed):
+    """The Fisher-Yates shuffle drawing one SplitMix64 value at a time."""
+    r = SplitMix64(seed)
+    idx = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = r.below(i + 1)
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx
+
+
+MASK64 = (1 << 64) - 1
+
+
+def _unxorshift(y, s):
+    """The x with x ^ (x >> s) == y."""
+    x = y
+    for _ in range(64 // s + 1):
+        x = y ^ (x >> s)
+    return x
+
+
+def seed_whose_first_draw_is(value):
+    """Invert splitmix64's finalizer and its first state step."""
+    z = _unxorshift(value, 31)
+    z = z * pow(0x94D049BB133111EB, -1, 1 << 64) & MASK64
+    z = _unxorshift(z, 27)
+    z = z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & MASK64
+    z = _unxorshift(z, 30)
+    return (z - 0x9E3779B97F4A7C15) & MASK64
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 400), st.integers(0, MASK64))
+@example(1000, 0)
+@example(1000, MASK64)
+@example(0, 0)
+@example(1, MASK64)
+def test_shuffle_equals_the_scalar_stream(n, seed):
+    assert shuffled_indices(n, seed) == scalar_shuffle(n, seed)
+
+
+def test_rejected_draw_falls_back_to_the_scalar_stream():
+    # below(3) rejects only 2**64 - 1, the first draw of this seed, for the
+    # first swap of a 3-element shuffle
+    seed = seed_whose_first_draw_is(MASK64)
+    assert SplitMix64(seed).next_u64() == MASK64
+    assert rng._swap_targets(3, seed) is None
+    assert rng._swap_targets(4, seed) is not None
+    assert shuffled_indices(3, seed) == scalar_shuffle(3, seed)
