@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from statistics import NormalDist
 
 import numpy as np
@@ -79,22 +80,12 @@ def _ndtri(q: np.ndarray) -> np.ndarray:
     return np.array([_STD_NORMAL.inv_cdf(v) for v in q], dtype=np.float64)
 
 
-def shapiro_wilk(x, alpha: float = 0.05) -> NormalityResult:
-    """Shapiro-Wilk W and p via Royston's AS R94 approximation.
+@lru_cache(maxsize=8)
+def _coefficients(n: int) -> np.ndarray:
+    """AS R94 coefficients of an n-sample: once per n, shared read-only.
 
-    Valid for 3 <= n <= 5000. p-values use Royston's normalizing
-    transformations: the exact beta form at n=3, a -log(gamma - log(1-W))
-    transform for n <= 11, and a log-n polynomial normalization above that.
+    Every column of a split has the same n, so a split pays for one set.
     """
-    xs = np.sort(np.asarray(x, dtype=np.float64))
-    n = len(xs)
-    if n < 3:
-        raise SampleTooSmall(f"Shapiro-Wilk needs n >= 3, got {n}")
-    if n > 5000:
-        raise SampleTooLarge(f"AS R94 is valid up to n = 5000, got {n}")
-    if xs[0] == xs[-1]:
-        raise ZeroVariance("all sample values identical")
-
     m = _ndtri((np.arange(1, n + 1) - 0.375) / (n + 0.25))
     m2 = float((m * m).sum())
     u = 1.0 / math.sqrt(n)
@@ -113,7 +104,27 @@ def shapiro_wilk(x, alpha: float = 0.05) -> NormalityResult:
             phi = (m2 - 2.0 * m[-1] ** 2) / (1.0 - 2.0 * a_n ** 2)
             a[1:n - 1] = m[1:n - 1] / math.sqrt(phi)
         a[-1], a[0] = a_n, -a_n
+    a.flags.writeable = False
+    return a
 
+
+def shapiro_wilk(x, alpha: float = 0.05) -> NormalityResult:
+    """Shapiro-Wilk W and p via Royston's AS R94 approximation.
+
+    Valid for 3 <= n <= 5000. p-values use Royston's normalizing
+    transformations: the exact beta form at n=3, a -log(gamma - log(1-W))
+    transform for n <= 11, and a log-n polynomial normalization above that.
+    """
+    xs = np.sort(np.asarray(x, dtype=np.float64))
+    n = len(xs)
+    if n < 3:
+        raise SampleTooSmall(f"Shapiro-Wilk needs n >= 3, got {n}")
+    if n > 5000:
+        raise SampleTooLarge(f"AS R94 is valid up to n = 5000, got {n}")
+    if xs[0] == xs[-1]:
+        raise ZeroVariance("all sample values identical")
+
+    a = _coefficients(n)
     mean = xs.mean()
     ss = float(((xs - mean) ** 2).sum())
     w = float(np.dot(a, xs)) ** 2 / ss

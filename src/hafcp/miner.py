@@ -14,26 +14,38 @@ smaller cardinality, then lexicographic item names).
 The database is vertical: a transactions × items presence matrix and a
 quantity matrix, taken straight from the frame's churned rows. The exact
 search is depth-first over prefixes in ascending transaction-weighted-utility
-(TWU) item order, ties by item index (EFIM, Zida et al. 2015). Each search
-node holds its transaction ids and the prefix's utility in each of them, and
-scores every later item in one batch of array operations: support, utility,
-and the remaining-utility upper bound
+(TWU) item order, ties by item index (EFIM, Zida et al. 2015). It works on
+one stack of three transactions × items tables in search order: presence,
+contribution (quantity * profit) and reach (the contribution plus the utility
+of the transaction's later items). Each search node holds its transaction
+ids, the prefix's utility in each of them, and the scores of its extensions
+by every later item: support, utility, and the remaining-utility upper bound
 
     bound(P+j) = sum over t in T(P+j) of [u(P+j, t) + utility of t's items
                  after j in the search order].
 
 Supersets of P+j only lose transactions and can only add items from that
 remainder, so no extension can exceed the bound and the subtree is skipped
-when the bound falls below the current k-th utility. Before the search the
+when the bound falls below the current k-th utility. Before the search that
 threshold is floored at the k-th best utility among the pairs whenever pairs
 are admissible (TKO, Tseng et al. 2016), so pruning bites from the first
-node. A beam variant (top-k frontier expansion, approximate) is available
-behind algorithm="beam".
+node; call the floored threshold the level.
+
+A node that keeps some children gathers its transactions' rows of the stack
+once and scores every child's own extensions in two matrix products: the
+children's transaction masks times the stack, and the children's prefix
+utilities times presence. It then walks the children in order. A child none
+of whose extensions can be offered or grown at the current level is a dead
+end and is not visited: it counts as one expanded node, and its extensions
+with support count as bound prunes when it could grow, as a visit would have
+counted them. The level only rises, so a dead end stays dead. A beam variant
+(top-k frontier expansion, approximate) is available behind algorithm="beam".
 
 Recorded utilities are always recomputed in a canonical order (item names
 sorted, transactions in database order) so the miner, the brute-force oracle,
 and the standalone utility() agree bit-for-bit and output is independent of
-item insertion order.
+item insertion order. The batched scores only decide what is offered and
+what is pruned, so their summation order does not reach the output.
 """
 
 from __future__ import annotations
@@ -45,7 +57,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._util import atomic_write_text
+from ._util import atomic_write_text, json_field
 from .errors import (
     ConfigError,
     EmptyDatabase,
@@ -76,9 +88,23 @@ class Pattern:
                 "support": self.support}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Pattern":
-        return cls(items=tuple(d["items"]), utility=float(d["utility"]),
-                   support=int(d["support"]))
+    def from_dict(cls, d, what: str = "pattern") -> "Pattern":
+        """The pattern of a parsed JSON object, else ParseError naming what.
+
+        items must be a non-empty list of strings, utility a finite number
+        and support an integer >= 1.
+        """
+        items = json_field(d, "items", list, what)
+        if not items or not all(isinstance(i, str) for i in items):
+            raise ParseError(f"{what} key 'items' must be a non-empty list "
+                             f"of strings, got {json.dumps(items)}")
+        support = json_field(d, "support", int, what)
+        if support < 1:
+            raise ParseError(f"{what} key 'support' must be >= 1, "
+                             f"got {support}")
+        return cls(items=tuple(items),
+                   utility=json_field(d, "utility", float, what),
+                   support=support)
 
 
 @dataclass(eq=False)
@@ -303,11 +329,48 @@ def search_order(db: TransactionDB, pt: dict[str, float]) -> list[int]:
     return _twu_order(db.present, _contributions(db, pt)).tolist()
 
 
-def _remaining(contrib: np.ndarray) -> np.ndarray:
-    """rest[t, p]: utility of transaction t's items after position p."""
-    rest = np.zeros_like(contrib)
-    rest[:, :-1] = np.cumsum(contrib[:, :0:-1], axis=1)[:, ::-1]
-    return rest
+def _stack(present: np.ndarray, contrib: np.ndarray,
+           order: np.ndarray) -> np.ndarray:
+    """The search's one per-(transaction, item) table, items in search order.
+
+    stack[t, 0, p] is 1.0 where transaction t holds the item at search
+    position p, else 0.0; stack[t, 1, p] is its contribution and
+    stack[t, 2, p] its reach: the contribution plus the utility of t's items
+    after p, 0 where t lacks the item. A transaction's three tables lie side
+    by side, so one gather of its row serves all three.
+    """
+    stack = np.empty((len(present), 3, len(order)))
+    stack[:, 0] = present[:, order]
+    stack[:, 1] = contrib[:, order]
+    reach = stack[:, 2]
+    np.cumsum(stack[:, 1, :0:-1], axis=1, out=reach[:, -2::-1])
+    reach[:, -1] = 0.0
+    reach += stack[:, 1]
+    reach *= stack[:, 0]
+    return stack
+
+
+def _score_children(stack: np.ndarray, tids: np.ndarray,
+                    tid_utils: np.ndarray, start: int, kids: np.ndarray):
+    """Score the extensions of a node's children in two matrix products.
+
+    The node holds transactions tids, with the prefix's utility tid_utils in
+    each; kids are its children's offsets from search position start. Child
+    masks times the node's rows of the stack give each child's support,
+    summed contribution and summed reach per item; child prefix utilities
+    times presence give the prefix part of its utilities and bounds. Returns
+    each child's transaction mask over tids and its support, utility and
+    bound for every item from start on.
+    """
+    block = stack if len(tids) == len(stack) else stack.take(tids, axis=0)
+    later = block[:, :, start:]
+    masks = later[:, 0][:, kids]
+    kid_utils = later[:, 1][:, kids]
+    kid_utils += tid_utils[:, None]
+    kid_utils *= masks
+    sums = masks.T @ later.transpose(1, 0, 2)
+    base = kid_utils.T @ later[:, 0]
+    return masks.T > 0, sums[0], base + sums[1], base + sums[2]
 
 
 def _pair_floor(db: TransactionDB, pt: dict[str, float], contrib: np.ndarray,
@@ -359,48 +422,79 @@ def mine_topk(db: TransactionDB, pt: dict[str, float], cfg: MiningConfig,
     floor = (_pair_floor(db, pt, contrib, cfg.k)
              if cfg.min_length <= 2 <= max_len else float("-inf"))
     order = _twu_order(db.present, contrib)
-    presence = db.present[:, order].astype(np.float64)
-    contrib = contrib[:, order]
-    reach = np.where(presence > 0, contrib + _remaining(contrib), 0.0)
+    stack = _stack(db.present, contrib, order)
+    del contrib
     pool = _TopK(cfg.k, stats)
+    level = _prune_below(floor)  # rises with the pool's k-th utility
 
-    def level() -> float:
-        return _prune_below(max(pool.threshold(), floor))
+    def offer(pattern: Pattern) -> None:
+        nonlocal level
+        pool.offer(pattern)
+        level = _prune_below(max(pool.threshold(), floor))
 
     def expand(prefix: tuple[int, ...], tids: np.ndarray,
-               tid_utils: np.ndarray) -> None:
-        """Score every extension of prefix by a later item, then recurse."""
+               tid_utils: np.ndarray, support: np.ndarray,
+               utils: np.ndarray, bounds: np.ndarray) -> None:
+        """Offer prefix's extensions, then score the children and recurse.
+
+        support, utils and bounds score the extension of prefix by each
+        item from search position prefix[-1] + 1 on.
+        """
         stats.nodes_expanded += 1
         start = prefix[-1] + 1 if prefix else 0
-        pres = presence[tids, start:]
-        util = contrib[tids, start:]
-        base = tid_utils @ pres
-        support = pres.sum(axis=0)
-        utils = base + util.sum(axis=0)
-        bounds = base + reach[tids, start:].sum(axis=0)
         length = len(prefix) + 1
-
         if length >= cfg.min_length:
-            for off in np.nonzero((support > 0) & (utils >= level()))[0]:
-                if utils[off] >= level():  # the pool may have risen since
+            for off in np.nonzero((support > 0) & (utils >= level))[0]:
+                if utils[off] >= level:  # the pool may have risen since
                     items = order[list(prefix) + [start + off]]
-                    child_tids = tids[pres[:, off] > 0]
-                    pool.offer(_itemset_utility(db, pt, items, child_tids))
+                    child_tids = tids[stack[tids, 0, start + off] > 0]
+                    offer(_itemset_utility(db, pt, items, child_tids))
         if length >= max_len:
             return
         growable = support > 0
-        candidates = np.nonzero(growable & (bounds >= level()))[0]
-        stats.bound_prunes += int(growable.sum()) - len(candidates)
-        for off in candidates:
-            if bounds[off] < level():
-                stats.bound_prunes += 1
-                continue
-            mask = pres[:, off] > 0
-            expand(prefix + (start + off,), tids[mask],
-                   tid_utils[mask] + util[mask, off])
+        kids = np.nonzero(growable & (bounds >= level))[0]
+        stats.bound_prunes += int(growable.sum()) - len(kids)
+        if not len(kids):
+            return
 
-    n_txn = len(db.transactions)
-    expand((), np.arange(n_txn), np.zeros(n_txn))
+        members, kid_support, kid_scores, kid_bounds = _score_children(
+            stack, tids, tid_utils, start, kids)
+
+        # A child is a dead end when no later item with support gives it an
+        # extension whose utility (if offerable) or bound (if growable)
+        # reaches the level. A visit would only count it and its growable
+        # extensions, so the walk counts them instead.
+        offers = length + 1 >= cfg.min_length
+        grows = length + 1 < max_len
+        open_ = ((np.arange(len(support)) > kids[:, None])
+                 & (kid_support > 0))
+        if offers and grows:
+            score = np.maximum(kid_scores, kid_bounds)
+        else:
+            score = kid_bounds if grows else kid_scores
+        best = np.where(open_, score, -np.inf).max(axis=1).tolist()
+        prunes = (np.count_nonzero(open_, axis=1).tolist() if grows
+                  else [0] * len(kids))
+
+        for i, (off, bound) in enumerate(zip(kids.tolist(),
+                                             bounds[kids].tolist())):
+            if bound < level:
+                stats.bound_prunes += 1
+            elif best[i] < level:
+                stats.nodes_expanded += 1
+                stats.bound_prunes += prunes[i]
+            else:
+                child = tids[members[i]]
+                rest = slice(off + 1, None)
+                expand(prefix + (start + off,), child,
+                       tid_utils[members[i]] + stack[child, 1, start + off],
+                       kid_support[i, rest], kid_scores[i, rest],
+                       kid_bounds[i, rest])
+
+    n_txn = len(stack)
+    totals = stack.sum(axis=0)
+    expand((), np.arange(n_txn), np.zeros(n_txn), totals[0], totals[1],
+           totals[2])
     return pool.result()
 
 
@@ -490,10 +584,12 @@ def read_patterns(path: str) -> list[Pattern]:
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno + 1}:"
             try:
-                patterns.append(Pattern.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError) as e:
-                raise ParseError(f"{path}:{lineno + 1}: {e}") from None
+                doc = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise ParseError(f"{where} {e}") from None
+            patterns.append(Pattern.from_dict(doc, where))
     return patterns
 
 

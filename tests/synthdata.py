@@ -77,6 +77,30 @@ def random_db(seed: int, max_items: int = 12, max_transactions: int = 50
     return db_from_dicts(items, transactions, mode), profits
 
 
+def structured_db(n_columns: int, n_transactions: int = 2000, seed: int = 0,
+                  equal_profits: bool = False
+                  ) -> tuple[TransactionDB, dict[str, float]]:
+    """One of three terms per column in every transaction, as real frames have.
+
+    Items are c00_L, c00_M, c00_H, c01_L, ...; each transaction takes one term
+    per column uniformly at random. A column's terms share its profit: 1.0
+    with equal_profits, else uniform in [0.5, 1.5).
+    """
+    r = SplitMix64(seed)
+    items = [f"c{c:02d}_{t}" for c in range(n_columns) for t in "LMH"]
+    present = np.zeros((n_transactions, len(items)), dtype=bool)
+    for t in range(n_transactions):
+        for c in range(n_columns):
+            present[t, 3 * c + r.below(3)] = True
+    profits = {}
+    for c in range(n_columns):
+        p = 1.0 if equal_profits else 0.5 + sm_uniform(r)
+        profits.update({f"c{c:02d}_{t}": p for t in "LMH"})
+    return (TransactionDB(items=items, present=present,
+                          quantity=present.astype(np.float64), mode=BINARY),
+            profits)
+
+
 def planted_dataset(n: int = 2000, seed: int = 424243) -> ColumnarDataset:
     """Churn rule planted in two numeric features, 5% label noise.
 

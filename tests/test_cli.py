@@ -595,6 +595,25 @@ class TestMineAndReport:
         assert "UnresolvableItem" in err and "'Age_L'" in err
         assert not os.path.exists(artifact(out, "report"))
 
+    @pytest.mark.parametrize("line", [
+        {"items": ["Age_L", "Spending_M"], "utility": "x", "support": 2},
+        {"items": "Age_L", "utility": 1.0, "support": 2},
+        {"items": ["Age_L"], "utility": 1.0, "support": 0},
+    ])
+    def test_report_malformed_pattern_line_exits_2(self, tmp_path, capsys,
+                                                   line):
+        cfg_path, out = make_project(tmp_path)
+        self.run_through(cfg_path, "train", "fuzzify", "mine")
+        with open(artifact(out, "patterns"), "a", encoding="utf-8") as f:
+            f.write(json.dumps(line) + "\n")
+        n_lines = len(open(artifact(out, "patterns")).read().splitlines())
+        capsys.readouterr()
+        assert cli.main(["report", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert "ParseError" in err
+        assert f"patterns.jsonl:{n_lines}:" in err
+        assert not os.path.exists(artifact(out, "report"))
+
     def test_cumulative_report(self, tmp_path):
         cfg_path, out = make_project(tmp_path,
                                      {"report": {"cumulative": True}})

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -34,7 +35,8 @@ from hafcp.miner import (
 )
 
 from conftest import TINY_PROFITS, build_tiny_frame
-from synthdata import db_from_dicts, random_db
+from miner_reference import _remaining, mine_topk_reference
+from synthdata import db_from_dicts, random_db, structured_db
 
 # Expected top-5 for the ten-row fixture (binary mode, k=5, min_length=2),
 # worked out by enumerating the six churned rows by hand and folding profits
@@ -286,7 +288,7 @@ def prefix_bound(db, pt, prefix_items) -> float:
     idxs = [db.index_of(n) for n in prefix_items]
     last = max(position[i] for i in idxs)
     tids = np.nonzero(db.present[:, idxs].all(axis=1))[0]
-    rest = miner._remaining(contrib[:, order])[tids, last]
+    rest = _remaining(contrib[:, order])[tids, last]
     return float(contrib[np.ix_(tids, idxs)].sum() + rest.sum())
 
 
@@ -422,6 +424,36 @@ class TestPatternIo:
             read_patterns(str(p))
         assert ":2:" in str(exc.value)
 
+    @pytest.mark.parametrize("line", [
+        '{"items": "X01_L", "utility": 1.0, "support": 1}',
+        '{"items": [], "utility": 1.0, "support": 1}',
+        '{"items": ["a", 2], "utility": 1.0, "support": 1}',
+        '{"items": ["a"], "utility": "x", "support": 1}',
+        '{"items": ["a"], "utility": true, "support": 1}',
+        '{"items": ["a"], "utility": NaN, "support": 1}',
+        '{"items": ["a"], "utility": Infinity, "support": 1}',
+        '{"items": ["a"], "utility": 1.0, "support": 0}',
+        '{"items": ["a"], "utility": 1.0, "support": 1.5}',
+        '{"items": ["a"], "utility": 1.0, "support": "3"}',
+        '{"items": ["a"], "utility": 1.0, "support": true}',
+        '{"items": ["a"], "utility": 1.0}',
+        '["a"]',
+    ])
+    def test_bad_line_rejected(self, tmp_path, line):
+        p = tmp_path / "patterns.jsonl"
+        p.write_text('{"items": ["a"], "utility": 1.0, "support": 1}\n'
+                     + line + "\n")
+        with pytest.raises(ParseError) as exc:
+            read_patterns(str(p))
+        assert f"{p}:2:" in str(exc.value)
+
+    def test_integral_utility_read_as_float(self, tmp_path):
+        p = tmp_path / "patterns.jsonl"
+        p.write_text('{"items": ["b", "a"], "utility": 2, "support": 2}\n')
+        got = read_patterns(str(p))
+        assert got == [Pattern(items=("b", "a"), utility=2.0, support=2)]
+        assert type(got[0].utility) is float
+
     def test_render_table(self):
         db, pt = tiny_db()
         patterns = mine_topk(db, pt, MiningConfig(k=5))
@@ -439,10 +471,10 @@ TERMS = ("L", "M", "H", "X")
 
 
 @st.composite
-def structured_frames(draw):
-    n_cols = draw(st.integers(1, 5))
+def structured_frames(draw, max_columns=5, max_rows=30):
+    n_cols = draw(st.integers(1, max_columns))
     n_terms = [draw(st.integers(2, 4)) for _ in range(n_cols)]
-    n_rows = draw(st.integers(1, 30))
+    n_rows = draw(st.integers(1, max_rows))
     names, sources = [], []
     for c, m in enumerate(n_terms):
         names += [f"c{c}_{TERMS[t]}" for t in range(m)]
@@ -505,3 +537,90 @@ class TestSearchStats:
         assert stats.nodes_expanded > 0
         assert stats.pool_offers >= len(got)
         assert stats.bound_prunes == 0
+
+
+class TestChildScoring:
+    """Batched child scoring and the dead-end rule change no decision."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              database=None)
+    @given(structured_frames(max_columns=7, max_rows=40),
+           st.sampled_from([BINARY, MEMBERSHIP]), st.integers(1, 8),
+           st.integers(1, 3), st.none() | st.integers(0, 2))
+    def test_equals_per_node_search(self, data, mode, k, min_length,
+                                    extra_length):
+        frame, labels, table = data
+        try:
+            db, pt = build_transactions(frame, labels, table, mode=mode)
+        except NoChurnRows:
+            return
+        if not db.items:
+            return
+        max_length = None if extra_length is None else min_length + extra_length
+        cfg = MiningConfig(k=k, min_length=min_length, max_length=max_length,
+                           mode=mode)
+        got, want = SearchStats(), SearchStats()
+        assert mine_topk(db, pt, cfg, got) == \
+            mine_topk_reference(db, pt, cfg, want)
+        assert got == want
+
+    def test_random_instances_equal_per_node_search(self):
+        for seed in range(20):
+            db, pt = random_db(seed)
+            for cfg in (MiningConfig(k=5, mode=db.mode),
+                        MiningConfig(k=3, min_length=1, max_length=3,
+                                     mode=db.mode)):
+                got, want = SearchStats(), SearchStats()
+                assert mine_topk(db, pt, cfg, got) == \
+                    mine_topk_reference(db, pt, cfg, want)
+                assert got == want, f"seed={seed} {cfg}"
+
+
+    def test_dead_ends_are_not_visited(self):
+        db, pt = structured_db(10, n_transactions=500, seed=1)
+        visits = []
+
+        def count_visits(frame, event, arg):
+            if event == "call" and frame.f_code is expand_code:
+                visits.append(1)
+
+        expand_code = next(c for c in miner.mine_topk.__code__.co_consts
+                           if getattr(c, "co_name", None) == "expand")
+        stats = SearchStats()
+        sys.setprofile(count_visits)
+        try:
+            mine_topk(db, pt, MiningConfig(k=5), stats)
+        finally:
+            sys.setprofile(None)
+        # the per-node search visits every expanded node; here most of them
+        # are dead ends, counted but never entered
+        assert 0 < len(visits) < stats.nodes_expanded / 4
+
+
+# The exact top-10 of structured_db(30, seed=0) (2000 transactions, 90
+# items, random profits) and its search counters, pinned from the per-node
+# search.
+THIRTY_COLUMNS_TOP10 = [
+    (("c01_L", "c12_H"), 666.7015246030873, 241),
+    (("c01_L", "c02_M"), 663.104182315138, 248),
+    (("c01_H", "c02_L"), 655.0827607548742, 245),
+    (("c01_L", "c05_L"), 652.6967717377067, 239),
+    (("c04_H", "c12_M"), 650.1367133081552, 252),
+    (("c02_L", "c05_L"), 649.0933211080754, 249),
+    (("c01_H", "c05_L"), 644.5039252305389, 236),
+    (("c12_M", "c29_L"), 641.4311065956352, 246),
+    (("c01_L", "c29_L"), 641.2776539611671, 243),
+    (("c05_L", "c12_M"), 639.7553511432008, 237),
+]
+THIRTY_COLUMNS_STATS = {"nodes_expanded": 56687, "bound_prunes": 1921155,
+                        "pool_offers": 10}
+
+
+class TestThirtyColumns:
+    def test_top10_and_counters_pinned(self):
+        db, pt = structured_db(30, seed=0)
+        stats = SearchStats()
+        got = mine_topk(db, pt, MiningConfig(k=10), stats)
+        assert [(p.items, p.utility, p.support) for p in got] == \
+            THIRTY_COLUMNS_TOP10
+        assert stats.to_dict() == THIRTY_COLUMNS_STATS

@@ -9,6 +9,7 @@ under test must reproduce them without scipy.
 import numpy as np
 import pytest
 
+from hafcp import fuzzify
 from hafcp.errors import SampleTooLarge, SampleTooSmall, ZeroVariance
 from hafcp.fuzzify import normality_decision, shapiro_wilk
 
@@ -126,6 +127,30 @@ def test_sample_too_large():
 def test_zero_variance():
     with pytest.raises(ZeroVariance):
         shapiro_wilk([4.0] * 10)
+
+
+class TestCoefficientCache:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 11, 12, 5000])
+    def test_cached_equals_uncached(self, n, monkeypatch):
+        calls = []
+        ndtri = fuzzify._ndtri
+        monkeypatch.setattr(fuzzify, "_ndtri",
+                            lambda q: calls.append(len(q)) or ndtri(q))
+        samples = [make_sample(dist, n, 300 + i) for i, dist in
+                   enumerate(("normal", "uniform", "exponential"))]
+        fresh = []
+        for x in samples:
+            fuzzify._coefficients.cache_clear()
+            fresh.append(shapiro_wilk(x))
+        assert calls == [n] * len(samples)
+        cached = [shapiro_wilk(x) for x in samples]
+        assert calls == [n] * len(samples)  # one computation served them all
+        for a, b in zip(fresh, cached):
+            assert (a.w_statistic.hex(), a.p_value.hex()) == \
+                (b.w_statistic.hex(), b.p_value.hex())
+        a = fuzzify._coefficients(n)
+        assert a.tobytes() == fuzzify._coefficients.__wrapped__(n).tobytes()
+        assert not a.flags.writeable
 
 
 class TestNormalityDecision:
