@@ -18,7 +18,7 @@ from .gbdt import (BoostParams, BoostedModel, ImportanceTable, Metrics,
                    TrainStats, evaluate, importance, load_importance,
                    predict_proba, train)
 from .miner import (MiningConfig, Pattern, SearchStats, TransactionDB,
-                    brute_force_topk, build_transactions, mine_topk, utility)
+                    build_transactions, mine_topk)
 from .augment import ComparisonReport, build_report, run_comparison
 
 __version__ = "0.1.0"
@@ -34,7 +34,7 @@ __all__ = [
     "shapiro_wilk", "fit_membership", "fit_all_memberships", "triangular_mu",
     "gaussian_mu", "assign_term", "to_binary_frame",
     "Pattern", "TransactionDB", "MiningConfig", "SearchStats",
-    "build_transactions", "utility", "mine_topk", "brute_force_topk",
+    "build_transactions", "mine_topk",
     "ComparisonReport", "build_report", "run_comparison",
     "__version__",
 ]

@@ -221,12 +221,11 @@ def _check_lineage(cfg: PipelineConfig, train_ds: ColumnarDataset, path: str,
 
 
 def _read_artifact(cfg: PipelineConfig, train_ds: ColumnarDataset, name: str,
-                   what: str, keys: tuple[str, ...] = (), parse=None):
+                   what: str, parse=None):
     """A JSON artifact of this output directory, checked by _check_lineage.
 
-    Every dotted key in `keys` ("metrics.auc") must be present. `parse`, if
-    given, turns the document into the value returned; its ParseError
-    becomes one that names the file.
+    `parse`, if given, turns the document into the value returned; its
+    ParseError becomes one that names the file.
     """
     path = cfg.artifact(name)
     try:
@@ -240,13 +239,6 @@ def _read_artifact(cfg: PipelineConfig, train_ds: ColumnarDataset, name: str,
         raise HafcpError(f"{what} artifact {path} is corrupt: "
                          f"its root is not a JSON object")
     _check_lineage(cfg, train_ds, path, doc.get("lineage"))
-    for dotted in keys:
-        node = doc
-        for part in dotted.split("."):
-            if not isinstance(node, dict) or part not in node:
-                raise HafcpError(f"{what} artifact {path} is corrupt: "
-                                 f"key {dotted!r} is missing")
-            node = node[part]
     if parse is None:
         return doc
     try:
@@ -421,8 +413,8 @@ def cmd_report(cfg: PipelineConfig, splits: Splits) -> None:
     specs, skipped = _read_specs(cfg, train_ds)
     baseline = _read_artifact(
         cfg, train_ds, "baseline", "baseline metrics",
-        keys=("metrics", *(f"metrics.{m}" for m in augment.METRIC_NAMES)),
-        parse=lambda doc: gbdt.Metrics.from_dict(doc["metrics"]))
+        parse=lambda doc: gbdt.Metrics.from_dict(
+            json_field(doc, "metrics", dict, "its body")))
     model_path = cfg.artifact("model")
     model = _read_artifact(cfg, train_ds, "model", "model",
                            parse=gbdt.BoostedModel.from_dict)

@@ -1,8 +1,9 @@
 """Columnar dataset loading, schema inference, and seeded train/test split.
 
-CSV cells are either numeric (every non-missing cell parses as a real number;
-non-finite ones such as inf or nan are rejected) or categorical (encoded as
-integer codes in first-appearance order). A column where most cells are
+Each CSV column is converted once. It is numeric when float() takes every
+cell (non-finite ones such as inf or nan are rejected); otherwise it is
+categorical, encoded as integer codes in first-appearance order by the one
+code book the label column goes through too. A column where most cells are
 numbers but some are text is rejected rather than read as categorical.
 Missing values are rejected at load time — the mining pipeline assumes
 complete data and silently imputing would change every downstream statistic.
@@ -12,7 +13,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable
 
 import numpy as np
@@ -151,24 +154,54 @@ class ColumnarDataset:
         return ColumnarDataset(self.schema, cols, self.label[idx])
 
 
-def _is_real(cell: str) -> bool:
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return True
+def _code_book(name: str, cells: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Codes of cells in first-appearance order, and the values they code.
+
+    The first missing cell raises UnparseableCell.
+    """
+    seen: dict[str, int] = {}
+    codes = np.fromiter((seen.setdefault(c, len(seen)) for c in cells),
+                        np.int64, len(cells))
+    if "" in seen:
+        raise UnparseableCell(cells.index(""), name, "missing value")
+    return codes, tuple(seen)
+
+
+def _text_column(name: str, cells: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """_code_book of a column that float() rejects somewhere.
+
+    Each distinct cell is parsed once; text columns repeat few values. More
+    than MOSTLY_NUMERIC of the non-missing cells being numbers fails at the
+    first text cell.
+    """
+    counts = Counter(cells)
+    non_missing = len(cells) - counts.pop("", 0)
+    text = set()
+    for cell in counts:
+        try:
+            float(cell)
+        except ValueError:
+            text.add(cell)
+    n_real = non_missing - sum(counts[c] for c in text)
+    if text and n_real > MOSTLY_NUMERIC * non_missing:
+        i = next(i for i, c in enumerate(cells) if c in text)
+        raise UnparseableCell(
+            i, name, f"{cells[i]!r} is not a number, but {n_real} "
+                     f"of the column's {non_missing} cells are")
+    return _code_book(name, cells)
 
 
 def load_csv(path: str, label_column: str, positive_label: str) -> ColumnarDataset:
     """Load an RFC-4180-style CSV with a header row into a ColumnarDataset.
 
-    Column kinds are inferred: numeric iff every non-missing cell parses as a
-    real number, categorical otherwise. A numeric column with a non-finite
-    cell (inf, nan) raises UnparseableCell naming its first such row. So does
-    a column where more than MOSTLY_NUMERIC of the non-missing cells are real
-    numbers but some are not, naming its first non-numeric row. The
-    label cell maps to 1 when it equals positive_label (case-sensitive), else
-    0. Empty cells raise UnparseableCell — no imputation happens here.
+    Each column is converted once: numeric when float() takes every cell,
+    else categorical through the code book the label column goes through
+    too. The label cell maps to 1 when it equals positive_label
+    (case-sensitive), else 0. Columns are checked in header order, and a
+    column fails with UnparseableCell: at its first text cell when more than
+    MOSTLY_NUMERIC of its non-missing cells are numbers but some are not;
+    else at its first missing cell (no imputation happens here); else, when
+    numeric, at its first non-finite number (inf, nan).
     """
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
@@ -185,6 +218,8 @@ def load_csv(path: str, label_column: str, positive_label: str) -> ColumnarDatas
             f"label column {label_column!r} not in header {header}")
     if len(set(header)) != len(header):
         raise ParseError(f"{path}: duplicate column names in header")
+    # before the columns are cut out: a short row would fail unnamed, a long one
+    # would lose its extra fields
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise ParseError(
@@ -194,63 +229,25 @@ def load_csv(path: str, label_column: str, positive_label: str) -> ColumnarDatas
     schema: list[ColumnSchema] = []
     columns: dict[str, np.ndarray] = {}
     label = np.zeros(n, dtype=np.int64)
-
     for j, name in enumerate(header):
-        cells = [row[j] for row in rows]
+        cells = list(map(itemgetter(j), rows))
+        kind, cats = NUMERIC, None
         if name == label_column:
-            cats: list[str] = []
-            seen: dict[str, int] = {}
-            codes = np.empty(n, dtype=np.int64)
-            for i, cell in enumerate(cells):
-                if cell == "":
-                    raise UnparseableCell(i, name, "missing value")
-                if cell not in seen:
-                    seen[cell] = len(cats)
-                    cats.append(cell)
-                codes[i] = seen[cell]
-                if cell == positive_label:
-                    label[i] = 1
-            schema.append(ColumnSchema(name, LABEL, tuple(cats)))
-            columns[name] = codes
-            continue
-
-        non_missing = [c for c in cells if c != ""]
-        numeric = bool(non_missing) and all(_is_real(c) for c in non_missing)
-        if numeric:
-            values = np.empty(n, dtype=np.float64)
-            for i, cell in enumerate(cells):
-                if cell == "":
-                    raise UnparseableCell(i, name, "missing value")
-                values[i] = float(cell)
+            kind, (values, cats) = LABEL, _code_book(name, cells)
+            if positive_label in cats:
+                label = values == cats.index(positive_label)
+        else:
+            try:
+                values = np.fromiter(map(float, cells), np.float64, n)
+            except ValueError:
+                kind, (values, cats) = CATEGORICAL, _text_column(name, cells)
+        if kind == NUMERIC:
             non_finite = np.flatnonzero(~np.isfinite(values))
             if non_finite.size:
                 i = int(non_finite[0])
                 raise UnparseableCell(i, name, f"non-finite number {cells[i]!r}")
-            schema.append(ColumnSchema(name, NUMERIC, None))
-            columns[name] = values
-        else:
-            # parse each distinct cell once; text columns repeat few values
-            reals = {c for c in set(non_missing) if _is_real(c)}
-            n_real = sum(c in reals for c in non_missing)
-            if n_real > MOSTLY_NUMERIC * len(non_missing):
-                i = next(i for i, c in enumerate(cells)
-                         if c != "" and c not in reals)
-                raise UnparseableCell(
-                    i, name, f"{cells[i]!r} is not a number, but {n_real} "
-                             f"of the column's {len(non_missing)} cells are")
-            cats = []
-            seen = {}
-            codes = np.empty(n, dtype=np.int64)
-            for i, cell in enumerate(cells):
-                if cell == "":
-                    raise UnparseableCell(i, name, "missing value")
-                if cell not in seen:
-                    seen[cell] = len(cats)
-                    cats.append(cell)
-                codes[i] = seen[cell]
-            schema.append(ColumnSchema(name, CATEGORICAL, tuple(cats)))
-            columns[name] = codes
-
+        schema.append(ColumnSchema(name, kind, cats))
+        columns[name] = values
     return ColumnarDataset(schema, columns, label)
 
 

@@ -141,10 +141,6 @@ class UnknownItem(HafcpError):
     pass
 
 
-class TooManyItemsForOracle(HafcpError):
-    pass
-
-
 # --- augment ---------------------------------------------------------------
 
 class UnresolvableItem(HafcpError):

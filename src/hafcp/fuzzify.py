@@ -167,12 +167,6 @@ def normality_rows(n: int, seed: int = 0) -> np.ndarray:
     return np.asarray(rng.shuffled_indices(n, seed)[:5000], dtype=np.int64)
 
 
-def normality_decision(values, alpha: float = 0.05, seed: int = 0) -> NormalityResult:
-    """shapiro_wilk on the `normality_rows` of one column."""
-    values = np.asarray(values, dtype=np.float64)
-    return shapiro_wilk(values[normality_rows(len(values), seed)], alpha=alpha)
-
-
 @dataclass(frozen=True)
 class MembershipSpec:
     """Fitted L/M/H membership functions for one numeric column.

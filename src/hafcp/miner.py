@@ -42,9 +42,9 @@ counted them. The level only rises, so a dead end stays dead. A beam variant
 (top-k frontier expansion, approximate) is available behind algorithm="beam".
 
 Recorded utilities are always recomputed in a canonical order (item names
-sorted, transactions in database order) so the miner, the brute-force oracle,
-and the standalone utility() agree bit-for-bit and output is independent of
-item insertion order. The batched scores only decide what is offered and
+sorted, transactions in database order) so every search and the brute-force
+oracle in the tests agree bit-for-bit and output is independent of item
+insertion order. The batched scores only decide what is offered and
 what is pruned, so their summation order does not reach the output.
 """
 
@@ -53,7 +53,6 @@ from __future__ import annotations
 import json
 from bisect import insort
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -64,7 +63,6 @@ from .errors import (
     MissingImportance,
     NoChurnRows,
     ParseError,
-    TooManyItemsForOracle,
     UnknownItem,
 )
 from .fuzzify import BinaryFrame
@@ -121,8 +119,6 @@ class TransactionDB:
     present: np.ndarray
     quantity: np.ndarray
     mode: str
-    dataset_fingerprint: str = ""
-    specs_source: str = ""
 
     def __post_init__(self):
         self.present = np.asarray(self.present, dtype=bool)
@@ -138,16 +134,6 @@ class TransactionDB:
     def transactions(self) -> np.ndarray:
         """The presence matrix: one row per transaction."""
         return self.present
-
-    def index_of(self, name: str) -> int:
-        index = self.__dict__.get("_index")
-        if index is None or len(index) != len(self.items):
-            index = {n: i for i, n in enumerate(self.items)}
-            self.__dict__["_index"] = index
-        try:
-            return index[name]
-        except KeyError:
-            raise UnknownItem(f"item {name!r} not in database") from None
 
 
 @dataclass(frozen=True)
@@ -227,8 +213,7 @@ def build_transactions(frame: BinaryFrame, labels, profits_src: ImportanceTable,
     items = [frame.item_names[j] for j in keep]
     profits = {frame.item_names[j]: float(item_profit[j]) for j in keep}
     db = TransactionDB(items=items, present=present, quantity=quantity,
-                       mode=mode, dataset_fingerprint=frame.dataset_fingerprint,
-                       specs_source=frame.specs_source)
+                       mode=mode)
     return db, profits
 
 
@@ -262,20 +247,6 @@ def _itemset_utility(db: TransactionDB, pt: dict[str, float], idxs,
     names = [db.items[i] for i in idxs]
     u = _canonical_utility(db, pt, names, idxs, tids)
     return Pattern(items=tuple(names), utility=u, support=len(tids))
-
-
-def utility(db: TransactionDB, pt: dict[str, float],
-            items) -> tuple[float, int]:
-    """Utility and support of an itemset, by definition (full database scan)."""
-    names_sorted = sorted(set(items))
-    if not names_sorted:
-        raise UnknownItem("empty itemset")
-    idxs = [db.index_of(n) for n in names_sorted]
-    for n in names_sorted:
-        if n not in pt:
-            raise UnknownItem(f"item {n!r} has no profit entry")
-    tids = np.nonzero(db.present[:, idxs].all(axis=1))[0]
-    return _canonical_utility(db, pt, names_sorted, idxs, tids), len(tids)
 
 
 class _TopK:
@@ -322,11 +293,6 @@ def _twu_order(present: np.ndarray, contrib: np.ndarray) -> np.ndarray:
     """Item indices by ascending transaction-weighted utility, ties by index."""
     twu = contrib.sum(axis=1) @ present
     return np.argsort(twu, kind="stable")
-
-
-def search_order(db: TransactionDB, pt: dict[str, float]) -> list[int]:
-    """The item indices in the order the exact search extends prefixes."""
-    return _twu_order(db.present, _contributions(db, pt)).tolist()
 
 
 def _stack(present: np.ndarray, contrib: np.ndarray,
@@ -496,40 +462,6 @@ def mine_topk(db: TransactionDB, pt: dict[str, float], cfg: MiningConfig,
     expand((), np.arange(n_txn), np.zeros(n_txn), totals[0], totals[1],
            totals[2])
     return pool.result()
-
-
-def brute_force_topk(db: TransactionDB, pt: dict[str, float],
-                     cfg: MiningConfig) -> list[Pattern]:
-    """Exhaustive enumeration oracle with the same sort and tie rules."""
-    cfg.validate()
-    if len(db.items) > 20:
-        raise TooManyItemsForOracle(
-            f"{len(db.items)} items; the oracle enumerates at most 2^20 itemsets")
-    if cfg.mode != db.mode:
-        raise ConfigError(
-            f"config mode {cfg.mode!r} != database mode {db.mode!r}")
-    if len(db.transactions) == 0 or not db.items:
-        raise EmptyDatabase("transaction database is empty")
-
-    n_items = len(db.items)
-    tidsets = [set(np.nonzero(db.present[:, i])[0].tolist())
-               for i in range(n_items)]
-
-    found: list[tuple[tuple, Pattern]] = []
-    max_len = min(cfg.max_length or n_items, n_items)
-    for size in range(cfg.min_length, max_len + 1):
-        for combo in combinations(range(n_items), size):
-            tids = set(tidsets[combo[0]])
-            for i in combo[1:]:
-                tids &= tidsets[i]
-                if not tids:
-                    break
-            if not tids:
-                continue
-            p = _itemset_utility(db, pt, combo, sorted(tids))
-            found.append((p.sort_key(), p))
-    found.sort(key=lambda e: e[0])
-    return [p for _, p in found[:cfg.k]]
 
 
 def _beam_topk(db: TransactionDB, pt: dict[str, float], cfg: MiningConfig,

@@ -70,8 +70,7 @@ def build_tiny_frame() -> tuple[BinaryFrame, np.ndarray]:
     frame = BinaryFrame(item_names=list(TINY_ITEMS),
                         item_sources=list(TINY_SOURCES),
                         rows=rows, memberships=mems,
-                        dataset_fingerprint="tiny-fixture",
-                        specs_source="tiny-fixture")
+                        dataset_fingerprint="", specs_source="")
     return frame, labels
 
 

@@ -1,15 +1,24 @@
-"""Per-node exact top-k search: the oracle for `hafcp.miner`'s child scoring.
+"""Test oracles for `hafcp.miner`.
 
-`mine_topk_reference` is the depth-first search in which every expanded
-node gathers its own transactions and scores its own extensions. It visits
-every admitted child, dead ends included. `hafcp.miner.mine_topk` scores all
-of a node's children in two matrix products and skips the dead-end ones; it
-must return the same patterns and the same `SearchStats`.
+`mine_topk_reference` is the per-node exact top-k search: the depth-first
+search in which every expanded node gathers its own transactions and scores
+its own extensions. It visits every admitted child, dead ends included.
+`hafcp.miner.mine_topk` scores all of a node's children in two matrix
+products and skips the dead-end ones; it must return the same patterns and
+the same `SearchStats`.
+
+`brute_force_topk` enumerates every itemset, `utility` scores one itemset by
+a full scan of the database, and `search_order` is the item order the exact
+search extends prefixes in.
 """
+
+from itertools import combinations
 
 import numpy as np
 
+from hafcp.errors import ConfigError, EmptyDatabase, HafcpError, UnknownItem
 from hafcp.miner import (
+    _canonical_utility,
     _contributions,
     _itemset_utility,
     _pair_floor,
@@ -17,9 +26,75 @@ from hafcp.miner import (
     _TopK,
     _twu_order,
     MiningConfig,
+    Pattern,
     SearchStats,
     TransactionDB,
 )
+
+
+class TooManyItemsForOracle(HafcpError):
+    pass
+
+
+def brute_force_topk(db: TransactionDB, pt: dict[str, float],
+                     cfg: MiningConfig) -> list[Pattern]:
+    """Exhaustive enumeration oracle with the same sort and tie rules."""
+    cfg.validate()
+    if len(db.items) > 20:
+        raise TooManyItemsForOracle(
+            f"{len(db.items)} items; the oracle enumerates at most 2^20 itemsets")
+    if cfg.mode != db.mode:
+        raise ConfigError(
+            f"config mode {cfg.mode!r} != database mode {db.mode!r}")
+    if len(db.transactions) == 0 or not db.items:
+        raise EmptyDatabase("transaction database is empty")
+
+    n_items = len(db.items)
+    tidsets = [set(np.nonzero(db.present[:, i])[0].tolist())
+               for i in range(n_items)]
+
+    found: list[tuple[tuple, Pattern]] = []
+    max_len = min(cfg.max_length or n_items, n_items)
+    for size in range(cfg.min_length, max_len + 1):
+        for combo in combinations(range(n_items), size):
+            tids = set(tidsets[combo[0]])
+            for i in combo[1:]:
+                tids &= tidsets[i]
+                if not tids:
+                    break
+            if not tids:
+                continue
+            p = _itemset_utility(db, pt, combo, sorted(tids))
+            found.append((p.sort_key(), p))
+    found.sort(key=lambda e: e[0])
+    return [p for _, p in found[:cfg.k]]
+
+
+def index_of(db: TransactionDB, name: str) -> int:
+    """The column of item `name` in db."""
+    try:
+        return db.items.index(name)
+    except ValueError:
+        raise UnknownItem(f"item {name!r} not in database") from None
+
+
+def utility(db: TransactionDB, pt: dict[str, float],
+            items) -> tuple[float, int]:
+    """Utility and support of an itemset, by definition (full database scan)."""
+    names_sorted = sorted(set(items))
+    if not names_sorted:
+        raise UnknownItem("empty itemset")
+    idxs = [index_of(db, n) for n in names_sorted]
+    for n in names_sorted:
+        if n not in pt:
+            raise UnknownItem(f"item {n!r} has no profit entry")
+    tids = np.nonzero(db.present[:, idxs].all(axis=1))[0]
+    return _canonical_utility(db, pt, names_sorted, idxs, tids), len(tids)
+
+
+def search_order(db: TransactionDB, pt: dict[str, float]) -> list[int]:
+    """The item indices in the order the exact search extends prefixes."""
+    return _twu_order(db.present, _contributions(db, pt)).tolist()
 
 
 def _remaining(contrib: np.ndarray) -> np.ndarray:

@@ -18,10 +18,11 @@ import pytest
 from hafcp import augment, cli, gbdt
 from hafcp.fuzzify import TERMS, MembershipSpec, assign_term, triangular_mu
 from hafcp.gbdt import BoostParams, BoostedModel
-from hafcp.miner import MiningConfig, brute_force_topk, mine_topk
+from hafcp.miner import MiningConfig, mine_topk
 from hafcp.rng import SplitMix64
 
 from conftest import build_tiny_frame
+from miner_reference import brute_force_topk
 from synthdata import planted_csv_text, random_db, random_labeled, sm_uniform
 from test_gbdt import make_ds
 from test_miner import TINY_TOP5, tiny_db

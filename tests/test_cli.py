@@ -103,14 +103,20 @@ def without_key(dotted):
     return edit
 
 
-# (artifact, the step that reads it, the key deleted from its body)
+# (artifact, the step that reads it, the key deleted from its body, the
+# message that names it)
 ARTIFACTS_MISSING_A_KEY = [
-    pytest.param("specs", "mine", "specs", id="specs-no-specs"),
+    pytest.param("specs", "mine", "specs", "its body has no key 'specs'",
+                 id="specs-no-specs"),
     pytest.param("specs", "mine", "skipped_zero_importance",
+                 "its body has no key 'skipped_zero_importance'",
                  id="specs-no-skipped"),
-    pytest.param("specs", "report", "specs", id="report-specs-no-specs"),
-    pytest.param("baseline", "report", "metrics", id="baseline-no-metrics"),
-    pytest.param("baseline", "report", "metrics.f1", id="baseline-no-f1"),
+    pytest.param("specs", "report", "specs", "its body has no key 'specs'",
+                 id="report-specs-no-specs"),
+    pytest.param("baseline", "report", "metrics",
+                 "its body has no key 'metrics'", id="baseline-no-metrics"),
+    pytest.param("baseline", "report", "metrics.f1",
+                 "metrics has no key 'f1'", id="baseline-no-f1"),
 ]
 
 
@@ -149,6 +155,8 @@ CORRUPT_BODIES = [
     pytest.param("specs", "report", "specs", {"a": 1}, id="specs-not-a-list"),
     pytest.param("baseline", "report", "metrics.auc", "x", id="auc-text"),
     pytest.param("baseline", "report", "metrics.f1", None, id="f1-null"),
+    pytest.param("baseline", "report", "metrics", ..., id="baseline-no-metrics"),
+    pytest.param("baseline", "report", "metrics.auc", ..., id="baseline-no-auc"),
     pytest.param("model", "report", "trees", ..., id="model-no-trees"),
     pytest.param("model", "report", "params", ..., id="model-no-params"),
     pytest.param("model", "report", "trees.0.weight", [], id="tree-lengths"),
@@ -483,9 +491,10 @@ class TestMineAndReport:
         assert cli.main([cmd, "--config", cfg_path]) == 2
         assert cli.ARTIFACTS[name] in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name, cmd, key", ARTIFACTS_MISSING_A_KEY)
+    @pytest.mark.parametrize("name, cmd, key, message",
+                             ARTIFACTS_MISSING_A_KEY)
     def test_artifact_missing_a_key_exits_2(self, tmp_path, capsys, name, cmd,
-                                            key):
+                                            key, message):
         cfg_path, out = make_project(tmp_path)
         self.run_through(cfg_path, "train", "fuzzify", "mine")
         path = artifact(out, name)
@@ -496,7 +505,7 @@ class TestMineAndReport:
         capsys.readouterr()
         assert cli.main([cmd, "--config", cfg_path]) == 2
         err = capsys.readouterr().err
-        assert cli.ARTIFACTS[name] in err and repr(key) in err
+        assert cli.ARTIFACTS[name] in err and message in err
 
     @pytest.mark.parametrize("name, cmd, key, value", CORRUPT_BODIES)
     def test_corrupt_artifact_body_exits_2(self, tmp_path, capsys, name, cmd,

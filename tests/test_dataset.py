@@ -1,5 +1,10 @@
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hafcp import dataset
 from hafcp.dataset import ColumnSchema, SplitSpec
@@ -125,6 +130,154 @@ class TestLoadCsv:
         with pytest.raises(UnparseableCell) as exc:
             dataset.load_csv(path, "Churn", "1")
         assert (exc.value.row, exc.value.column) == (1, "v")
+
+
+def _rejected_by_float(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return True
+    return False
+
+
+# text cells: non-empty, rejected by float(), and with the characters that
+# make csv.writer quote (comma, quote, newline)
+TEXT = st.text(alphabet='abcinfINF ,"\n-.e', min_size=1,
+               max_size=6).filter(_rejected_by_float)
+
+
+@st.composite
+def csv_tables(draw):
+    """(CSV text, columns, label name, positive label): every cell present.
+
+    columns is a list of (name, kind, cells); numeric cells are Python floats
+    written as repr(float), the rest are strings.
+    """
+    n = draw(st.integers(1, 25))
+    kinds = draw(st.lists(st.sampled_from([dataset.NUMERIC,
+                                           dataset.CATEGORICAL]),
+                          max_size=5))
+    label_at = draw(st.integers(0, len(kinds)))
+    kinds.insert(label_at, dataset.LABEL)
+    columns = []
+    for j, kind in enumerate(kinds):
+        if kind == dataset.NUMERIC:
+            cells = draw(st.lists(st.floats(allow_nan=False,
+                                            allow_infinity=False),
+                                  min_size=n, max_size=n))
+        elif kind == dataset.CATEGORICAL:
+            pool = draw(st.lists(TEXT, min_size=1, max_size=4))
+            cells = draw(st.lists(st.sampled_from(pool), min_size=n,
+                                  max_size=n))
+        else:
+            cells = draw(st.lists(st.sampled_from(["0", "1", "Yes", "no",
+                                                   "1.5"]),
+                                  min_size=n, max_size=n))
+        columns.append((f"c{j}", kind, cells))
+    positive = draw(st.sampled_from(["1", "Yes", "absent"]))
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow([name for name, _, _ in columns])
+    for i in range(n):
+        writer.writerow([repr(cells[i]) if kind == dataset.NUMERIC
+                         else cells[i] for _, kind, cells in columns])
+    return out.getvalue(), columns, f"c{label_at}", positive
+
+
+def first_appearance(cells):
+    book = list(dict.fromkeys(cells))
+    return tuple(book), [book.index(c) for c in cells]
+
+
+class TestLoadCsvRoundTrip:
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(csv_tables())
+    def test_values_written_by_csv_writer_come_back(self, tmp_path_factory,
+                                                    table):
+        text, columns, label_name, positive = table
+        path = tmp_path_factory.mktemp("roundtrip") / "t.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        ds = dataset.load_csv(str(path), label_name, positive)
+        assert [(c.name, c.kind) for c in ds.schema] == \
+            [(name, kind) for name, kind, _ in columns]
+        for name, kind, cells in columns:
+            got = ds.columns[name]
+            if kind == dataset.NUMERIC:
+                assert ds.schema_of(name).category_map is None
+                assert got.dtype == np.float64
+                assert got.tobytes() == np.array(cells, np.float64).tobytes()
+                continue
+            book, codes = first_appearance(cells)
+            assert ds.schema_of(name).category_map == book
+            assert got.dtype == np.int64 and got.tolist() == codes
+            if kind == dataset.LABEL:
+                assert ds.label.tolist() == [int(c == positive)
+                                             for c in cells]
+
+
+class TestLoadCsvErrorPrecedence:
+    def load_error(self, tmp_path, text):
+        with pytest.raises(UnparseableCell) as exc:
+            dataset.load_csv(write_csv(tmp_path, text), "Churn", "1")
+        return exc.value
+
+    def test_missing_cell_beats_an_earlier_inf(self, tmp_path):
+        err = self.load_error(tmp_path, "v,Churn\n1,0\ninf,1\n2,0\n,1\n")
+        assert (err.row, err.column) == (3, "v")
+        assert str(err) == ("cell at data row 3, column 'v' cannot be parsed: "
+                            "missing value")
+
+    def test_missing_cell_beats_a_later_inf(self, tmp_path):
+        err = self.load_error(tmp_path, "v,Churn\n1,0\n,1\n2,0\n-inf,1\n")
+        assert (err.row, err.column) == (1, "v")
+        assert "missing value" in str(err)
+
+    def test_all_empty_column_fails_at_row_0(self, tmp_path):
+        err = self.load_error(tmp_path, "v,Churn\n,0\n,1\n,0\n")
+        assert (err.row, err.column) == (0, "v")
+        assert "missing value" in str(err)
+
+    def test_missing_label_cell(self, tmp_path):
+        err = self.load_error(tmp_path, "v,Churn\n1,0\n2,1\n3,\n4,\n")
+        assert (err.row, err.column) == (2, "Churn")
+        assert "missing value" in str(err)
+
+    def test_columns_fail_in_header_order(self, tmp_path):
+        # the label's missing cell in row 2 is reported before the later
+        # column's missing cell in row 0
+        err = self.load_error(tmp_path, "Churn,v\n1,\n0,2\n,3\n")
+        assert (err.row, err.column) == (2, "Churn")
+
+    def test_mostly_numeric_names_the_first_text_row(self, tmp_path):
+        err = self.load_error(
+            tmp_path, "v,Churn\n1,0\n,1\n2,0\nabc,1\n3,0\nxyz,1\n4,0\n")
+        assert (err.row, err.column) == (3, "v")
+        assert str(err) == ("cell at data row 3, column 'v' cannot be parsed: "
+                            "'abc' is not a number, but 4 of the column's 6 "
+                            "cells are")
+
+    def test_half_numeric_with_a_missing_cell_is_missing(self, tmp_path):
+        err = self.load_error(tmp_path, "v,Churn\n1,0\nab,1\n,0\n")
+        assert (err.row, err.column) == (2, "v")
+        assert "missing value" in str(err)
+
+
+def test_each_numeric_cell_is_parsed_once(tmp_path, monkeypatch):
+    n = 50
+    lines = ["a,b,Churn"] + [f"{i}.25,{-i}e3,{'yes' if i % 3 else 'no'}"
+                             for i in range(n)]
+    path = write_csv(tmp_path, "\n".join(lines) + "\n")
+    calls = []
+
+    def counting_float(value):
+        calls.append(value)
+        return float(value)
+
+    monkeypatch.setattr(dataset, "float", counting_float, raising=False)
+    ds = dataset.load_csv(path, "Churn", "yes")
+    assert ds.numeric_columns() == ["a", "b"]
+    assert len(calls) == 2 * n
 
 
 class TestFingerprint:

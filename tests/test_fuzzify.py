@@ -28,6 +28,7 @@ from hafcp.fuzzify import (
     triangular_mu,
 )
 
+from fuzzify_reference import normality_decision
 from synthdata import make_sample
 
 NORMAL = NormalityResult(w_statistic=0.99, p_value=0.5, is_gaussian=True)
@@ -367,7 +368,7 @@ class TestFitAllMemberships:
         _, log = fit_all_memberships(ds, seed=7)
         assert calls == [(n, 7)]
         for entry, (name, values) in zip(log, columns.items()):
-            one = fuzzify.normality_decision(values, seed=7)
+            one = normality_decision(values, seed=7)
             assert (entry["column"], entry["w_statistic"], entry["p_value"]) \
                 == (name, one.w_statistic, one.p_value)
 

@@ -13,7 +13,6 @@ from hafcp.errors import (
     MissingImportance,
     NoChurnRows,
     ParseError,
-    TooManyItemsForOracle,
     UnknownItem,
 )
 from hafcp.fuzzify import BinaryFrame
@@ -24,18 +23,23 @@ from hafcp.miner import (
     MiningConfig,
     Pattern,
     SearchStats,
-    brute_force_topk,
     build_transactions,
     mine_topk,
     read_patterns,
     render_patterns_table,
-    search_order,
-    utility,
     write_patterns,
 )
 
 from conftest import TINY_PROFITS, build_tiny_frame
-from miner_reference import _remaining, mine_topk_reference
+from miner_reference import (
+    TooManyItemsForOracle,
+    _remaining,
+    brute_force_topk,
+    index_of,
+    mine_topk_reference,
+    search_order,
+    utility,
+)
 from synthdata import db_from_dicts, random_db, structured_db
 
 # Expected top-5 for the ten-row fixture (binary mode, k=5, min_length=2),
@@ -119,11 +123,6 @@ class TestBuildTransactions:
         with pytest.raises(ValueError):
             miner.TransactionDB(items=["a", "b", "c"], present=present,
                                 quantity=quantity, mode=BINARY)
-
-    def test_lineage_carried_through(self):
-        db, _ = tiny_db()
-        assert db.dataset_fingerprint == "tiny-fixture"
-        assert db.specs_source == "tiny-fixture"
 
 
 class TestUtility:
@@ -285,7 +284,7 @@ def prefix_bound(db, pt, prefix_items) -> float:
     order = miner._twu_order(db.present, contrib)
     position = np.empty(len(order), dtype=np.int64)
     position[order] = np.arange(len(order))
-    idxs = [db.index_of(n) for n in prefix_items]
+    idxs = [index_of(db, n) for n in prefix_items]
     last = max(position[i] for i in idxs)
     tids = np.nonzero(db.present[:, idxs].all(axis=1))[0]
     rest = _remaining(contrib[:, order])[tids, last]
