@@ -1,5 +1,5 @@
 """Shared helpers: canonical JSON, SHA-256 fingerprints, atomic file writes,
-checked reads of parsed JSON documents."""
+checked reads of text files and of parsed JSON documents."""
 
 from __future__ import annotations
 
@@ -7,7 +7,8 @@ import hashlib
 import json
 import math
 import os
-from typing import Any
+from contextlib import contextmanager
+from typing import IO, Any, Iterator
 
 from .errors import ParseError
 
@@ -43,6 +44,24 @@ def atomic_write_text(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+@contextmanager
+def text_file(path: str) -> Iterator[IO[str]]:
+    """A UTF-8 text file open for reading, line ends untranslated (as csv
+    wants them).
+
+    A path that is a directory, or bytes that are not UTF-8 read inside the
+    with block, raise ParseError naming the path; a missing file raises
+    FileNotFoundError.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            yield f
+    except IsADirectoryError:
+        raise ParseError(f"{path} is a directory, not a file") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path} is not UTF-8 text ({e.reason})") from None
 
 
 def jsonable(value: Any) -> Any:

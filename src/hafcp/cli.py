@@ -18,21 +18,44 @@ not name the current config and train split (``_check_lineage``). All writes are
 flows from config seeds, so rerunning any subcommand with unchanged inputs
 reproduces byte-identical files.
 
+When this module is the first of its process to load numpy, numpy's
+OpenBLAS runs on one thread (see the comment above the numpy import); a
+process that loaded numpy before keeps numpy's own thread count.
+
 Exit codes: 0 success, 1 internal error, 2 input/config error (including
-lineage mismatches), 3 missing artifact file.
+lineage mismatches, and a file read that is a directory or not UTF-8),
+3 missing artifact file.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import sys
 from types import UnionType
 
+# One OpenBLAS thread for the CLI. The search's matrix products are small
+# (at most 60 x 478 x 60 on the bench's widest table), so a second thread
+# buys no wall time and spins through the report's fork workers. OpenBLAS
+# sizes its pool once, from OPENBLAS_NUM_THREADS, when numpy loads; so when
+# this module is the first to load numpy, it sets that variable for the load
+# alone and then puts os.environ back as it was. A process that loaded numpy
+# before keeps numpy's threads, as does a numpy built on another BLAS.
+if "numpy" not in sys.modules:
+    _blas_threads = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        if _blas_threads is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = _blas_threads
+
 from . import augment, fuzzify, gbdt, miner, rng
-from ._util import atomic_write_text, fingerprint_of, json_field, jsonable
+from ._util import (atomic_write_text, fingerprint_of, json_field, jsonable,
+                    text_file)
 from .dataset import ColumnarDataset, SplitSpec, drop_columns, load_csv, split
 from .errors import (ConfigError, HafcpError, LineageError, MissingArtifact,
                      ParseError, PrefixMismatch)
@@ -176,7 +199,7 @@ def _apply_overrides(doc: dict, overrides: dict[str, str]) -> dict:
 
 def load_config(path: str, overrides: dict[str, str] | None = None) -> PipelineConfig:
     try:
-        with open(path, encoding="utf-8") as f:
+        with text_file(path) as f:
             doc = json.load(f)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
@@ -229,14 +252,14 @@ def _read_artifact(cfg: PipelineConfig, train_ds: ColumnarDataset, name: str,
     """
     path = cfg.artifact(name)
     try:
-        with open(path, encoding="utf-8") as f:
+        with text_file(path) as f:
             doc = json.load(f)
     except FileNotFoundError:
         raise MissingArtifact(f"{what} artifact not found: {path}") from None
     except json.JSONDecodeError as e:
-        raise HafcpError(f"{what} artifact {path} is corrupt: {e}") from None
+        raise ParseError(f"{what} artifact {path} is corrupt: {e}") from None
     if not isinstance(doc, dict):
-        raise HafcpError(f"{what} artifact {path} is corrupt: "
+        raise ParseError(f"{what} artifact {path} is corrupt: "
                          f"its root is not a JSON object")
     _check_lineage(cfg, train_ds, path, doc.get("lineage"))
     if parse is None:
@@ -247,6 +270,14 @@ def _read_artifact(cfg: PipelineConfig, train_ds: ColumnarDataset, name: str,
         raise ParseError(f"{what} artifact {path} is corrupt: {e}") from None
 
 
+def _make_output_dir(cfg: PipelineConfig) -> None:
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"output_dir {cfg.output_dir} is not a directory"
+                          ) from None
+
+
 def _write_effective_config(cfg: PipelineConfig) -> None:
     doc = cfg.effective_dict()
     doc["fingerprint"] = cfg.fingerprint()
@@ -255,7 +286,7 @@ def _write_effective_config(cfg: PipelineConfig) -> None:
 
 def cmd_train(cfg: PipelineConfig, splits: Splits) -> None:
     """Train the baseline model, evaluate it, export importance."""
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    _make_output_dir(cfg)
     cfg_fp = cfg.fingerprint()
     ds, train_ds, test_ds = splits
     stats = gbdt.TrainStats()
@@ -335,7 +366,7 @@ def _encode(ds: ColumnarDataset, specs: list[fuzzify.MembershipSpec],
 
 def cmd_fuzzify(cfg: PipelineConfig, splits: Splits) -> None:
     """Fit membership specs on the train split and check its item names."""
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    _make_output_dir(cfg)
     cfg_fp = cfg.fingerprint()
     ds, train_ds, _ = splits
     table = _read_importance(cfg, train_ds)
@@ -364,7 +395,7 @@ def cmd_fuzzify(cfg: PipelineConfig, splits: Splits) -> None:
 
 def cmd_mine(cfg: PipelineConfig, splits: Splits) -> None:
     """Encode the train split with the fitted specs and mine top-k patterns."""
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    _make_output_dir(cfg)
     cfg_fp = cfg.fingerprint()
     _, train_ds, _ = splits
     table = _read_importance(cfg, train_ds)
@@ -400,7 +431,7 @@ def cmd_mine(cfg: PipelineConfig, splits: Splits) -> None:
 
 def cmd_report(cfg: PipelineConfig, splits: Splits) -> None:
     """Retrain with top-1..top-k pattern features and write the comparison."""
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    _make_output_dir(cfg)
     cfg_fp = cfg.fingerprint()
     _, train_ds, test_ds = splits
 
@@ -524,6 +555,10 @@ def _keep_heap() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # imported here: importing hafcp.cli needs no argument parser, and
+    # loading argparse ahead of numpy raised the pipeline's peak RSS by
+    # 0.3-0.4 MB (CPython 3.11, glibc), by allocation order alone
+    import argparse
     _keep_heap()
     parser = argparse.ArgumentParser(
         prog="hafcp",

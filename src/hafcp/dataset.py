@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from . import rng
-from ._util import canonical_json
+from ._util import canonical_json, text_file
 from .errors import (
     CannotDropLabel,
     ConfigError,
@@ -203,7 +203,7 @@ def load_csv(path: str, label_column: str, positive_label: str) -> ColumnarDatas
     else at its first missing cell (no imputation happens here); else, when
     numeric, at its first non-finite number (inf, nan).
     """
-    with open(path, newline="", encoding="utf-8") as f:
+    with text_file(path) as f:
         reader = csv.reader(f)
         try:
             header = next(reader)

@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from ._util import (atomic_write_text, canonical_json, json_field,
-                    json_floats, jsonable)
+                    json_floats, jsonable, text_file)
 from .dataset import ColumnarDataset
 from .errors import (
     ConfigError,
@@ -783,7 +783,7 @@ def load_importance(path: str) -> ImportanceTable:
     starting with '#' are ignored, except that the JSON of a lineage comment
     as write_importance appends it becomes the table's lineage.
     """
-    with open(path, newline="", encoding="utf-8") as f:
+    with text_file(path) as f:
         lines = list(f)
     lineage = None
     for line in lines:
@@ -837,7 +837,7 @@ def save_model(model: BoostedModel, path: str, lineage: dict | None = None) -> N
 
 
 def load_model(path: str) -> BoostedModel:
-    with open(path, encoding="utf-8") as f:
+    with text_file(path) as f:
         try:
             doc = json.load(f)
         except json.JSONDecodeError as e:

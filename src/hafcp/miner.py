@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import atomic_write_text, json_field
+from ._util import atomic_write_text, json_field, text_file
 from .errors import (
     ConfigError,
     EmptyDatabase,
@@ -511,7 +511,7 @@ def write_patterns(patterns: list[Pattern], path: str) -> None:
 
 def read_patterns(path: str) -> list[Pattern]:
     patterns = []
-    with open(path, encoding="utf-8") as f:
+    with text_file(path) as f:
         for lineno, line in enumerate(f):
             line = line.strip()
             if not line:

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import hafcp
 from hafcp import augment, cli, fuzzify
 from hafcp.dataset import SplitSpec, drop_columns, load_csv, split
 from hafcp.errors import LineageError, SingleClassTraining
@@ -145,22 +146,45 @@ def set_key(dotted, value):
     return edit
 
 
-# (artifact, the step that reads it, the key edited, its new value or ...
-# to delete it): corrupt bodies under lineage that names this run
+def with_key(dotted, value):
+    """A text edit of a JSON artifact that applies set_key(dotted, value)."""
+    def edit(text):
+        doc = json.loads(text)
+        set_key(dotted, value)(doc)
+        return json.dumps(doc)
+    return edit
+
+
+# (artifact, the step that reads it, the edit of its text): corrupt bodies,
+# under lineage that names this run where the body still has a lineage
 CORRUPT_BODIES = [
-    pytest.param("specs", "mine", "specs.0.alpha", ..., id="spec-no-alpha"),
-    pytest.param("specs", "mine", "specs.0.low", [1.0], id="spec-short-low"),
-    pytest.param("specs", "mine", "specs.0.family", "cubic",
+    pytest.param("specs", "mine", with_key("specs.0.alpha", ...),
+                 id="spec-no-alpha"),
+    pytest.param("specs", "mine", with_key("specs.0.low", [1.0]),
+                 id="spec-short-low"),
+    pytest.param("specs", "mine", with_key("specs.0.family", "cubic"),
                  id="spec-unknown-family"),
-    pytest.param("specs", "report", "specs", {"a": 1}, id="specs-not-a-list"),
-    pytest.param("baseline", "report", "metrics.auc", "x", id="auc-text"),
-    pytest.param("baseline", "report", "metrics.f1", None, id="f1-null"),
-    pytest.param("baseline", "report", "metrics", ..., id="baseline-no-metrics"),
-    pytest.param("baseline", "report", "metrics.auc", ..., id="baseline-no-auc"),
-    pytest.param("model", "report", "trees", ..., id="model-no-trees"),
-    pytest.param("model", "report", "params", ..., id="model-no-params"),
-    pytest.param("model", "report", "trees.0.weight", [], id="tree-lengths"),
-    pytest.param("model", "report", "trees.0.cover", ["8"],
+    pytest.param("specs", "report", with_key("specs", {"a": 1}),
+                 id="specs-not-a-list"),
+    pytest.param("baseline", "report", with_key("metrics.auc", "x"),
+                 id="auc-text"),
+    pytest.param("baseline", "report", with_key("metrics.f1", None),
+                 id="f1-null"),
+    pytest.param("baseline", "report", with_key("metrics", ...),
+                 id="baseline-no-metrics"),
+    pytest.param("baseline", "report", with_key("metrics.auc", ...),
+                 id="baseline-no-auc"),
+    pytest.param("baseline", "report", lambda text: text[:40],
+                 id="baseline-cut"),
+    pytest.param("baseline", "report", lambda text: "[1]",
+                 id="baseline-list-root"),
+    pytest.param("model", "report", with_key("trees", ...),
+                 id="model-no-trees"),
+    pytest.param("model", "report", with_key("params", ...),
+                 id="model-no-params"),
+    pytest.param("model", "report", with_key("trees.0.weight", []),
+                 id="tree-lengths"),
+    pytest.param("model", "report", with_key("trees.0.cover", ["8"]),
                  id="tree-cover-text"),
 ]
 
@@ -174,6 +198,28 @@ FOREIGN_MODELS = [
     pytest.param("feature_names.0", "Region", id="feature-names"),
     pytest.param("base_score", 0.5, id="base-score"),
 ]
+
+
+# how a file that a step reads is spoiled: replaced by a directory, or
+# given one byte that no UTF-8 text holds
+UNREADABLE = ["directory", "not-utf8"]
+
+
+def spoil(path, how):
+    if how == "directory":
+        os.remove(path)
+        os.mkdir(path)
+    else:
+        data = Path(path).read_bytes()
+        Path(path).write_bytes(data[:len(data) // 2] + b"\xff"
+                               + data[len(data) // 2:])
+
+
+def assert_exits_2_naming(argv, path, capsys):
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[") and str(path) in err, err
 
 
 def encoded_train_split(cfg_path):
@@ -194,6 +240,33 @@ class TestConfigHandling:
         p = tmp_path / "config.json"
         p.write_text("{not json")
         assert cli.main(["train", "--config", str(p)]) == 2
+
+    @pytest.mark.parametrize("how", UNREADABLE)
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, how):
+        cfg_path, _ = make_project(tmp_path)
+        spoil(cfg_path, how)
+        assert_exits_2_naming(["train", "--config", cfg_path], cfg_path,
+                              capsys)
+
+    @pytest.mark.parametrize("how", UNREADABLE)
+    def test_unreadable_input_csv_exits_2(self, tmp_path, capsys, how):
+        cfg_path, _ = make_project(tmp_path)
+        spoil(tmp_path / "input.csv", how)
+        assert_exits_2_naming(["train", "--config", cfg_path],
+                              tmp_path / "input.csv", capsys)
+
+    @pytest.mark.parametrize("cmd", ["train", "fuzzify", "mine", "report"])
+    def test_output_dir_that_is_a_file_exits_2(self, tmp_path, capsys, cmd):
+        cfg_path, out = make_project(tmp_path)
+        Path(out).write_text("not a directory\n", encoding="utf-8")
+        assert_exits_2_naming([cmd, "--config", cfg_path], out, capsys)
+
+    def test_output_dir_below_a_file_exits_2(self, tmp_path, capsys):
+        cfg_path, out = make_project(tmp_path)
+        Path(out).write_text("not a directory\n", encoding="utf-8")
+        below = os.path.join(out, "run")
+        assert_exits_2_naming(["train", "--config", cfg_path,
+                               "--output_dir", below], below, capsys)
 
     def test_unknown_top_level_key(self, tmp_path, capsys):
         cfg_path, _ = make_project(tmp_path, {"surprise": True})
@@ -310,6 +383,14 @@ class TestTrain:
                        "--importance.path", str(tmp_path / "none.csv")])
         assert rc == 3
         assert "none.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("how", UNREADABLE)
+    def test_unreadable_external_importance_exits_2(self, tmp_path, capsys,
+                                                    how):
+        cfg_path, _ = make_project(tmp_path)
+        spoil(tmp_path / "ext_importance.csv", how)
+        assert_exits_2_naming(["train", "--config", cfg_path],
+                              tmp_path / "ext_importance.csv", capsys)
 
     def test_gain_importance_needs_splits(self, tmp_path, capsys):
         # 8 train rows with min_child_weight=1 cannot split; the model is
@@ -507,16 +588,32 @@ class TestMineAndReport:
         err = capsys.readouterr().err
         assert cli.ARTIFACTS[name] in err and message in err
 
-    @pytest.mark.parametrize("name, cmd, key, value", CORRUPT_BODIES)
+    @pytest.mark.parametrize("name, cmd, edit", CORRUPT_BODIES)
     def test_corrupt_artifact_body_exits_2(self, tmp_path, capsys, name, cmd,
-                                           key, value):
+                                           edit):
         cfg_path, out = make_project(tmp_path)
         self.run_through(cfg_path, "train", "fuzzify", "mine")
-        edit_json(artifact(out, name), set_key(key, value))
+        path = Path(artifact(out, name))
+        path.write_text(edit(path.read_text(encoding="utf-8")),
+                        encoding="utf-8")
         capsys.readouterr()
         assert cli.main([cmd, "--config", cfg_path]) == 2
         err = capsys.readouterr().err
-        assert "ParseError" in err and cli.ARTIFACTS[name] in err
+        assert "error[ParseError]" in err and cli.ARTIFACTS[name] in err
+        assert not os.path.exists(artifact(out, "report"))
+
+    @pytest.mark.parametrize("how", UNREADABLE)
+    @pytest.mark.parametrize("name, cmd", [
+        ("importance", "fuzzify"), ("specs", "mine"), ("patterns", "report"),
+        ("patterns_meta", "report"), ("baseline", "report"),
+        ("model", "report")])
+    def test_unreadable_artifact_exits_2(self, tmp_path, capsys, name, cmd,
+                                         how):
+        cfg_path, out = make_project(tmp_path)
+        self.run_through(cfg_path, "train", "fuzzify", "mine")
+        spoil(artifact(out, name), how)
+        assert_exits_2_naming([cmd, "--config", cfg_path],
+                              artifact(out, name), capsys)
         assert not os.path.exists(artifact(out, "report"))
 
     @pytest.mark.parametrize("key, value", FOREIGN_MODELS)
@@ -757,6 +854,81 @@ def test_import_loads_no_pool_or_ctypes():
     for name, (by_numpy, after) in loaded.items():
         assert after == by_numpy, name
     assert not any(loaded["multiprocessing"] + loaded["concurrent.futures"])
+
+
+def run_fresh(code, *args, env=None):
+    """The JSON that `code` prints in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True,
+                          env=env or _src_env())
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+# the number of threads of this process, from /proc
+THREADS = ("import re\n"
+           "def threads():\n"
+           "    with open('/proc/self/status') as f:\n"
+           "        return int(re.search(r'Threads:\\s*(\\d+)', "
+           "f.read()).group(1))\n")
+
+
+class TestLazyImport:
+    def test_package_import_loads_no_numpy(self):
+        assert run_fresh("import json, sys, hafcp; "
+                         "print(json.dumps('numpy' in sys.modules))") is False
+
+    def test_every_exported_name_is_its_modules_object(self):
+        code = ("import json, sys, hafcp\n"
+                "out = {}\n"
+                "for name in hafcp.__all__:\n"
+                "    obj = getattr(hafcp, name)\n"
+                "    home = getattr(obj, '__module__', 'hafcp')\n"
+                "    out[name] = [home, getattr(sys.modules[home], name) is obj]\n"
+                "print(json.dumps(out))")
+        found = run_fresh(code)
+        assert sorted(found) == sorted(hafcp.__all__)
+        for name, (home, same) in found.items():
+            assert home.startswith("hafcp") and same, name
+        assert found["__version__"] == ["hafcp", True]
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            hafcp.no_such_name
+        assert set(hafcp.__all__) <= set(dir(hafcp))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="thread counts are read from /proc")
+class TestOneBlasThread:
+    def test_cli_import_loads_numpy_on_one_thread(self):
+        code = THREADS + "import json, hafcp.cli; print(json.dumps(threads()))"
+        assert run_fresh(code) == 1
+
+    def test_numpy_imported_first_keeps_its_threads(self):
+        code = (THREADS + "import json, numpy; bare = threads(); "
+                "import hafcp.cli; print(json.dumps([bare, threads()]))")
+        bare, after = run_fresh(code)
+        assert after == bare
+
+    def test_library_import_keeps_numpys_threads(self):
+        code = (THREADS + "import json, hafcp.miner, hafcp.augment; "
+                "print(json.dumps(threads()))")
+        bare = run_fresh(THREADS + "import json, numpy; "
+                                   "print(json.dumps(threads()))")
+        assert run_fresh(code) == bare
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_cli_import_leaves_the_environment_as_it_was(preset):
+    env = _src_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = ("import json, os; before = dict(os.environ); import hafcp.cli; "
+            "print(json.dumps([before == dict(os.environ), "
+            "os.environ.get('OPENBLAS_NUM_THREADS')]))")
+    assert run_fresh(code, env=env) == [True, preset]
 
 
 class TestKeepHeap:
