@@ -58,7 +58,7 @@ from ._util import (atomic_write_text, fingerprint_of, json_field, jsonable,
                     text_file)
 from .dataset import ColumnarDataset, SplitSpec, drop_columns, load_csv, split
 from .errors import (ConfigError, HafcpError, LineageError, MissingArtifact,
-                     ParseError, PrefixMismatch)
+                     MissingImportance, ParseError, PrefixMismatch)
 
 CONFIG_VERSION = 1
 
@@ -289,20 +289,21 @@ def cmd_train(cfg: PipelineConfig, splits: Splits) -> None:
     _make_output_dir(cfg)
     cfg_fp = cfg.fingerprint()
     ds, train_ds, test_ds = splits
-    stats = gbdt.TrainStats()
-    model = gbdt.train(train_ds, cfg.boost, stats)
-    probs = gbdt.predict_proba(model, test_ds)
-    threshold = cfg.report["threshold"]
-    metrics = gbdt.evaluate(test_ds.label, probs, threshold=threshold)
-
-    if cfg.importance["method"] == "external":
+    external = cfg.importance["method"] == "external"
+    if external:  # read before the fit, so a bad table fails at once
         try:
             table = gbdt.load_importance(cfg.importance["path"])
         except FileNotFoundError:
             raise MissingArtifact(
                 f"external importance file not found: {cfg.importance['path']}"
             ) from None
-    else:
+        _check_scores_every_feature(table, train_ds)
+    stats = gbdt.TrainStats()
+    model = gbdt.train(train_ds, cfg.boost, stats)
+    probs = gbdt.predict_proba(model, test_ds)
+    threshold = cfg.report["threshold"]
+    metrics = gbdt.evaluate(test_ds.label, probs, threshold=threshold)
+    if not external:
         table = gbdt.importance(model, train_ds, cfg.importance["method"])
 
     lineage = {"config": cfg_fp, "dataset": ds.fingerprint(),
@@ -320,6 +321,14 @@ def cmd_train(cfg: PipelineConfig, splits: Splits) -> None:
     print(f"wrote {cfg.artifact('baseline')}")
 
 
+def _check_scores_every_feature(table: gbdt.ImportanceTable,
+                                train_ds: ColumnarDataset) -> None:
+    """MissingImportance unless table scores every feature of train_ds."""
+    for name in train_ds.feature_names():
+        if name not in table.scores:
+            raise MissingImportance(name)
+
+
 def _read_importance(cfg: PipelineConfig,
                      train_ds: ColumnarDataset) -> gbdt.ImportanceTable:
     """importance.csv, checked against the config and the train split."""
@@ -329,6 +338,7 @@ def _read_importance(cfg: PipelineConfig,
     except FileNotFoundError:
         raise MissingArtifact(f"importance artifact not found: {path}") from None
     _check_lineage(cfg, train_ds, path, table.lineage)
+    _check_scores_every_feature(table, train_ds)
     return table
 
 
@@ -371,7 +381,7 @@ def cmd_fuzzify(cfg: PipelineConfig, splits: Splits) -> None:
     ds, train_ds, _ = splits
     table = _read_importance(cfg, train_ds)
     skipped = [name for name in train_ds.numeric_columns()
-               if table.scores.get(name, 0.0) == 0.0]
+               if table.scores[name] == 0.0]
 
     specs, normality_log = fuzzify.fit_all_memberships(
         train_ds, alpha=cfg.normality_alpha, seed=cfg.split.seed,

@@ -22,9 +22,11 @@ numpy's pairwise sum over the node's rows in that order.
 
 A fit can start from a model fitted with the same params on the leading
 columns (train's `prefix`, the baseline before pattern columns were
-appended). While the appended columns change nothing, a round replays the
-prefix's tree, searching only the appended columns, and takes it; the
-ensemble is the cold fit's, bit for bit.
+appended). While the appended columns have changed no tree, the level walk
+replays the prefix's tree: each node searches only the prefix's split
+feature there and the appended columns. Below a node where an appended
+column wins, every column is searched, and later trees grow from scratch;
+the ensemble is the cold fit's, bit for bit.
 
 Feature importance comes in two flavors: "gain" (per-feature sum of split
 gains) and "path_attribution" (mean absolute Saabas contribution over the
@@ -205,7 +207,8 @@ class Tree:
         """to_dict's output back; ParseError unless the arrays make a tree.
 
         The arrays must share one nonzero length; a split node's children
-        must come after it (so a walk from the root ends) and a leaf has none.
+        must come after it (so a walk from the root ends), a leaf has none,
+        and every node but the root is the child of exactly one split node.
         """
         arrays = []
         for key, kind in TREE_ARRAYS.items():
@@ -226,6 +229,12 @@ class Tree:
                               else l == r == -1):
                 raise ParseError(f"tree node {i} has feature {f} and children "
                                  f"{l}, {r}")
+        parents = np.bincount([c for f, l, r in zip(feature, left, right)
+                               if f >= 0 for c in (l, r)], minlength=n)
+        for i in range(1, n):
+            if parents[i] != 1:
+                raise ParseError(f"tree node {i} is the child of {parents[i]} "
+                                 f"split nodes")
         try:
             return cls(*arrays)
         except OverflowError as e:  # an int beyond int64 or float64
@@ -310,7 +319,9 @@ class TrainStats:
 
     trees, nodes: size of the fitted ensemble. split_candidates: (node,
     feature, cut) positions whose gain was evaluated, a cut being a boundary
-    between two distinct adjacent x values of a node the search visited.
+    between two distinct adjacent x values of a node the search visited; a
+    warm-started fit counts its replay searches (the prefix's split feature
+    and the appended features at each replayed node).
     """
 
     trees: int = 0
@@ -415,11 +426,30 @@ def _search_level(Xt, ranks, n_ranks, gh_rows, parts, lam, min_child_weight,
     return out
 
 
+def _same(a, b) -> bool:
+    """Whether two floats serialize alike: -0.0 is not 0.0, NaN is NaN."""
+    return repr(float(a)) == repr(float(b))
+
+
 def _grow_tree(Xt, ranks, n_ranks, g, h, params: BoostParams,
-               stats: TrainStats) -> Tree:
-    """Grow one tree level by level.
+               stats: TrainStats, old: Tree | None = None, n_old: int = 0
+               ) -> tuple[Tree, bool]:
+    """Grow one tree level by level; return it and whether it replays `old`.
 
     Node ids come out in preorder (node, left subtree, right subtree).
+
+    `old` is a prefix model's tree over Xt's first n_old features, given the
+    gradients it was grown from. Each node carries its node in `old`, or None.
+    A fresh node (None) is searched over every feature. A replayed node is
+    searched over column 0, which holds the x values and ranks of old's
+    split feature at that node (one constant at a leaf of old), then the
+    appended features Xt[n_old:]. Old's split was the first maximum over the
+    prefix features, so it is column 0's too, and a tie goes to it, the lower
+    index, as in a cold fit. Where column 0 wins, the children replay old's;
+    where an appended feature wins, they are fresh. Every replayed node must
+    agree with `old` (cover, threshold and gain, left child's cover, leaf
+    weight), or PrefixMismatch is raised. The tree replays `old` when every
+    node was replayed; then every node of `old` must have been reached.
     """
     n = len(g)
     lam = params.lambda_l2
@@ -431,29 +461,84 @@ def _grow_tree(Xt, ranks, n_ranks, g, h, params: BoostParams,
     cover: list[int] = []
     kids: list[tuple[int, int] | None] = []
     gh = np.stack((g, h))
+    if old is not None:
+        Xr = np.concatenate((np.zeros((1, n)), Xt[n_old:]))
+        ranks_r = np.concatenate((np.zeros((1, n), dtype=np.int64),
+                                  ranks[n_old:]))
+        # column 0's ranks come from any prefix feature; keys stay below n**3
+        n_ranks_r = np.concatenate(([n_ranks[:n_old].max(initial=1)],
+                                    n_ranks[n_old:]))
 
     parts = [np.arange(n, dtype=np.int64)]
+    olds: list[int | None] = [None if old is None else 0]
+    seen: set[int] = set()
+    reused = old is not None
     depth = 0
     while parts:
-        search = ([j for j, p in enumerate(parts) if len(p) >= 2]
+        search = ([j for j, (p, i) in enumerate(zip(parts, olds))
+                   if len(p) >= 2 and (i is None or old.feature[i] < n_old)]
                   if depth < params.max_depth and len(Xt) else [])
-        found = dict(zip(search, _search_level(
-            Xt, ranks, n_ranks, gh, [parts[j] for j in search], lam,
-            params.min_child_weight, stats))) if search else {}
+        fresh = [j for j in search if olds[j] is None]
+        replay = [j for j in search if olds[j] is not None]
+        found = dict(zip(fresh, _search_level(
+            Xt, ranks, n_ranks, gh, [parts[j] for j in fresh], lam,
+            params.min_child_weight, stats))) if fresh else {}
+        if replay:
+            rows = np.concatenate([parts[j] for j in replay])
+            feat = np.repeat(old.feature[[olds[j] for j in replay]],
+                             [len(parts[j]) for j in replay])
+            Xr[0, rows] = np.where(feat >= 0, Xt[feat, rows], 0.0)
+            ranks_r[0, rows] = np.where(feat >= 0, ranks[feat, rows], 0)
+            found.update(zip(replay, _search_level(
+                Xr, ranks_r, n_ranks_r, gh, [parts[j] for j in replay], lam,
+                params.min_child_weight, stats)))
         children: list[np.ndarray] = []
-        for j, rows in enumerate(parts):
+        child_olds: list[int | None] = []
+        for j, (rows, i) in enumerate(zip(parts, olds)):
             node = len(feature)
             g_sum, h_sum, split = found.get(j) or (g[rows].sum(),
                                                    h[rows].sum(), None)
+            if i is not None:
+                seen.add(i)
+                if old.cover[i] != len(rows):
+                    raise PrefixMismatch(f"tree node {i} covers {old.cover[i]} "
+                                         f"rows, its replay {len(rows)}")
+                if split is None and old.feature[i] >= 0:
+                    raise PrefixMismatch(f"tree node {i} splits where the "
+                                         f"fit cannot split")
             cover.append(len(rows))
             if split is None:
+                leaf = -lr * g_sum / (h_sum + lam)
+                if i is not None and not _same(old.weight[i], leaf):
+                    raise PrefixMismatch(
+                        f"tree node {i} has leaf weight {old.weight[i]!r}, "
+                        f"its replay {leaf!r}")
                 feature.append(-1)
                 threshold.append(0.0)
                 gain.append(0.0)
-                weight.append(-lr * g_sum / (h_sum + lam))
+                weight.append(leaf)
                 kids.append(None)
                 continue
             node_gain, f, thr, rows_l, rows_r = split
+            if i is not None and f == 0:
+                if not (_same(thr, old.threshold[i])
+                        and _same(node_gain, old.gain[i])):
+                    raise PrefixMismatch(
+                        f"tree node {i} has threshold {old.threshold[i]!r} "
+                        f"and gain {old.gain[i]!r}, its replay {thr!r} and "
+                        f"{node_gain!r}")
+                if old.cover[old.left[i]] != len(rows_l):
+                    raise PrefixMismatch(
+                        f"tree node {i}'s left child covers "
+                        f"{old.cover[old.left[i]]} rows, its replay "
+                        f"{len(rows_l)}")
+                f = int(old.feature[i])
+                child_olds += [int(old.left[i]), int(old.right[i])]
+            else:
+                if i is not None:  # an appended feature wins
+                    f += n_old - 1
+                    reused = False
+                child_olds += [None, None]
             feature.append(f)
             threshold.append(thr)
             gain.append(node_gain)
@@ -463,8 +548,11 @@ def _grow_tree(Xt, ranks, n_ranks, g, h, params: BoostParams,
             first_child = node - j + len(parts) + len(children)
             kids.append((first_child, first_child + 1))
             children += [rows_l, rows_r]
-        parts = children
+        parts, olds = children, child_olds
         depth += 1
+    if reused and len(seen) != old.n_nodes:
+        raise PrefixMismatch(f"tree node {min(set(range(old.n_nodes)) - seen)}"
+                             f" is not reachable from its root")
 
     preorder = []
     stack = [0]
@@ -481,108 +569,7 @@ def _grow_tree(Xt, ranks, n_ranks, g, h, params: BoostParams,
                 [new_id[kids[i][1]] if kids[i] else -1 for i in preorder],
                 [weight[i] for i in preorder],
                 [gain[i] for i in preorder],
-                [cover[i] for i in preorder])
-
-
-def _same(a, b) -> bool:
-    """Whether two floats serialize alike: -0.0 is not 0.0, NaN is NaN."""
-    return repr(float(a)) == repr(float(b))
-
-
-def _replay_tree(tree: Tree, Xt, ranks, n_ranks, n_prefix: int, g, h,
-                 params: BoostParams, stats: TrainStats) -> bool:
-    """Whether _grow_tree, given these gradients, would grow `tree` again.
-
-    `tree` is a prefix model's tree over Xt's first n_prefix features, and
-    g, h are the gradients it was grown from. It is replayed level by level
-    with each node's rows in node-position order, as _grow_tree holds them:
-    a split node's rows go to its children in the _node_order of its
-    feature, cut at the left child's cover. Only the appended features
-    Xt[n_prefix:] are searched. A searched node takes an appended feature
-    when that feature's best gain beats the prefix's: the node's gain at a
-    split, 0 at a leaf. A tie goes to the prefix feature, the lower index.
-    Every replayed node must agree with `tree` (depth, cover, the cut's
-    threshold and gain, the leaf weight), or PrefixMismatch is raised.
-    """
-    lam, lr = params.lambda_l2, params.learning_rate
-    appended = slice(n_prefix, None)
-    gh = np.stack((g, h))
-    ids = [0]
-    parts = [np.arange(len(g), dtype=np.int64)]
-    seen: set[int] = set()
-    depth = 0
-    while ids:
-        seen.update(ids)
-        search = ([j for j, p in enumerate(parts) if len(p) >= 2]
-                  if depth < params.max_depth and len(Xt) > n_prefix else [])
-        found = dict(zip(search, _search_level(
-            Xt[appended], ranks[appended], n_ranks[appended], gh,
-            [parts[j] for j in search], lam, params.min_child_weight,
-            stats))) if search else {}
-        splits = []  # (node id, rows, G, H) of this level's split nodes
-        for j, (i, rows) in enumerate(zip(ids, parts)):
-            if tree.cover[i] != len(rows):
-                raise PrefixMismatch(f"tree node {i} covers {tree.cover[i]} "
-                                     f"rows, its replay {len(rows)}")
-            g_sum, h_sum, split = found.get(j) or (g[rows].sum(),
-                                                   h[rows].sum(), None)
-            if tree.feature[i] < 0:
-                if split is not None:
-                    return False
-                weight = -lr * g_sum / (h_sum + lam)
-                if not _same(tree.weight[i], weight):
-                    raise PrefixMismatch(
-                        f"tree node {i} has leaf weight {tree.weight[i]!r}, "
-                        f"its replay {weight!r}")
-                continue
-            if not (depth < params.max_depth and len(rows) >= 2
-                    and tree.feature[i] < n_prefix):
-                raise PrefixMismatch(f"tree node {i} splits where the fit "
-                                     f"cannot split")
-            if split is not None and split[0] > tree.gain[i]:
-                return False
-            splits.append((i, rows, g_sum, h_sum))
-
-        ids, parts = [], []
-        if splits:
-            feats = tree.feature[[i for i, *_ in splits]]
-            sizes = [len(rows) for _, rows, *_ in splits]
-            rows = np.concatenate([rows for _, rows, *_ in splits])
-            feat = np.repeat(feats, sizes)
-            sorted_rows = rows[_node_order(np.repeat(np.arange(len(splits)),
-                                                     sizes),
-                                           ranks[feat, rows],
-                                           n_ranks[feats].max())]
-            xs = Xt[feat, sorted_rows]
-            gh_sorted = gh[:, sorted_rows]
-            a = 0
-            for (i, _, g_sum, h_sum), size in zip(splits, sizes):
-                c = a + tree.cover[tree.left[i]]  # the right child's first
-                if not a < c < a + size:
-                    raise PrefixMismatch(f"tree node {i}'s left child covers "
-                                         f"{c - a} of its {size} rows")
-                lo, hi = xs[c - 1], xs[c]
-                thr = (lo + hi) / 2.0
-                if not thr > lo:
-                    thr = hi
-                gl, hl = np.cumsum(gh_sorted[:, a:c], axis=1)[:, -1]
-                gr, hr = g_sum - gl, h_sum - hl
-                gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam)
-                              - g_sum * g_sum / (h_sum + lam))
-                if not (lo < hi and _same(thr, tree.threshold[i])
-                        and _same(gain, tree.gain[i])):
-                    raise PrefixMismatch(
-                        f"tree node {i} has threshold {tree.threshold[i]!r} "
-                        f"and gain {tree.gain[i]!r}, the cut at its left "
-                        f"child's cover {thr!r} and {gain!r}")
-                ids += [int(tree.left[i]), int(tree.right[i])]
-                parts += [sorted_rows[a:c], sorted_rows[c:a + size]]
-                a += size
-        depth += 1
-    if len(seen) != tree.n_nodes:
-        raise PrefixMismatch(f"tree has {tree.n_nodes} nodes, {len(seen)} "
-                             f"reachable from its root")
-    return True
+                [cover[i] for i in preorder]), reused
 
 
 def _check_prefix(prefix: BoostedModel, names: list[str], params: BoostParams,
@@ -609,10 +596,10 @@ def train(train_ds: ColumnarDataset, params: BoostParams,
 
     `prefix` warm-starts the fit from a model fitted with the same params on
     the same rows and the leading columns of train_ds (a baseline before
-    columns were appended). While every earlier round took prefix's tree,
-    a round replays prefix's tree (_replay_tree) and takes it if it is the
-    tree the round would grow; from the first round where it is not, trees
-    are grown. The model equals the cold fit's bit for bit. A prefix that
+    columns were appended). While every earlier round replayed prefix's
+    tree whole, a round's walk replays prefix's tree (_grow_tree's `old`);
+    from the round after the first tree it changes, trees are grown from
+    scratch. The model equals the cold fit's bit for bit. A prefix that
     does not fit these inputs raises PrefixMismatch.
     """
     params.validate()
@@ -649,18 +636,14 @@ def train(train_ds: ColumnarDataset, params: BoostParams,
 
     trees: list[Tree] = []
     reusing = prefix is not None
+    n_old = len(prefix.feature_names) if reusing else 0
     for t in range(params.n_estimators):
         p = _sigmoid(margin)
         g = p - y
         h = p * (1.0 - p)
-        reusing = reusing and _replay_tree(
-            prefix.trees[t], Xt, ranks, n_ranks, len(prefix.feature_names),
-            g, h, params, stats)
-        if reusing:
-            tree = prefix.trees[t]
-            stats.reused_trees += 1
-        else:
-            tree = _grow_tree(Xt, ranks, n_ranks, g, h, params, stats)
+        tree, reusing = _grow_tree(Xt, ranks, n_ranks, g, h, params, stats,
+                                   prefix.trees[t] if reusing else None, n_old)
+        stats.reused_trees += reusing
         trees.append(tree)
         stats.trees += 1
         stats.nodes += tree.n_nodes
@@ -726,14 +709,11 @@ def evaluate(y_true, y_prob, threshold: float = 0.5) -> Metrics:
 
     order = np.argsort(p, kind="mergesort")
     sp = p[order]
+    # tie groups of the sorted probabilities, [start, end) each
+    start = np.flatnonzero(np.r_[True, sp[1:] != sp[:-1]])
+    end = np.r_[start[1:], n]
     ranks = np.empty(n, dtype=np.float64)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and sp[j + 1] == sp[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (start + end - 1) + 1.0, end - start)
     pos_rank_sum = float(ranks[y == 1].sum())
     auc = (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -811,6 +791,8 @@ def load_importance(path: str) -> ImportanceTable:
             raise ParseError(f"{path}: score {raw!r} is not finite")
         if value < 0:
             raise NegativeScore(f"{path}: negative score {value} for {name!r}")
+        if name in scores:
+            raise ParseError(f"{path}: feature {name!r} is listed twice")
         scores[name] = value
     if not any(v > 0 for v in scores.values()):
         raise ParseError(f"{path}: all importance scores are zero")

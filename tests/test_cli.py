@@ -392,6 +392,22 @@ class TestTrain:
         assert_exits_2_naming(["train", "--config", cfg_path],
                               tmp_path / "ext_importance.csv", capsys)
 
+    @pytest.mark.parametrize("column", ["Age", "Shop Location"])
+    def test_external_importance_without_a_feature_exits_2(
+            self, tmp_path, capsys, monkeypatch, column):
+        # a missing numeric column must not pass as unimportant, nor a
+        # missing categorical one fail only in mine, after two steps wrote
+        text = "".join(line for line in EXTERNAL_IMPORTANCE.splitlines(True)
+                       if not line.startswith(column + ","))
+        cfg_path, out = make_project(tmp_path, importance_text=text)
+        fits = []
+        monkeypatch.setattr(cli.gbdt, "train", lambda *a: fits.append(a))
+        assert cli.main(["train", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert "MissingImportance" in err and repr(column) in err
+        assert not fits  # the table is checked before the fit
+        assert not os.path.exists(artifact(out, "model"))
+
     def test_gain_importance_needs_splits(self, tmp_path, capsys):
         # 8 train rows with min_child_weight=1 cannot split; the model is
         # all stumps and gain importance is empty
@@ -445,6 +461,19 @@ class TestFuzzify:
         frame = encoded_train_split(cfg_path)
         assert frame.item_names
         assert all("=" in name for name in frame.item_names)
+
+    def test_importance_artifact_without_a_feature_exits_2(self, tmp_path,
+                                                           capsys):
+        cfg_path, out = make_project(tmp_path)
+        assert cli.main(["train", "--config", cfg_path]) == 0
+        path = Path(artifact(out, "importance"))
+        path.write_text("".join(
+            line for line in path.read_text().splitlines(True)
+            if not line.startswith("Age,")))
+        capsys.readouterr()
+        assert cli.main(["fuzzify", "--config", cfg_path]) == 2
+        assert "MissingImportance" in capsys.readouterr().err
+        assert not os.path.exists(artifact(out, "specs"))
 
     def test_duplicate_item_names_write_no_specs(self, tmp_path, capsys):
         cfg_path, out = make_project(

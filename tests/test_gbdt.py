@@ -282,6 +282,13 @@ class TestImportanceCsv:
         with pytest.raises(NegativeScore):
             gbdt.load_importance(str(p))
 
+    def test_duplicate_feature(self, tmp_path):
+        p = tmp_path / "imp.csv"
+        p.write_text("feature,score\nAge,0.5\nSpending,0.3\nAge,0.1\n")
+        with pytest.raises(ParseError, match="'Age'") as exc:
+            gbdt.load_importance(str(p))
+        assert str(p) in str(exc.value)
+
     @pytest.mark.parametrize("body", [
         "feature,score\nAge,abc\n",       # non-numeric
         "feature,score\nAge,inf\n",       # non-finite
@@ -382,6 +389,8 @@ class TestModelFromDict:
         (("trees", 0, "right"), [2, 1, -1], "node 1"),
         (("trees", 0, "feature"), [1, -1, -1], "beyond"),
         (("trees", 0), [], "object"),
+        (("trees", 0, "right"), [1, -1, -1], "node 1 is the child of 2"),
+        (("trees", 0, "left"), [2, -1, -1], "node 1 is the child of 0"),
     ])
     def test_corrupt_model_rejected(self, path, value, words):
         with pytest.raises(ParseError, match=words):
@@ -579,8 +588,11 @@ class TestWarmStart:
         ds = make_ds(np.column_stack([X, appended]), y)
         stats = gbdt.TrainStats()
         warm = gbdt.train(ds, params, stats, prefix=prefix)
-        cold = gbdt.train(ds, params)
+        cold_stats = gbdt.TrainStats()
+        cold = gbdt.train(ds, params, cold_stats)
         assert json.dumps(warm.to_dict()) == json.dumps(cold.to_dict())
+        # a replayed node searches its prefix feature and the appended ones
+        assert stats.split_candidates <= cold_stats.split_candidates
         # every tree the cold fit grows again, up to its first new one, is
         # reused; a tied appended column leaves the tree to the prefix
         same = [a.to_dict() == b.to_dict()
@@ -634,6 +646,49 @@ class TestWarmStart:
             getattr(copy.trees[0], key)[0] *= 2.0
             with pytest.raises(PrefixMismatch, match="node 0"):
                 gbdt.train(ds, UNIT, prefix=copy)
+
+
+def split_below_max_depth(model: BoostedModel):
+    """model relabelled max_depth 1, whose first tree splits at depth 1."""
+    tree = model.trees[0]
+    node = next(c for c in (tree.left[0], tree.right[0])
+                if tree.feature[c] >= 0)
+    return BoostedModel(model.trees, model.base_score, model.feature_names,
+                        replace(model.params, max_depth=1),
+                        model.train_loss), node
+
+
+def left_cover_of_the_whole_root(model: BoostedModel):
+    """A copy of model whose first root's left child covers every row."""
+    copy = BoostedModel.from_dict(model.to_dict())
+    tree = copy.trees[0]
+    tree.cover[tree.left[0]] = tree.cover[0]
+    return copy, 0
+
+
+def unreachable_leaf(model: BoostedModel):
+    """model with a leaf no split links to appended to its first tree."""
+    tree = model.trees[0].to_dict()
+    orphan = {"feature": -1, "threshold": 0.0, "left": -1, "right": -1,
+              "weight": 0.0, "gain": 0.0, "cover": 1}
+    first = Tree(*(tree[key] + [orphan[key]] for key in gbdt.TREE_ARRAYS))
+    return BoostedModel([first] + model.trees[1:], model.base_score,
+                        model.feature_names, model.params,
+                        model.train_loss), first.n_nodes - 1
+
+
+class TestReplayChecks:
+    """A prefix tree that the fit could not grow is rejected, naming the
+    node."""
+
+    @pytest.mark.parametrize("corrupt", [split_below_max_depth,
+                                         left_cover_of_the_whole_root,
+                                         unreachable_leaf])
+    def test_corrupt_tree_rejected(self, corrupt):
+        ds = random_labeled(60, 2, seed=3)
+        prefix, node = corrupt(gbdt.train(ds, UNIT))
+        with pytest.raises(PrefixMismatch, match=rf"tree node {node}\b"):
+            gbdt.train(ds, prefix.params, prefix=prefix)
 
 
 class TestTrainStats:

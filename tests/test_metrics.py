@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from hafcp.errors import DegenerateAUC, LengthMismatch
 from hafcp.gbdt import Metrics, evaluate
@@ -46,6 +49,21 @@ def test_partial_ties_use_midranks():
     # AUC = 3.5 / 4
     m = evaluate([1, 1, 0, 0], [0.7, 0.5, 0.5, 0.2])
     assert m.auc == pytest.approx(3.5 / 4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(0, 1),
+                          st.sampled_from([0.0, -0.0, 0.1, 0.5, 0.9, 1.0])
+                          | st.floats(0.0, 1.0)),
+                min_size=2, max_size=60))
+def test_auc_is_mann_whitney_on_midranks(rows):
+    y = np.array([label for label, _ in rows])
+    y[0], y[1] = 0, 1
+    p = np.array([prob for _, prob in rows])
+    n_pos, n_neg = int(y.sum()), int((1 - y).sum())
+    ranks = rankdata(p)  # midranks for ties
+    want = (ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    assert evaluate(y, p).auc == want
 
 
 def test_auc_invariant_under_monotone_transform():
