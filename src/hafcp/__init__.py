@@ -24,10 +24,9 @@ _HOMES = {name: module for module, names in {
     "gbdt": ["BoostParams", "BoostedModel", "ImportanceTable", "Metrics",
              "TrainStats", "train", "predict_proba", "evaluate", "importance",
              "load_importance"],
-    "fuzzify": ["NormalityResult", "MembershipSpec", "FuzzyAssignment",
-                "BinaryFrame", "shapiro_wilk", "fit_membership",
-                "fit_all_memberships", "triangular_mu", "gaussian_mu",
-                "assign_term", "to_binary_frame"],
+    "fuzzify": ["NormalityResult", "MembershipSpec", "BinaryFrame",
+                "shapiro_wilk", "fit_membership", "fit_all_memberships",
+                "to_binary_frame"],
     "miner": ["Pattern", "TransactionDB", "MiningConfig", "SearchStats",
               "build_transactions", "mine_topk"],
     "augment": ["ComparisonReport", "build_report", "run_comparison"],

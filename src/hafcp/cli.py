@@ -344,13 +344,25 @@ def _read_importance(cfg: PipelineConfig,
 
 def _read_specs(cfg: PipelineConfig, train_ds: ColumnarDataset
                 ) -> tuple[list[fuzzify.MembershipSpec], list[str]]:
-    """Specs and skipped columns, checked against the config and train split."""
+    """Specs and skipped columns, checked against the config and train split:
+    each numeric column has one spec or is skipped, and no other is named."""
     def parse(doc):
         skipped = json_field(doc, "skipped_zero_importance", list, "its body")
         if not all(isinstance(name, str) for name in skipped):
             raise ParseError("skipped_zero_importance must list column names")
-        return ([fuzzify.MembershipSpec.from_dict(d)
-                 for d in json_field(doc, "specs", list, "its body")], skipped)
+        specs = [fuzzify.MembershipSpec.from_dict(d)
+                 for d in json_field(doc, "specs", list, "its body")]
+        named = [s.column for s in specs] + skipped
+        numeric = train_ds.numeric_columns()
+        for name in dict.fromkeys(named + numeric):
+            if name not in numeric:
+                raise ParseError(f"column {name!r} is not a numeric column "
+                                 f"of the train split")
+            if named.count(name) != 1:
+                raise ParseError(
+                    f"column {name!r} has {named.count(name)} entries in "
+                    f"specs and skipped_zero_importance, not 1")
+        return specs, skipped
 
     return _read_artifact(cfg, train_ds, "specs", "membership specs",
                           parse=parse)

@@ -99,11 +99,11 @@ class DegenerateColumn(HafcpError):
         super().__init__(f"column {column!r} is degenerate (min = max)")
 
 
-class InvalidVertices(HafcpError):
+class InvalidVertices(ParseError):
     pass
 
 
-class NonpositiveWidth(HafcpError):
+class NonpositiveWidth(ParseError):
     pass
 
 
@@ -111,6 +111,14 @@ class MissingSpec(HafcpError):
     def __init__(self, column: str):
         self.column = column
         super().__init__(f"numeric column {column!r} has no membership spec")
+
+
+class TooManyCategories(HafcpError):
+    def __init__(self, column: str, count: int, limit: int):
+        self.column = column
+        super().__init__(
+            f"categorical column {column!r} has {count} distinct values, over "
+            f"the limit of {limit}; list an identifier in drop_columns")
 
 
 class DuplicateItemName(HafcpError):

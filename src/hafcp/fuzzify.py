@@ -9,8 +9,11 @@ gets triangular functions parameterized by train min/median/max:
     Medium = (min, median, max)
     High   = (median, max, max)      right shoulder
 
-Cells are assigned the term with maximal membership (ties resolve L < M < H),
-then one-hot encoded next to the categorical columns.
+A triangle (a, b, c) rises from 0 at a to 1 at b and falls to 0 at c; a side
+of zero length is a shoulder, membership 1 for every x <= b when a == b and
+for every x >= b when b == c. Cells are assigned the term with maximal
+membership (ties resolve L < M < H), then one-hot encoded next to the
+categorical columns.
 
 All statistics are fitted on the train split only; a MembershipSpec records a
 fingerprint of the split it was fitted on so downstream steps can refuse
@@ -39,6 +42,7 @@ from .errors import (
     ParseError,
     SampleTooLarge,
     SampleTooSmall,
+    TooManyCategories,
     ZeroVariance,
 )
 
@@ -46,6 +50,10 @@ TERMS = ("L", "M", "H")
 
 # parameters per term: (center, width) or vertices (a, b, c)
 FAMILY_ARITY = {"gaussian": 2, "triangular": 3}
+
+# Most values a categorical column may turn into items: one frame column
+# each, so an n-row ID column would make n x n frames.
+MAX_CATEGORIES = 1000
 
 _STD_NORMAL = NormalDist()
 
@@ -173,6 +181,8 @@ class MembershipSpec:
 
     For family "gaussian", low/medium/high are (center, width) pairs with a
     shared width; for "triangular" they are (a, b, c) vertex triples.
+    The constructor rejects parameters no membership function takes,
+    naming the column and the term.
     """
 
     column: str
@@ -184,11 +194,22 @@ class MembershipSpec:
     alpha: float
     source_fingerprint: str
 
-    def membership(self, x: float, term: str) -> float:
-        params = {"L": self.low, "M": self.medium, "H": self.high}[term]
-        if self.family == "gaussian":
-            return gaussian_mu(x, params[0], params[1])
-        return triangular_mu(x, params[0], params[1], params[2])
+    def __post_init__(self) -> None:
+        arity = FAMILY_ARITY.get(self.family)
+        if arity is None:
+            raise ParseError(f"column {self.column!r}: family must be one of "
+                             f"{sorted(FAMILY_ARITY)}, got {self.family!r}")
+        for key in ("low", "medium", "high"):
+            p = tuple(getattr(self, key))
+            where = f"column {self.column!r} term {key!r}"
+            if len(p) != arity:
+                raise ParseError(f"{where}: must hold {arity} numbers for "
+                                 f"family {self.family!r}, got {p}")
+            if self.family == "triangular" and not p[0] <= p[1] <= p[2]:
+                raise InvalidVertices(f"{where}: need a <= b <= c, got {p}")
+            if self.family == "gaussian" and not p[1] > 0:
+                raise NonpositiveWidth(f"{where}: width must be positive, "
+                                       f"got {p[1]}")
 
     def to_dict(self) -> dict:
         return {
@@ -204,52 +225,16 @@ class MembershipSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MembershipSpec":
-        """to_dict's output back; ParseError on a missing or mistyped key."""
+        """to_dict's output back; ParseError on a bad key or parameter."""
         what = "membership spec"
-        family = json_field(d, "family", str, what)
-        arity = FAMILY_ARITY.get(family)
-        if arity is None:
-            raise ParseError(f"{what} family must be one of "
-                             f"{sorted(FAMILY_ARITY)}, got {family!r}")
-        terms = {}
-        for key in ("low", "medium", "high"):
-            terms[key] = tuple(json_floats(d, key, what))
-            if len(terms[key]) != arity:
-                raise ParseError(f"{what} key {key!r} must hold {arity} "
-                                 f"numbers for family {family!r}")
-        return cls(column=json_field(d, "column", str, what), family=family,
+        return cls(column=json_field(d, "column", str, what),
+                   family=json_field(d, "family", str, what),
+                   **{key: tuple(json_floats(d, key, what))
+                      for key in ("low", "medium", "high")},
                    stats=json_field(d, "stats", dict, what),
                    alpha=json_field(d, "alpha", float, what),
                    source_fingerprint=json_field(d, "source_fingerprint",
-                                                 str, what),
-                   **terms)
-
-
-def triangular_mu(x: float, a: float, b: float, c: float) -> float:
-    """Triangular membership with vertices a <= b <= c.
-
-    0 for x <= a, rises linearly to 1 at b, falls to 0 at c. Degenerate
-    sides are shoulders: a == b means membership 1 for every x <= b, b == c
-    means membership 1 for every x >= b.
-    """
-    if not a <= b <= c:
-        raise InvalidVertices(f"need a <= b <= c, got ({a}, {b}, {c})")
-    if a == b and x <= b:
-        return 1.0
-    if b == c and x >= b:
-        return 1.0
-    if x <= a or x >= c:
-        return 0.0
-    if x <= b:
-        return (x - a) / (b - a)
-    return (c - x) / (c - b)
-
-
-def gaussian_mu(x: float, center: float, width: float) -> float:
-    if width <= 0:
-        raise NonpositiveWidth(f"width must be positive, got {width}")
-    z = (x - center) / width
-    return math.exp(-0.5 * z * z)
+                                                 str, what))
 
 
 def fit_membership(column_values, normality: NormalityResult, *,
@@ -283,21 +268,10 @@ def fit_membership(column_values, normality: NormalityResult, *,
                           source_fingerprint=source_fingerprint)
 
 
-def assign_term(x: float, spec: MembershipSpec) -> FuzzyAssignment:
-    """Max-cardinality (argmax membership) term, ties broken L < M < H."""
-    best_term = "L"
-    best_mu = spec.membership(x, "L")
-    for term in ("M", "H"):
-        m = spec.membership(x, term)
-        if m > best_mu:
-            best_term, best_mu = term, m
-    return FuzzyAssignment(term=best_term, membership=best_mu)
-
-
 def _triangular_mus(x: np.ndarray, a: float, b: float, c: float) -> np.ndarray:
-    """`triangular_mu` over an array; each branch computes the same operations."""
-    if not a <= b <= c:
-        raise InvalidVertices(f"need a <= b <= c, got ({a}, {b}, {c})")
+    """Triangle (a, b, c) memberships: 0 for x <= a or x >= c, (x-a)/(b-a)
+    up to b, (c-x)/(c-b) after it. A shoulder, applied last, overrides:
+    b == c gives 1 for every x >= b, a == b gives 1 for every x <= b."""
     with np.errstate(divide="ignore", invalid="ignore"):
         mu = np.where(x <= b, (x - a) / (b - a), (c - x) / (c - b))
     mu = np.where((x <= a) | (x >= c), 0.0, mu)
@@ -309,25 +283,20 @@ def _triangular_mus(x: np.ndarray, a: float, b: float, c: float) -> np.ndarray:
 
 
 def _gaussian_mus(x: np.ndarray, center: float, width: float) -> np.ndarray:
-    """`gaussian_mu` over an array.
+    """Gaussian memberships exp(-z*z/2), z = (x - center) / width.
 
-    The exponent is computed in numpy, in `gaussian_mu`'s operation order;
-    the exponential is `math.exp` per value, because `np.exp` is not always
-    bit-identical to it.
+    The exponent is computed in numpy; the exponential is `math.exp` per
+    value, because `np.exp` is not always bit-identical to it.
     """
-    if width <= 0:
-        raise NonpositiveWidth(f"width must be positive, got {width}")
     z = (x - center) / width
     return np.fromiter(map(math.exp, (-0.5 * z * z).tolist()),
                        dtype=np.float64, count=len(x))
 
 
 def assign_terms(values, spec: MembershipSpec) -> tuple[np.ndarray, np.ndarray]:
-    """`assign_term` over an array: (term index into TERMS, membership).
+    """Each value's term of maximal membership: (index into TERMS, membership).
 
-    The term is the first maximum over L, M, H, which is `assign_term`'s
-    L < M < H tie rule; terms and memberships equal `assign_term`'s bit for
-    bit.
+    Ties go to the earliest of L, M, H (the first maximum).
     """
     x = np.asarray(values, dtype=np.float64)
     mus = _gaussian_mus if spec.family == "gaussian" else _triangular_mus
@@ -335,6 +304,12 @@ def assign_terms(values, spec: MembershipSpec) -> tuple[np.ndarray, np.ndarray]:
                    for params in (spec.low, spec.medium, spec.high)])
     term = np.argmax(mu, axis=0)
     return term, mu[term, np.arange(len(x))]
+
+
+def assign_term(x: float, spec: MembershipSpec) -> FuzzyAssignment:
+    """`assign_terms` of the one value x."""
+    term, mu = assign_terms([x], spec)
+    return FuzzyAssignment(term=TERMS[term[0]], membership=float(mu[0]))
 
 
 @dataclass
@@ -376,7 +351,8 @@ def frame_items(schema: list[ColumnSchema], specs: list[MembershipSpec]
 
     Item order: categorical columns in schema order (each column's categories
     in code order), then numeric columns in schema order with terms L, M, H.
-    Every numeric column must have a spec. Item names must be unique:
+    Every numeric column must have a spec, and no categorical column may
+    have more than MAX_CATEGORIES values. Item names must be unique:
     categorical "a" with value "b=c" next to categorical "a=b" with value "c"
     is rejected. Needs no rows, so a caller can validate the items before it
     encodes anything.
@@ -386,6 +362,9 @@ def frame_items(schema: list[ColumnSchema], specs: list[MembershipSpec]
     srcs: list[str] = []
     for col in schema:
         if col.kind == CATEGORICAL:
+            if len(col.category_map or ()) > MAX_CATEGORIES:
+                raise TooManyCategories(col.name, len(col.category_map),
+                                        MAX_CATEGORIES)
             for value in col.category_map or ():
                 names.append(categorical_item_name(col.name, value))
                 srcs.append(col.name)

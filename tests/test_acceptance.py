@@ -16,12 +16,13 @@ import numpy as np
 import pytest
 
 from hafcp import augment, cli, gbdt
-from hafcp.fuzzify import TERMS, MembershipSpec, assign_term, triangular_mu
+from hafcp.fuzzify import TERMS, MembershipSpec, _triangular_mus, assign_terms
 from hafcp.gbdt import BoostParams, BoostedModel
 from hafcp.miner import MiningConfig, mine_topk
 from hafcp.rng import SplitMix64
 
 from conftest import build_tiny_frame
+from fuzzify_reference import membership
 from miner_reference import brute_force_topk
 from synthdata import planted_csv_text, random_db, random_labeled, sm_uniform
 from test_gbdt import make_ds
@@ -96,14 +97,16 @@ def test_criterion_04_triangular_membership_grid():
             a, b, c = vals
             if not (a < b < c):  # degenerate draws are vanishingly unlikely
                 continue
-            assert triangular_mu(a, a, b, c) == 0.0
-            assert triangular_mu(b, a, b, c) == 1.0
-            assert abs(triangular_mu((a + b) / 2, a, b, c) - 0.5) <= 1e-12
-            assert triangular_mu(a - 1.0, a, b, c) == 0.0
-            assert triangular_mu(c + 1.0, a, b, c) == 0.0
-            for x in np.linspace(a - 5.0, c + 5.0, 1000):
-                x = float(x)
-                mu = triangular_mu(x, a, b, c)
+            at_a, at_b, mid, below, above = _triangular_mus(
+                np.array([a, b, (a + b) / 2, a - 1.0, c + 1.0]), a, b, c)
+            assert at_a == 0.0
+            assert at_b == 1.0
+            assert abs(mid - 0.5) <= 1e-12
+            assert below == 0.0
+            assert above == 0.0
+            xs = np.linspace(a - 5.0, c + 5.0, 1000)
+            for x, mu in zip(xs.tolist(),
+                             _triangular_mus(xs, a, b, c).tolist()):
                 if x <= a or x >= c:
                     expected = 0.0
                 elif x <= b:
@@ -115,7 +118,7 @@ def test_criterion_04_triangular_membership_grid():
 
 
 def test_criterion_05_term_assignment_totality():
-    with criterion(5, "assign_term total and argmax-consistent on 1e5 pairs"):
+    with criterion(5, "assign_terms total and argmax-consistent on 1e5 pairs"):
         r = SplitMix64(5050)
         specs = []
         for i in range(100):
@@ -135,15 +138,15 @@ def test_criterion_05_term_assignment_totality():
                     high=(center + width * 2, width),
                     stats={}, alpha=0.05, source_fingerprint=""))
         for spec in specs:
-            for _ in range(1000):
-                x = sm_uniform(r) * 160.0 - 30.0
-                got = assign_term(x, spec)
-                memberships = [spec.membership(x, t) for t in TERMS]
-                assert got.term in TERMS
-                assert got.membership == max(memberships)
+            xs = [sm_uniform(r) * 160.0 - 30.0 for _ in range(1000)]
+            term, mu = assign_terms(xs, spec)
+            for x, t, got in zip(xs, term.tolist(), mu.tolist()):
+                memberships = [membership(spec, x, name) for name in TERMS]
+                assert 0 <= t < len(TERMS)
+                assert got == max(memberships)
                 # ties resolve to the earliest term in L < M < H order
-                first_max = TERMS[memberships.index(max(memberships))]
-                assert got.term == first_max
+                first_max = memberships.index(max(memberships))
+                assert t == first_max
 
 
 def test_criterion_06_shapiro_reference_and_power():

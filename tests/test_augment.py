@@ -22,6 +22,7 @@ from hafcp.gbdt import BoostParams, Metrics
 from hafcp.miner import Pattern
 
 from conftest import build_tiny_frame
+from fuzzify_reference import assign_term
 
 IDENTITY = Metrics(auc=0.8, accuracy=0.8, recall=0.8, precision=0.8, f1=0.8)
 
@@ -117,8 +118,7 @@ class TestMatchRowsRoundTrip:
                 if col.kind == CATEGORICAL:
                     row_items.add(f"{col.name}={col.decode(int(value))}")
                 else:
-                    term = fuzzify.assign_term(float(value),
-                                               spec_of[col.name]).term
+                    term = assign_term(float(value), spec_of[col.name]).term
                     row_items.add(f"{col.name}_{term}")
             want.append(int(set(items) <= row_items))
         frame = fuzzify.to_binary_frame(ds, specs)
@@ -138,8 +138,8 @@ class TestPatternFeature:
         train_ds, test_ds, frame = held_out
         specs, _ = fuzzify.fit_all_memberships(train_ds)
         age, spending = specs
-        want = [fuzzify.assign_term(float(a), age).term == "L"
-                and fuzzify.assign_term(float(s), spending).term == "M"
+        want = [assign_term(float(a), age).term == "L"
+                and assign_term(float(s), spending).term == "M"
                 for a, s in zip(test_ds.columns["Age"],
                                 test_ds.columns["Spending"])]
         hits = match_rows(frame, ("Age_L", "Spending_M"))

@@ -155,36 +155,87 @@ def with_key(dotted, value):
     return edit
 
 
-# (artifact, the step that reads it, the edit of its text): corrupt bodies,
-# under lineage that names this run where the body still has a lineage
+def with_spec(**fields):
+    """A text edit of membership_specs.json that sets fields of its first
+    spec, Age's."""
+    def edit(text):
+        doc = json.loads(text)
+        doc["specs"][0].update(fields)
+        return json.dumps(doc)
+    return edit
+
+
+def with_extra_spec(column):
+    """A text edit of membership_specs.json that appends a copy of its first
+    spec for `column`."""
+    def edit(text):
+        doc = json.loads(text)
+        doc["specs"].append({**doc["specs"][0], "column": column})
+        return json.dumps(doc)
+    return edit
+
+
+# (artifact, the step that reads it, the edit of its text, text the error
+# must hold besides the file): corrupt bodies, under lineage that names this
+# run where the body still has a lineage
 CORRUPT_BODIES = [
-    pytest.param("specs", "mine", with_key("specs.0.alpha", ...),
+    pytest.param("specs", "mine", with_key("specs.0.alpha", ...), "",
                  id="spec-no-alpha"),
     pytest.param("specs", "mine", with_key("specs.0.low", [1.0]),
+                 "column 'Age' term 'low': must hold",
                  id="spec-short-low"),
     pytest.param("specs", "mine", with_key("specs.0.family", "cubic"),
+                 "column 'Age': family must be one of",
                  id="spec-unknown-family"),
-    pytest.param("specs", "report", with_key("specs", {"a": 1}),
+    pytest.param("specs", "report", with_key("specs", {"a": 1}), "",
                  id="specs-not-a-list"),
-    pytest.param("baseline", "report", with_key("metrics.auc", "x"),
+    pytest.param("specs", "mine",
+                 with_spec(family="triangular", low=[0.0, 0.0, 5.0],
+                           medium=[5.0, 0.0, 10.0], high=[5.0, 10.0, 10.0]),
+                 "column 'Age' term 'medium': need a <= b <= c",
+                 id="spec-unordered-vertices"),
+    pytest.param("specs", "mine",
+                 with_spec(family="gaussian", low=[0.0, 1.0],
+                           medium=[1.0, 0.0], high=[2.0, 1.0]),
+                 "column 'Age' term 'medium': width must be positive",
+                 id="spec-zero-width"),
+    pytest.param("specs", "mine", with_extra_spec("Shop Location"),
+                 "column 'Shop Location' is not a numeric column",
+                 id="spec-for-categorical"),
+    pytest.param("specs", "mine",
+                 with_key("skipped_zero_importance", ["Shop Location"]),
+                 "column 'Shop Location' is not a numeric column",
+                 id="skipped-categorical"),
+    pytest.param("specs", "report",
+                 with_key("skipped_zero_importance", ["Region"]),
+                 "column 'Region' is not a numeric column",
+                 id="skipped-unknown"),
+    pytest.param("specs", "mine", with_extra_spec("Age"),
+                 "column 'Age' has 2 entries", id="spec-twice"),
+    pytest.param("specs", "report",
+                 with_key("skipped_zero_importance", ["Age"]),
+                 "column 'Age' has 2 entries", id="spec-and-skipped"),
+    pytest.param("specs", "mine", with_key("specs.0", ...),
+                 "column 'Age' has 0 entries", id="spec-missing"),
+    pytest.param("baseline", "report", with_key("metrics.auc", "x"), "",
                  id="auc-text"),
-    pytest.param("baseline", "report", with_key("metrics.f1", None),
+    pytest.param("baseline", "report", with_key("metrics.f1", None), "",
                  id="f1-null"),
-    pytest.param("baseline", "report", with_key("metrics", ...),
+    pytest.param("baseline", "report", with_key("metrics", ...), "",
                  id="baseline-no-metrics"),
-    pytest.param("baseline", "report", with_key("metrics.auc", ...),
+    pytest.param("baseline", "report", with_key("metrics.auc", ...), "",
                  id="baseline-no-auc"),
-    pytest.param("baseline", "report", lambda text: text[:40],
+    pytest.param("baseline", "report", lambda text: text[:40], "",
                  id="baseline-cut"),
-    pytest.param("baseline", "report", lambda text: "[1]",
+    pytest.param("baseline", "report", lambda text: "[1]", "",
                  id="baseline-list-root"),
-    pytest.param("model", "report", with_key("trees", ...),
+    pytest.param("model", "report", with_key("trees", ...), "",
                  id="model-no-trees"),
-    pytest.param("model", "report", with_key("params", ...),
+    pytest.param("model", "report", with_key("params", ...), "",
                  id="model-no-params"),
-    pytest.param("model", "report", with_key("trees.0.weight", []),
+    pytest.param("model", "report", with_key("trees.0.weight", []), "",
                  id="tree-lengths"),
-    pytest.param("model", "report", with_key("trees.0.cover", ["8"]),
+    pytest.param("model", "report", with_key("trees.0.cover", ["8"]), "",
                  id="tree-cover-text"),
 ]
 
@@ -484,6 +535,24 @@ class TestFuzzify:
         assert "DuplicateItemName" in capsys.readouterr().err
         assert not os.path.exists(artifact(out, "specs"))
 
+    def test_id_like_categorical_column_writes_no_specs(self, tmp_path,
+                                                        capsys):
+        # a text identifier left out of drop_columns: one value per row
+        rows = "\n".join(f"acct{i},{i % 7},{i % 2}"
+                         for i in range(fuzzify.MAX_CATEGORIES + 1))
+        cfg_path, out = make_project(
+            tmp_path, config_extra={"drop_columns": []},
+            csv_text="Account,x,Churn\n" + rows + "\n",
+            importance_text="feature,score\nAccount,0.5\nx,1.0\n")
+        assert cli.main(["train", "--config", cfg_path]) == 0
+        capsys.readouterr()
+        assert cli.main(["fuzzify", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert "error[TooManyCategories]" in err
+        assert "'Account' has 1001 distinct values" in err
+        assert "drop_columns" in err
+        assert not os.path.exists(artifact(out, "specs"))
+
     def test_constant_numeric_column_fails_loudly(self, tmp_path, capsys):
         rows = "\n".join(f"r{i},{i},5.0,{i % 2}" for i in range(10))
         csv_text = "ID,x,flat,Churn\n" + rows + "\n"
@@ -617,9 +686,9 @@ class TestMineAndReport:
         err = capsys.readouterr().err
         assert cli.ARTIFACTS[name] in err and message in err
 
-    @pytest.mark.parametrize("name, cmd, edit", CORRUPT_BODIES)
+    @pytest.mark.parametrize("name, cmd, edit, detail", CORRUPT_BODIES)
     def test_corrupt_artifact_body_exits_2(self, tmp_path, capsys, name, cmd,
-                                           edit):
+                                           edit, detail):
         cfg_path, out = make_project(tmp_path)
         self.run_through(cfg_path, "train", "fuzzify", "mine")
         path = Path(artifact(out, name))
@@ -629,6 +698,7 @@ class TestMineAndReport:
         assert cli.main([cmd, "--config", cfg_path]) == 2
         err = capsys.readouterr().err
         assert "error[ParseError]" in err and cli.ARTIFACTS[name] in err
+        assert detail in err, err
         assert not os.path.exists(artifact(out, "report"))
 
     @pytest.mark.parametrize("how", UNREADABLE)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hafcp import fuzzify, rng
-from hafcp.dataset import LABEL, NUMERIC, ColumnSchema, ColumnarDataset, load_csv
+from hafcp.dataset import (CATEGORICAL, LABEL, NUMERIC, ColumnSchema,
+                           ColumnarDataset, load_csv)
 from hafcp.errors import (
     DegenerateColumn,
     DuplicateItemName,
@@ -14,6 +15,8 @@ from hafcp.errors import (
     LineageError,
     MissingSpec,
     NonpositiveWidth,
+    ParseError,
+    TooManyCategories,
 )
 from hafcp.fuzzify import (
     TERMS,
@@ -23,12 +26,11 @@ from hafcp.fuzzify import (
     assign_terms,
     fit_all_memberships,
     fit_membership,
-    gaussian_mu,
     to_binary_frame,
-    triangular_mu,
 )
 
-from fuzzify_reference import normality_decision
+import fuzzify_reference as reference
+from fuzzify_reference import gaussian_mu, normality_decision, triangular_mu
 from synthdata import make_sample
 
 NORMAL = NormalityResult(w_statistic=0.99, p_value=0.5, is_gaussian=True)
@@ -174,16 +176,13 @@ class TestAssignTerm:
         values = np.array(make_sample("uniform", 200, 10)) * 40 + 5
         spec = fit_membership(values, normality, column="v")
         assert spec.family == family
-        order = {"L": 0, "M": 1, "H": 2}
-        last = 0
-        for x in np.linspace(values.min() - 5, values.max() + 5, 400):
-            a = assign_term(float(x), spec)
-            assert a.term in ("L", "M", "H")
-            assert 0.0 <= a.membership <= 1.0
-            # assigned term index never decreases left to right
-            assert order[a.term] >= last
-            last = order[a.term]
-        assert last == 2
+        term, mu = assign_terms(
+            np.linspace(values.min() - 5, values.max() + 5, 400), spec)
+        assert set(term.tolist()) <= {0, 1, 2}
+        assert np.all((0.0 <= mu) & (mu <= 1.0))
+        # assigned term index never decreases left to right
+        assert np.all(np.diff(term) >= 0)
+        assert term[-1] == 2
 
 
 # Few distinct levels, so equal vertices (shoulders, degenerate triangles)
@@ -231,7 +230,7 @@ class TestAssignTerms:
     def test_equals_assign_term_bit_for_bit(self, case):
         spec, values = case
         term, mu = assign_terms(values, spec)
-        want = [assign_term(float(x), spec) for x in values]
+        want = [reference.assign_term(float(x), spec) for x in values]
         assert [TERMS[t] for t in term] == [a.term for a in want]
         assert mu.tobytes() == \
             np.array([a.membership for a in want]).tobytes()
@@ -247,14 +246,27 @@ class TestAssignTerms:
         assert mu.tolist() == [0.0, 0.0]
 
     def test_invalid_parameters_rejected(self):
-        with pytest.raises(InvalidVertices):
-            assign_terms([1.0], MembershipSpec.from_dict(
-                {**TRI.to_dict(), "medium": [5.0, 0.0, 10.0]}))
-        gauss = MembershipSpec(column="v", family="gaussian", low=(0.0, 0.0),
-                               medium=(1.0, 0.0), high=(2.0, 0.0), stats={},
-                               alpha=0.05, source_fingerprint="")
-        with pytest.raises(NonpositiveWidth):
-            assign_terms([1.0], gauss)
+        # the same class whether a spec is built or read back, naming the
+        # column and the term
+        tri = [(0.0, 0.0, 5.0), (5.0, 0.0, 10.0), (5.0, 10.0, 10.0)]
+        gauss = [(0.0, 1.0), (1.0, 0.0), (2.0, 1.0)]
+        for family, terms, error, where in (
+                ("triangular", tri, InvalidVertices, " term 'medium'"),
+                ("gaussian", gauss, NonpositiveWidth, " term 'medium'"),
+                ("gaussian", [(0.0, 1.0), (1.0, -2.0), (2.0, 1.0)],
+                 NonpositiveWidth, " term 'medium'"),
+                ("gaussian", [(0.0, 1.0), (1.0, 1.0), (2.0, 1.0, 3.0)],
+                 ParseError, " term 'high': must hold 2 numbers"),
+                ("cubic", gauss, ParseError, ": family must be one of")):
+            fields = dict(column="v", family=family, low=terms[0],
+                          medium=terms[1], high=terms[2], stats={},
+                          alpha=0.05, source_fingerprint="")
+            with pytest.raises(error, match=f"column 'v'{where}"):
+                MembershipSpec(**fields)
+            doc = {**fields, **{key: list(fields[key])
+                                for key in ("low", "medium", "high")}}
+            with pytest.raises(error, match=f"column 'v'{where}"):
+                MembershipSpec.from_dict(doc)
 
 
 class TestBinaryFrame:
@@ -304,6 +316,23 @@ class TestBinaryFrame:
         # the names alone are checked, with no rows encoded
         with pytest.raises(DuplicateItemName):
             fuzzify.frame_items(ds.schema, [])
+
+    def test_categorical_column_over_the_limit_rejected(self):
+        # an ID-like column would make n x n frames; the items are refused
+        # before any row is encoded
+        limit = fuzzify.MAX_CATEGORIES
+
+        def schema(n):
+            return [ColumnSchema("ID", CATEGORICAL,
+                                 tuple(str(v) for v in range(n)))]
+
+        names, _ = fuzzify.frame_items(schema(limit), [])
+        assert len(names) == limit
+        with pytest.raises(TooManyCategories,
+                           match=f"'ID' has {limit + 1} distinct values.*"
+                                 f"drop_columns") as exc:
+            fuzzify.frame_items(schema(limit + 1), [])
+        assert exc.value.column == "ID"
 
     def test_missing_spec(self, tiny_csv):
         ds = load_csv(tiny_csv, "Churn", "1")
