@@ -14,9 +14,10 @@ an older version is ignored and can be deleted.
 
 Every artifact embeds the config fingerprint and the content fingerprints of
 its inputs; a subcommand refuses every artifact it reads whose lineage does
-not name the current config and train split (``_check_lineage``). All writes are atomic and all randomness
-flows from config seeds, so rerunning any subcommand with unchanged inputs
-reproduces byte-identical files.
+not name the current config and train split (``_check_lineage``), or whose
+specs were fitted on another split (``_read_specs``). All writes are atomic
+and all randomness flows from config seeds, so rerunning any subcommand with
+unchanged inputs reproduces byte-identical files.
 
 When this module is the first of its process to load numpy, numpy's
 OpenBLAS runs on one thread (see the comment above the numpy import); a
@@ -33,6 +34,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from types import UnionType
 
 # One OpenBLAS thread for the CLI. The search's matrix products are small
@@ -79,25 +81,25 @@ ARTIFACTS = {
 }
 
 
-# Every config key with its default; a nested object is a section. A key
-# whose entry is a type has no default: it is required, or null when the
-# type admits None. Values are typed strictly: a bool is no int, an int is
-# taken for a float key and stored as a float, strings are non-empty and a
-# list holds strings. A float key takes no NaN or infinity, which the
-# override parser reads from JSON and strict JSON readers reject.
+# Every config key with its default; a nested object is a section, and the
+# split, boost and mining sections are the fields of the library classes
+# that check their ranges. A key whose entry is a type has no default: it is
+# required, or null when the type admits None. Values are typed strictly: a
+# bool is no int, an int is taken for a float key and stored as a float,
+# strings are non-empty and a list holds strings. A float key takes no NaN
+# or infinity, which the override parser reads from JSON and strict JSON
+# readers reject.
 DEFAULTS = {
     "input": str,
     "label_column": str,
     "positive_label": str,
     "output_dir": str,
     "drop_columns": [],
-    "split": {"fraction": 0.8, "seed": 0},
-    "boost": {"max_depth": 6, "learning_rate": 0.3, "n_estimators": 100,
-              "min_child_weight": 1.0, "lambda_l2": 1.0},
+    "split": asdict(SplitSpec()),
+    "boost": asdict(gbdt.BoostParams()),
     "importance": {"method": "gain", "path": str | None},
     "normality_alpha": 0.05,
-    "mining": {"k": 5, "min_length": 2, "max_length": int | None,
-               "mode": "binary", "algorithm": "exact"},
+    "mining": {**asdict(miner.MiningConfig()), "max_length": int | None},
     "report": {"cumulative": False, "threshold": 0.5},
 }
 
@@ -143,21 +145,15 @@ class PipelineConfig:
     def __init__(self, values: dict):
         self.values = values
         vars(self).update(values)
-        self.split = SplitSpec(values["split"]["fraction"],
-                               values["split"]["seed"])
-        self.boost = gbdt.BoostParams(**values["boost"]).validate()
-        self.mining = miner.MiningConfig(**values["mining"]).validate()
+        self.split = SplitSpec(**values["split"])
+        self.boost = gbdt.BoostParams(**values["boost"])
+        self.mining = miner.MiningConfig(**values["mining"])
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
         values = _checked(DEFAULTS, raw)
-        fraction = values["split"]["fraction"]
         alpha = values["normality_alpha"]
         method = values["importance"]["method"]
-        if not 0.0 < fraction < 1.0:
-            raise ConfigError(f"split.fraction must be in (0,1), got {fraction}")
-        if values["split"]["seed"] < 0:
-            raise ConfigError("split.seed must be >= 0")
         if not 0.0 < alpha < 1.0:
             raise ConfigError(f"normality_alpha must be in (0,1), got {alpha}")
         if method not in ("gain", "path_attribution", "external"):
@@ -213,13 +209,15 @@ def load_config(path: str, overrides: dict[str, str] | None = None) -> PipelineC
 
 
 def _load_splits(cfg: PipelineConfig) -> Splits:
-    """Load the input CSV, drop the configured columns, split it."""
+    """Load the input CSV, drop the configured columns, split it. A column
+    with too many categories for a frame fails before any stage starts."""
     try:
         ds = load_csv(cfg.input, cfg.label_column, cfg.positive_label)
     except FileNotFoundError:
         raise ConfigError(f"input file not found: {cfg.input}") from None
     if cfg.drop_columns:
         ds = drop_columns(ds, cfg.drop_columns)
+    fuzzify.check_categories(ds.schema)
     train_ds, test_ds = split(ds, cfg.split)
     return ds, train_ds, test_ds
 
@@ -345,13 +343,22 @@ def _read_importance(cfg: PipelineConfig,
 def _read_specs(cfg: PipelineConfig, train_ds: ColumnarDataset
                 ) -> tuple[list[fuzzify.MembershipSpec], list[str]]:
     """Specs and skipped columns, checked against the config and train split:
-    each numeric column has one spec or is skipped, and no other is named."""
+    each spec was fitted on the train split, each numeric column has one spec
+    or is skipped, and no other is named."""
     def parse(doc):
         skipped = json_field(doc, "skipped_zero_importance", list, "its body")
         if not all(isinstance(name, str) for name in skipped):
             raise ParseError("skipped_zero_importance must list column names")
         specs = [fuzzify.MembershipSpec.from_dict(d)
                  for d in json_field(doc, "specs", list, "its body")]
+        expected = train_ds.fingerprint()
+        for s in specs:
+            if s.source_fingerprint != expected:
+                raise LineageError(
+                    f"{cfg.artifact('specs')} spec of column {s.column!r} "
+                    f"source lineage mismatch: artifact carries "
+                    f"{s.source_fingerprint[:12]}..., current run expects "
+                    f"{expected[:12]}...")
         named = [s.column for s in specs] + skipped
         numeric = train_ds.numeric_columns()
         for name in dict.fromkeys(named + numeric):
@@ -369,21 +376,14 @@ def _read_specs(cfg: PipelineConfig, train_ds: ColumnarDataset
 
 
 def _encode(ds: ColumnarDataset, specs: list[fuzzify.MembershipSpec],
-            skipped: list[str], train_fp: str) -> fuzzify.BinaryFrame:
+            skipped: list[str]) -> fuzzify.BinaryFrame:
     """Encode one split with the train-fitted specs.
 
     The numeric columns fuzzify skipped are dropped first, so the frame holds
     the items `mine` can find. Train and test rows go through this one path.
     """
-    frame = fuzzify.to_binary_frame(
+    return fuzzify.to_binary_frame(
         drop_columns(ds, skipped) if skipped else ds, specs)
-    # a frame of categorical items only has no spec source
-    if specs and frame.specs_source != train_fp:
-        raise LineageError(
-            f"membership spec source lineage mismatch: artifact carries "
-            f"{frame.specs_source[:12]}..., current run expects "
-            f"{train_fp[:12]}...")
-    return frame
 
 
 def cmd_fuzzify(cfg: PipelineConfig, splits: Splits) -> None:
@@ -422,7 +422,7 @@ def cmd_mine(cfg: PipelineConfig, splits: Splits) -> None:
     _, train_ds, _ = splits
     table = _read_importance(cfg, train_ds)
     specs, skipped = _read_specs(cfg, train_ds)
-    frame = _encode(train_ds, specs, skipped, train_ds.fingerprint())
+    frame = _encode(train_ds, specs, skipped)
 
     db, profits = miner.build_transactions(frame, train_ds.label, table,
                                            mode=cfg.mining.mode)
@@ -443,9 +443,7 @@ def cmd_mine(cfg: PipelineConfig, splits: Splits) -> None:
                  "n_transactions": len(db.transactions),
                  **stats.to_dict(),
                  "lineage": {"config": cfg_fp,
-                             "train_split": train_ds.fingerprint(),
-                             "frame_dataset": frame.dataset_fingerprint,
-                             "specs_source": frame.specs_source}})
+                             "train_split": train_ds.fingerprint()}})
     _write_effective_config(cfg)
     print(f"wrote {cfg.artifact('patterns')} ({len(patterns)} patterns)")
     print(f"wrote {cfg.artifact('patterns_txt')}")
@@ -480,8 +478,7 @@ def cmd_report(cfg: PipelineConfig, splits: Splits) -> None:
     if not patterns:
         raise HafcpError("patterns file contains no patterns to evaluate")
 
-    train_fp = train_ds.fingerprint()
-    frames = [_encode(ds, specs, skipped, train_fp) for ds in (train_ds, test_ds)]
+    frames = [_encode(ds, specs, skipped) for ds in (train_ds, test_ds)]
     columns = [(augment.match_rows(frames[0], p.items),
                 augment.match_rows(frames[1], p.items)) for p in patterns]
     del frames  # before the retrains, which set this step's peak memory

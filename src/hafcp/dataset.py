@@ -62,8 +62,17 @@ class ColumnSchema:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    train_fraction: float = 0.8
+    """The train share of the rows, in (0, 1), and the shuffle seed, >= 0."""
+
+    fraction: float = 0.8
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.fraction < 1.0:
+            raise ConfigError(
+                f"split.fraction must be in (0,1), got {self.fraction}")
+        if self.seed < 0:
+            raise ConfigError(f"split.seed must be >= 0, got {self.seed}")
 
 
 class ColumnarDataset:
@@ -257,14 +266,11 @@ def split(ds: ColumnarDataset, spec: SplitSpec) -> tuple[ColumnarDataset, Column
     The shuffle PRNG (rng.ALGORITHM) is pinned so the same (dataset, spec)
     produces the same partition on every platform. No stratification.
     """
-    if not 0.0 < spec.train_fraction < 1.0:
-        raise ConfigError(
-            f"train_fraction must be in (0,1), got {spec.train_fraction}")
     n = ds.n_rows
     if n < 2:
         raise DatasetTooSmall(f"need at least 2 rows to split, have {n}")
     perm = rng.shuffled_indices(n, spec.seed)
-    n_train = int(spec.train_fraction * n)
+    n_train = int(spec.fraction * n)
     return ds.take(perm[:n_train]), ds.take(perm[n_train:])
 
 

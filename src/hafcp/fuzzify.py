@@ -16,8 +16,8 @@ membership (ties resolve L < M < H), then one-hot encoded next to the
 categorical columns.
 
 All statistics are fitted on the train split only; a MembershipSpec records a
-fingerprint of the split it was fitted on so downstream steps can refuse
-mixed lineages.
+fingerprint of the split it was fitted on, which the CLI checks against the
+train split when it reads the specs.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .errors import (
     DegenerateColumn,
     DuplicateItemName,
     InvalidVertices,
-    LineageError,
     MissingSpec,
     NonpositiveWidth,
     ParseError,
@@ -325,8 +324,6 @@ class BinaryFrame:
     item_sources: list[str]
     rows: np.ndarray
     memberships: np.ndarray
-    dataset_fingerprint: str
-    specs_source: str
 
     @property
     def n_rows(self) -> int:
@@ -345,6 +342,16 @@ def categorical_item_name(column: str, value: str) -> str:
     return f"{column}={value}"
 
 
+def check_categories(schema: list[ColumnSchema]) -> None:
+    """TooManyCategories for the first categorical column of schema with
+    more than MAX_CATEGORIES values."""
+    for col in schema:
+        if (col.kind == CATEGORICAL
+                and len(col.category_map or ()) > MAX_CATEGORIES):
+            raise TooManyCategories(col.name, len(col.category_map),
+                                    MAX_CATEGORIES)
+
+
 def frame_items(schema: list[ColumnSchema], specs: list[MembershipSpec]
                 ) -> tuple[list[str], list[str]]:
     """Item names and source columns of the frame `to_binary_frame` builds.
@@ -352,19 +359,17 @@ def frame_items(schema: list[ColumnSchema], specs: list[MembershipSpec]
     Item order: categorical columns in schema order (each column's categories
     in code order), then numeric columns in schema order with terms L, M, H.
     Every numeric column must have a spec, and no categorical column may
-    have more than MAX_CATEGORIES values. Item names must be unique:
-    categorical "a" with value "b=c" next to categorical "a=b" with value "c"
-    is rejected. Needs no rows, so a caller can validate the items before it
-    encodes anything.
+    have more than MAX_CATEGORIES values (check_categories). Item names must
+    be unique: categorical "a" with value "b=c" next to categorical "a=b"
+    with value "c" is rejected. Needs no rows, so a caller can validate the
+    items before it encodes anything.
     """
+    check_categories(schema)
     fitted = {s.column for s in specs}
     names: list[str] = []
     srcs: list[str] = []
     for col in schema:
         if col.kind == CATEGORICAL:
-            if len(col.category_map or ()) > MAX_CATEGORIES:
-                raise TooManyCategories(col.name, len(col.category_map),
-                                        MAX_CATEGORIES)
             for value in col.category_map or ():
                 names.append(categorical_item_name(col.name, value))
                 srcs.append(col.name)
@@ -388,14 +393,8 @@ def frame_items(schema: list[ColumnSchema], specs: list[MembershipSpec]
 def to_binary_frame(ds: ColumnarDataset, specs: list[MembershipSpec]) -> BinaryFrame:
     """One-hot encode categoricals and fuzzify numerics into a BinaryFrame.
 
-    Items are those of `frame_items`, in its order. All specs must come from
-    the same source split.
+    Items are those of `frame_items`, in its order.
     """
-    sources = {s.source_fingerprint for s in specs}
-    if len(sources) > 1:
-        raise LineageError(
-            f"membership specs fitted on {len(sources)} different splits")
-    specs_source = next(iter(sources)) if sources else ""
     names, srcs = frame_items(ds.schema, specs)
     spec_by_col = {s.column: s for s in specs}
 
@@ -419,9 +418,7 @@ def to_binary_frame(ds: ColumnarDataset, specs: list[MembershipSpec]) -> BinaryF
             j += len(TERMS)
 
     return BinaryFrame(item_names=names, item_sources=srcs, rows=rows,
-                       memberships=memberships,
-                       dataset_fingerprint=ds.fingerprint(),
-                       specs_source=specs_source)
+                       memberships=memberships)
 
 
 def fit_all_memberships(train_ds: ColumnarDataset, alpha: float = 0.05,

@@ -72,7 +72,7 @@ class BoostParams:
     min_child_weight: float = 1.0
     lambda_l2: float = 1.0
 
-    def validate(self) -> "BoostParams":
+    def __post_init__(self) -> None:
         if self.max_depth < 1:
             raise ConfigError(f"max_depth must be >= 1, got {self.max_depth}")
         if not 0.0 < self.learning_rate <= 1.0:
@@ -88,7 +88,6 @@ class BoostParams:
         if not 0.0 <= self.lambda_l2 < math.inf:
             raise ConfigError(
                 f"lambda_l2 must be finite and >= 0, got {self.lambda_l2}")
-        return self
 
 
 @dataclass(frozen=True)
@@ -158,39 +157,35 @@ class Tree:
     def n_nodes(self) -> int:
         return len(self.feature)
 
-    def predict_margin(self, X: np.ndarray) -> np.ndarray:
+    def leaves(self, X: np.ndarray) -> np.ndarray:
+        """Each row's leaf: a split node sends x < threshold left."""
         cur = np.zeros(len(X), dtype=np.int64)
         while True:
-            feat = self.feature[cur]
-            active = np.nonzero(feat >= 0)[0]
+            active = np.flatnonzero(self.feature[cur] >= 0)
             if active.size == 0:
-                break
+                return cur
             nodes = cur[active]
             go_left = X[active, self.feature[nodes]] < self.threshold[nodes]
             cur[active] = np.where(go_left, self.left[nodes], self.right[nodes])
-        return self.weight[cur]
+
+    def predict_margin(self, X: np.ndarray) -> np.ndarray:
+        return self.weight[self.leaves(X)]
 
     def path_contributions(self, X: np.ndarray, n_features: int) -> np.ndarray:
         """Per-row, per-feature Saabas attributions for this tree.
 
         Each split on a row's root-to-leaf path adds (child expected value -
         parent expected value) to the split feature. Row total = leaf weight
-        - root expected value.
+        - root expected value. The sums are taken per node, root first, and
+        each row takes its leaf's.
         """
-        contribs = np.zeros((len(X), n_features), dtype=np.float64)
-        cur = np.zeros(len(X), dtype=np.int64)
-        while True:
-            feat = self.feature[cur]
-            active = np.nonzero(feat >= 0)[0]
-            if active.size == 0:
-                break
-            nodes = cur[active]
-            split_feat = self.feature[nodes]
-            go_left = X[active, split_feat] < self.threshold[nodes]
-            child = np.where(go_left, self.left[nodes], self.right[nodes])
-            contribs[active, split_feat] += self.value[child] - self.value[nodes]
-            cur[active] = child
-        return contribs
+        path = np.zeros((self.n_nodes, n_features), dtype=np.float64)
+        # children always have larger ids than their parent
+        for i in np.flatnonzero(self.feature >= 0):
+            for child in (self.left[i], self.right[i]):
+                path[child] = path[i]
+                path[child, self.feature[i]] += self.value[child] - self.value[i]
+        return path[self.leaves(X)]
 
     def gain_by_feature(self, n_features: int) -> np.ndarray:
         out = np.zeros(n_features, dtype=np.float64)
@@ -278,9 +273,12 @@ class BoostedModel:
         if unknown:
             raise ParseError(f"unknown model params: {unknown}")
         # every field has a default, whose type is the field's
-        params = BoostParams(**{
-            f.name: json_field(raw, f.name, type(f.default), "model params")
-            for f in fields(BoostParams)})
+        try:
+            params = BoostParams(**{
+                f.name: json_field(raw, f.name, type(f.default), "model params")
+                for f in fields(BoostParams)})
+        except ConfigError as e:
+            raise ParseError(f"model params: {e}") from None
         names = json_field(d, "feature_names", list, "model")
         if not all(isinstance(name, str) for name in names):
             raise ParseError("model feature_names must all be strings")
@@ -602,7 +600,6 @@ def train(train_ds: ColumnarDataset, params: BoostParams,
     scratch. The model equals the cold fit's bit for bit. A prefix that
     does not fit these inputs raises PrefixMismatch.
     """
-    params.validate()
     X, names = train_ds.feature_matrix()
     y = train_ds.label.astype(np.float64)
     n = len(y)
@@ -816,12 +813,3 @@ def save_model(model: BoostedModel, path: str, lineage: dict | None = None) -> N
     if lineage is not None:
         doc["lineage"] = jsonable(lineage)
     atomic_write_text(path, json.dumps(doc, indent=1) + "\n")
-
-
-def load_model(path: str) -> BoostedModel:
-    with text_file(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{path}: {e}") from None
-    return BoostedModel.from_dict(doc)

@@ -138,13 +138,13 @@ class TransactionDB:
 
 @dataclass(frozen=True)
 class MiningConfig:
-    k: int
+    k: int = 5
     min_length: int = 2
     max_length: int | None = None
     mode: str = BINARY
     algorithm: str = "exact"
 
-    def validate(self) -> "MiningConfig":
+    def __post_init__(self) -> None:
         if self.k < 1:
             raise ConfigError(f"mining k must be >= 1, got {self.k}")
         if self.min_length < 1:
@@ -156,7 +156,6 @@ class MiningConfig:
             raise ConfigError(f"unknown mining mode {self.mode!r}")
         if self.algorithm not in ("exact", "beam"):
             raise ConfigError(f"unknown mining algorithm {self.algorithm!r}")
-        return self
 
 
 @dataclass
@@ -369,7 +368,6 @@ def mine_topk(db: TransactionDB, pt: dict[str, float], cfg: MiningConfig,
 
     When given, stats receives the search's work counts.
     """
-    cfg.validate()
     if cfg.mode != db.mode:
         raise ConfigError(
             f"config mode {cfg.mode!r} != database mode {db.mode!r}")

@@ -69,8 +69,7 @@ def build_tiny_frame() -> tuple[BinaryFrame, np.ndarray]:
         mems[r, j] = sp_mu
     frame = BinaryFrame(item_names=list(TINY_ITEMS),
                         item_sources=list(TINY_SOURCES),
-                        rows=rows, memberships=mems,
-                        dataset_fingerprint="", specs_source="")
+                        rows=rows, memberships=mems)
     return frame, labels
 
 

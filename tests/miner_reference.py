@@ -39,7 +39,6 @@ class TooManyItemsForOracle(HafcpError):
 def brute_force_topk(db: TransactionDB, pt: dict[str, float],
                      cfg: MiningConfig) -> list[Pattern]:
     """Exhaustive enumeration oracle with the same sort and tie rules."""
-    cfg.validate()
     if len(db.items) > 20:
         raise TooManyItemsForOracle(
             f"{len(db.items)} items; the oracle enumerates at most 2^20 itemsets")

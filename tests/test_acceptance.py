@@ -294,7 +294,7 @@ def test_criterion_10_determinism(planted_run):
 # recursive per-node grower that tests/gbdt_reference.py keeps as the oracle
 PLANTED_SHA256 = {
     "model": "3184d0ffaf37cad79ea0f32187486b8ed7b3275931b6aa2afbef6b980dad8b00",
-    "report": "e363c9bf8fc22997cf6c86a18eb8e9f5d54440b3ef9242d30453cf62297b4aca",
+    "report": "bafdf2c89d7ccccd8c52dbe8aa7fa36e75dc5be9725d48028832c7061319f0ee",
 }
 
 

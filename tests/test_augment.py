@@ -36,8 +36,7 @@ def tiny_splits(tiny_csv, fraction=0.8):
 def encoded_splits(train_ds, test_ds, skip=()):
     """Both splits encoded as the report encodes them: train-fitted specs."""
     specs, _ = fuzzify.fit_all_memberships(train_ds, skip=set(skip))
-    return [cli._encode(ds, specs, list(skip), train_ds.fingerprint())
-            for ds in (train_ds, test_ds)]
+    return [cli._encode(ds, specs, list(skip)) for ds in (train_ds, test_ds)]
 
 
 def pattern_columns(train_ds, test_ds, patterns):

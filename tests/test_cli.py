@@ -11,9 +11,8 @@ import pytest
 
 import hafcp
 from hafcp import augment, cli, fuzzify
-from hafcp.dataset import SplitSpec, drop_columns, load_csv, split
-from hafcp.errors import LineageError, SingleClassTraining
-from hafcp.gbdt import load_model
+from hafcp.errors import SingleClassTraining
+from hafcp.gbdt import BoostedModel
 
 from conftest import TINY_CSV
 
@@ -58,6 +57,11 @@ def make_project(tmp_path, config_extra=None, csv_text=TINY_CSV,
 
 def artifact(out_dir, name):
     return os.path.join(out_dir, cli.ARTIFACTS[name])
+
+
+def read_model(out_dir):
+    with open(artifact(out_dir, "model"), encoding="utf-8") as f:
+        return BoostedModel.from_dict(json.load(f))
 
 
 def without_lineage(text):
@@ -175,68 +179,76 @@ def with_extra_spec(column):
     return edit
 
 
-# (artifact, the step that reads it, the edit of its text, text the error
-# must hold besides the file): corrupt bodies, under lineage that names this
-# run where the body still has a lineage
+def corrupt(name, cmd, edit, detail, id, error="ParseError"):
+    return pytest.param(name, cmd, edit, error, detail, id=id)
+
+
+# (artifact, the step that reads it, the edit of its text, the error's class,
+# text the error must hold besides the file): corrupt bodies, under lineage
+# that names this run where the body still has a lineage
 CORRUPT_BODIES = [
-    pytest.param("specs", "mine", with_key("specs.0.alpha", ...), "",
-                 id="spec-no-alpha"),
-    pytest.param("specs", "mine", with_key("specs.0.low", [1.0]),
-                 "column 'Age' term 'low': must hold",
-                 id="spec-short-low"),
-    pytest.param("specs", "mine", with_key("specs.0.family", "cubic"),
-                 "column 'Age': family must be one of",
-                 id="spec-unknown-family"),
-    pytest.param("specs", "report", with_key("specs", {"a": 1}), "",
-                 id="specs-not-a-list"),
-    pytest.param("specs", "mine",
-                 with_spec(family="triangular", low=[0.0, 0.0, 5.0],
-                           medium=[5.0, 0.0, 10.0], high=[5.0, 10.0, 10.0]),
-                 "column 'Age' term 'medium': need a <= b <= c",
-                 id="spec-unordered-vertices"),
-    pytest.param("specs", "mine",
-                 with_spec(family="gaussian", low=[0.0, 1.0],
-                           medium=[1.0, 0.0], high=[2.0, 1.0]),
-                 "column 'Age' term 'medium': width must be positive",
-                 id="spec-zero-width"),
-    pytest.param("specs", "mine", with_extra_spec("Shop Location"),
-                 "column 'Shop Location' is not a numeric column",
-                 id="spec-for-categorical"),
-    pytest.param("specs", "mine",
-                 with_key("skipped_zero_importance", ["Shop Location"]),
-                 "column 'Shop Location' is not a numeric column",
-                 id="skipped-categorical"),
-    pytest.param("specs", "report",
-                 with_key("skipped_zero_importance", ["Region"]),
-                 "column 'Region' is not a numeric column",
-                 id="skipped-unknown"),
-    pytest.param("specs", "mine", with_extra_spec("Age"),
-                 "column 'Age' has 2 entries", id="spec-twice"),
-    pytest.param("specs", "report",
-                 with_key("skipped_zero_importance", ["Age"]),
-                 "column 'Age' has 2 entries", id="spec-and-skipped"),
-    pytest.param("specs", "mine", with_key("specs.0", ...),
-                 "column 'Age' has 0 entries", id="spec-missing"),
-    pytest.param("baseline", "report", with_key("metrics.auc", "x"), "",
-                 id="auc-text"),
-    pytest.param("baseline", "report", with_key("metrics.f1", None), "",
-                 id="f1-null"),
-    pytest.param("baseline", "report", with_key("metrics", ...), "",
-                 id="baseline-no-metrics"),
-    pytest.param("baseline", "report", with_key("metrics.auc", ...), "",
-                 id="baseline-no-auc"),
-    pytest.param("baseline", "report", lambda text: text[:40], "",
-                 id="baseline-cut"),
-    pytest.param("baseline", "report", lambda text: "[1]", "",
-                 id="baseline-list-root"),
-    pytest.param("model", "report", with_key("trees", ...), "",
-                 id="model-no-trees"),
-    pytest.param("model", "report", with_key("params", ...), "",
-                 id="model-no-params"),
-    pytest.param("model", "report", with_key("trees.0.weight", []), "",
-                 id="tree-lengths"),
-    pytest.param("model", "report", with_key("trees.0.cover", ["8"]), "",
-                 id="tree-cover-text"),
+    corrupt("specs", "mine", with_key("specs.0.alpha", ...), "",
+            id="spec-no-alpha"),
+    corrupt("specs", "mine", with_key("specs.0.low", [1.0]),
+            "column 'Age' term 'low': must hold",
+            id="spec-short-low"),
+    corrupt("specs", "mine", with_key("specs.0.family", "cubic"),
+            "column 'Age': family must be one of",
+            id="spec-unknown-family"),
+    corrupt("specs", "report", with_key("specs", {"a": 1}), "",
+            id="specs-not-a-list"),
+    corrupt("specs", "mine",
+            with_spec(family="triangular", low=[0.0, 0.0, 5.0],
+                      medium=[5.0, 0.0, 10.0], high=[5.0, 10.0, 10.0]),
+            "column 'Age' term 'medium': need a <= b <= c",
+            id="spec-unordered-vertices"),
+    corrupt("specs", "mine",
+            with_spec(family="gaussian", low=[0.0, 1.0],
+                      medium=[1.0, 0.0], high=[2.0, 1.0]),
+            "column 'Age' term 'medium': width must be positive",
+            id="spec-zero-width"),
+    corrupt("specs", "mine", with_extra_spec("Shop Location"),
+            "column 'Shop Location' is not a numeric column",
+            id="spec-for-categorical"),
+    corrupt("specs", "mine",
+            with_key("skipped_zero_importance", ["Shop Location"]),
+            "column 'Shop Location' is not a numeric column",
+            id="skipped-categorical"),
+    corrupt("specs", "report",
+            with_key("skipped_zero_importance", ["Region"]),
+            "column 'Region' is not a numeric column",
+            id="skipped-unknown"),
+    corrupt("specs", "mine", with_extra_spec("Age"),
+            "column 'Age' has 2 entries", id="spec-twice"),
+    corrupt("specs", "report",
+            with_key("skipped_zero_importance", ["Age"]),
+            "column 'Age' has 2 entries", id="spec-and-skipped"),
+    corrupt("specs", "mine", with_key("specs.0", ...),
+            "column 'Age' has 0 entries", id="spec-missing"),
+    corrupt("baseline", "report", with_key("metrics.auc", "x"), "",
+            id="auc-text"),
+    corrupt("baseline", "report", with_key("metrics.f1", None), "",
+            id="f1-null"),
+    corrupt("baseline", "report", with_key("metrics", ...), "",
+            id="baseline-no-metrics"),
+    corrupt("baseline", "report", with_key("metrics.auc", ...), "",
+            id="baseline-no-auc"),
+    corrupt("baseline", "report", lambda text: text[:40], "",
+            id="baseline-cut"),
+    corrupt("baseline", "report", lambda text: "[1]", "",
+            id="baseline-list-root"),
+    corrupt("model", "report", with_key("trees", ...), "",
+            id="model-no-trees"),
+    corrupt("model", "report", with_key("params", ...), "",
+            id="model-no-params"),
+    corrupt("model", "report", with_key("trees.0.weight", []), "",
+            id="tree-lengths"),
+    corrupt("model", "report", with_key("trees.0.cover", ["8"]), "",
+            id="tree-cover-text"),
+    corrupt("model", "report", with_key("params.max_depth", 0),
+            "max_depth must be >= 1", id="model-max-depth-0"),
+    corrupt("specs", "mine", with_spec(source_fingerprint="0" * 64),
+            "column 'Age'", error="LineageError", id="spec-foreign-source"),
 ]
 
 # (the key of model.json edited, its new value): a model that is not this
@@ -278,7 +290,7 @@ def encoded_train_split(cfg_path):
     cfg = cli.load_config(cfg_path)
     _, train_ds, _ = cli._load_splits(cfg)
     specs, skipped = cli._read_specs(cfg, train_ds)
-    return cli._encode(train_ds, specs, skipped, train_ds.fingerprint())
+    return cli._encode(train_ds, specs, skipped)
 
 
 class TestConfigHandling:
@@ -399,7 +411,7 @@ class TestTrain:
     def test_writes_model_importance_baseline(self, tmp_path):
         cfg_path, out = make_project(tmp_path)
         assert cli.main(["train", "--config", cfg_path]) == 0
-        model = load_model(artifact(out, "model"))
+        model = read_model(out)
         assert model.feature_names == ["Shop Location", "Age", "Spending"]
         imp = open(artifact(out, "importance")).read()
         assert imp.startswith("feature,score\n")
@@ -537,21 +549,22 @@ class TestFuzzify:
 
     def test_id_like_categorical_column_writes_no_specs(self, tmp_path,
                                                         capsys):
-        # a text identifier left out of drop_columns: one value per row
+        # a text identifier left out of drop_columns: one value per row;
+        # every step refuses it before it fits or writes anything
         rows = "\n".join(f"acct{i},{i % 7},{i % 2}"
                          for i in range(fuzzify.MAX_CATEGORIES + 1))
         cfg_path, out = make_project(
             tmp_path, config_extra={"drop_columns": []},
             csv_text="Account,x,Churn\n" + rows + "\n",
             importance_text="feature,score\nAccount,0.5\nx,1.0\n")
-        assert cli.main(["train", "--config", cfg_path]) == 0
-        capsys.readouterr()
-        assert cli.main(["fuzzify", "--config", cfg_path]) == 2
-        err = capsys.readouterr().err
-        assert "error[TooManyCategories]" in err
-        assert "'Account' has 1001 distinct values" in err
-        assert "drop_columns" in err
-        assert not os.path.exists(artifact(out, "specs"))
+        for cmd in cli._COMMANDS:
+            capsys.readouterr()
+            assert cli.main([cmd, "--config", cfg_path]) == 2, cmd
+            err = capsys.readouterr().err
+            assert err.startswith("error[TooManyCategories]"), err
+            assert "'Account' has 1001 distinct values" in err
+            assert "drop_columns" in err
+        assert not os.path.exists(out)
 
     def test_constant_numeric_column_fails_loudly(self, tmp_path, capsys):
         rows = "\n".join(f"r{i},{i},5.0,{i % 2}" for i in range(10))
@@ -686,9 +699,9 @@ class TestMineAndReport:
         err = capsys.readouterr().err
         assert cli.ARTIFACTS[name] in err and message in err
 
-    @pytest.mark.parametrize("name, cmd, edit, detail", CORRUPT_BODIES)
+    @pytest.mark.parametrize("name, cmd, edit, error, detail", CORRUPT_BODIES)
     def test_corrupt_artifact_body_exits_2(self, tmp_path, capsys, name, cmd,
-                                           edit, detail):
+                                           edit, error, detail):
         cfg_path, out = make_project(tmp_path)
         self.run_through(cfg_path, "train", "fuzzify", "mine")
         path = Path(artifact(out, name))
@@ -697,7 +710,7 @@ class TestMineAndReport:
         capsys.readouterr()
         assert cli.main([cmd, "--config", cfg_path]) == 2
         err = capsys.readouterr().err
-        assert "error[ParseError]" in err and cli.ARTIFACTS[name] in err
+        assert f"error[{error}]" in err and cli.ARTIFACTS[name] in err
         assert detail in err, err
         assert not os.path.exists(artifact(out, "report"))
 
@@ -763,7 +776,7 @@ class TestMineAndReport:
             importance_text="feature,score\nShop Location,1.0\nAge,0\nSpending,0\n")
         self.run_through(cfg_path, "train", "fuzzify", "mine")
         meta = json.load(open(artifact(out, "patterns_meta")))
-        assert meta["lineage"]["specs_source"] == ""
+        assert set(meta["lineage"]) == {"config", "train_split"}
         assert meta["n_items"] > 0
 
     def test_stale_frame_json_ignored(self, tmp_path):
@@ -872,7 +885,7 @@ class TestPipelineCommand:
         assert cli.main(["train", "--config", cfg_path]) == 0
         with open(artifact(out, "baseline"), encoding="utf-8") as f:
             doc = json.load(f)
-        model = load_model(artifact(out, "model"))
+        model = read_model(out)
         assert doc["trees"] == len(model.trees) == 5
         assert doc["nodes"] == sum(t.n_nodes for t in model.trees)
         assert doc["split_candidates"] > 0
@@ -909,16 +922,6 @@ class TestPipelineCommand:
         assert cli.main(["report", "--config", cfg_path]) == 2
         assert "SingleClassTraining" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
-
-
-class TestEncode:
-    def test_foreign_specs_rejected(self, tiny_csv):
-        full = drop_columns(load_csv(tiny_csv, "Churn", "1"), ["ID"])
-        train_ds, test_ds = split(full, SplitSpec(0.8, 0))
-        specs, _ = fuzzify.fit_all_memberships(full)  # not the train split
-        for ds in (train_ds, test_ds):
-            with pytest.raises(LineageError):
-                cli._encode(ds, specs, [], train_ds.fingerprint())
 
 
 def _src_env():

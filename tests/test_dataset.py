@@ -337,10 +337,13 @@ class TestSplit:
         assert not np.array_equal(a.columns["Age"], b.columns["Age"])
 
     @pytest.mark.parametrize("frac", [0.0, 1.0, -0.2, 1.5])
-    def test_bad_fraction(self, tiny_csv, frac):
-        ds = dataset.load_csv(tiny_csv, "Churn", "1")
-        with pytest.raises(ConfigError):
-            dataset.split(ds, SplitSpec(frac, 0))
+    def test_bad_fraction(self, frac):
+        with pytest.raises(ConfigError, match="split.fraction"):
+            SplitSpec(fraction=frac)
+
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="split.seed"):
+            SplitSpec(seed=-1)
 
     def test_too_small(self, tmp_path):
         path = write_csv(tmp_path, "a,Churn\n1,0\n")

@@ -12,7 +12,6 @@ from hafcp.errors import (
     DegenerateColumn,
     DuplicateItemName,
     InvalidVertices,
-    LineageError,
     MissingSpec,
     NonpositiveWidth,
     ParseError,
@@ -281,7 +280,6 @@ class TestBinaryFrame:
         assert frame.item_names[13:16] == ["Age_L", "Age_M", "Age_H"]
         assert frame.item_sources[13:16] == ["Age"] * 3
         assert frame.rows.dtype == np.uint8
-        assert frame.dataset_fingerprint == ds.fingerprint()
         assert fuzzify.frame_items(ds.schema, specs) == \
             (frame.item_names, frame.item_sources)
 
@@ -342,15 +340,6 @@ class TestBinaryFrame:
             to_binary_frame(ds, without_age)
         assert "Age" in str(exc.value)
 
-    def test_mixed_spec_lineage_rejected(self, tiny_csv):
-        ds = load_csv(tiny_csv, "Churn", "1")
-        specs, _ = fit_all_memberships(ds)
-        forged = [specs[0],
-                  MembershipSpec.from_dict({**specs[1].to_dict(),
-                                            "source_fingerprint": "other"})]
-        with pytest.raises(LineageError):
-            to_binary_frame(ds, forged)
-
     def test_no_numeric_columns(self):
         y = np.array([0, 1])
         ds = ColumnarDataset(
@@ -359,7 +348,6 @@ class TestBinaryFrame:
             {"c": np.array([0, 1]), "y": y}, y)
         frame = to_binary_frame(ds, [])
         assert frame.item_names == ["c=a", "c=b"]
-        assert frame.specs_source == ""
 
 
 class TestFitAllMemberships:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -125,20 +126,20 @@ class TestTraining:
         assert np.all(p == p[0])
 
     @pytest.mark.parametrize("bad", [
-        BoostParams(max_depth=0),
-        BoostParams(learning_rate=0.0),
-        BoostParams(learning_rate=1.5),
-        BoostParams(n_estimators=0),
-        BoostParams(min_child_weight=-1.0),
-        BoostParams(lambda_l2=-0.1),
-        BoostParams(min_child_weight=float("nan")),
-        BoostParams(min_child_weight=float("inf")),
-        BoostParams(lambda_l2=float("nan")),
-        BoostParams(lambda_l2=float("inf")),
+        {"max_depth": 0},
+        {"learning_rate": 0.0},
+        {"learning_rate": 1.5},
+        {"n_estimators": 0},
+        {"min_child_weight": -1.0},
+        {"lambda_l2": -0.1},
+        {"min_child_weight": float("nan")},
+        {"min_child_weight": float("inf")},
+        {"lambda_l2": float("nan")},
+        {"lambda_l2": float("inf")},
     ])
     def test_param_validation(self, bad):
         with pytest.raises(ConfigError):
-            bad.validate()
+            BoostParams(**bad)
 
 
 class TestPrediction:
@@ -208,6 +209,20 @@ class TestAttributions:
         p0 = gbdt.predict_proba(gbdt.train(base, params), base)
         p1 = gbdt.predict_proba(gbdt.train(widened, params), widened)
         assert np.array_equal(p0, p1)
+
+    def test_planted_attributions_characterization(self):
+        # bits of the planted table's bias, contributions and path
+        # attribution scores under the default params
+        ds = planted_dataset()
+        model = gbdt.train(ds, BoostParams())
+        bias, contribs = gbdt.predict_contributions(model, ds)
+        assert repr(bias) == "-3.896001942125744"
+        assert hashlib.sha256(contribs.tobytes()).hexdigest() == (
+            "7f307274c2f1a98fa2c53b771a8256ef9c744bf7894bdef41acb8e327a37bf1a")
+        table = gbdt.importance(model, ds, "path_attribution")
+        assert {k: repr(v) for k, v in table.scores.items()} == {
+            "Region": "0.2980635016728999", "UsageA": "2.1063718504283817",
+            "SpendB": "1.7539555405997553", "NoiseC": "0.7400152295600078"}
 
 
 class TestImportance:
@@ -310,7 +325,8 @@ class TestModelIo:
         model = gbdt.train(ds, BoostParams(n_estimators=7))
         path = str(tmp_path / "model.json")
         gbdt.save_model(model, path, lineage={"dataset": "fp"})
-        loaded = gbdt.load_model(path)
+        with open(path, encoding="utf-8") as f:
+            loaded = BoostedModel.from_dict(json.load(f))
         assert np.array_equal(gbdt.predict_margin(model, ds),
                               gbdt.predict_margin(loaded, ds))
         assert loaded.to_dict() == model.to_dict()
@@ -324,28 +340,18 @@ class TestModelIo:
         doc = json.loads(open(path).read())
         assert doc["lineage"] == {"dataset": "fp123"}
 
-    def test_wrong_format_rejected(self, tmp_path):
-        p = tmp_path / "model.json"
-        p.write_text('{"format": "other"}')
+    def test_wrong_format_rejected(self):
         with pytest.raises(ParseError):
-            gbdt.load_model(str(p))
+            BoostedModel.from_dict({"format": "other"})
 
-    def test_params_of_an_older_version_rejected(self, tmp_path):
+    def test_params_of_an_older_version_rejected(self):
         # model.json written while BoostParams still had a seed field
         model = gbdt.train(make_ds([[1.0], [2.0], [3.0], [4.0]], [0, 0, 1, 1]),
                            STUMP)
         doc = model.to_dict()
         doc["params"]["seed"] = 0
-        p = tmp_path / "model.json"
-        p.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match="seed"):
-            gbdt.load_model(str(p))
-
-    def test_garbage_rejected(self, tmp_path):
-        p = tmp_path / "model.json"
-        p.write_text("not json")
-        with pytest.raises(ParseError):
-            gbdt.load_model(str(p))
+            BoostedModel.from_dict(doc)
 
 
 def model_doc():
@@ -391,6 +397,7 @@ class TestModelFromDict:
         (("trees", 0), [], "object"),
         (("trees", 0, "right"), [1, -1, -1], "node 1 is the child of 2"),
         (("trees", 0, "left"), [2, -1, -1], "node 1 is the child of 0"),
+        (("params", "max_depth"), 0, "max_depth must be >= 1"),
     ])
     def test_corrupt_model_rejected(self, path, value, words):
         with pytest.raises(ParseError, match=words):

@@ -238,15 +238,15 @@ class TestMineTopK:
         assert mine_topk(db, pt, cfg) == mine_topk(db, pt, cfg)
 
     @pytest.mark.parametrize("bad", [
-        MiningConfig(k=0),
-        MiningConfig(k=1, min_length=0),
-        MiningConfig(k=1, min_length=3, max_length=2),
-        MiningConfig(k=1, mode="ternary"),
-        MiningConfig(k=1, algorithm="genetic"),
+        {"k": 0},
+        {"k": 1, "min_length": 0},
+        {"k": 1, "min_length": 3, "max_length": 2},
+        {"k": 1, "mode": "ternary"},
+        {"k": 1, "algorithm": "genetic"},
     ])
     def test_config_validation(self, bad):
         with pytest.raises(ConfigError):
-            bad.validate()
+            MiningConfig(**bad)
 
 
 class TestOracleAgreement:
@@ -494,8 +494,7 @@ def structured_frames(draw, max_columns=5, max_rows=30):
     profit = st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.01, 3.0)
     scores = {f"c{c}": draw(profit) for c in range(n_cols)}
     frame = BinaryFrame(item_names=names, item_sources=sources, rows=rows,
-                        memberships=mems, dataset_fingerprint="",
-                        specs_source="")
+                        memberships=mems)
     return frame, labels, ImportanceTable("external", scores)
 
 
