@@ -13,12 +13,18 @@ ensemble is bit-identical on every platform. Ties in the split search break
 toward the lowest feature index, then the lowest threshold.
 
 Trees grow level by level: one argsort per feature orders every node of a
-level at once, over x ranks computed once per train(). The floating-point
-arithmetic is that of a per-node search, so the bits do not depend on the
-batching: within a node, equal x values keep the node's row order (a
-child's row order is its parent's order by the winning feature); cumsums
-run left to right per node and feature; node totals and leaf weights use
-numpy's pairwise sum over the node's rows in that order.
+level at once, over x ranks computed once per train(). While the keys
+node·n_rank + rank fit 16 bits, that is a stable radix sort of uint16 keys;
+otherwise an int64 sort of keys that also pack the position. Gains are
+scored on the whole (feature, slot) grid of a level, and the slots that
+are no admissible cut score -inf. The floating-point arithmetic is that of
+a per-node search, so the bits do not depend on the batching: within a
+node, equal x values keep the node's row order (a child's row order is its
+parent's order by the winning feature); cumsums run left to right per node
+and feature; node totals and leaf weights use numpy's pairwise sum over the
+node's rows in that order. The margins move by each row's leaf weight in
+the fit's own partition; only a tree whose threshold overflowed to inf,
+where prediction routes rows otherwise, is applied through prediction.
 
 A fit can start from a model fitted with the same params on the leading
 columns (train's `prefix`, the baseline before pattern columns were
@@ -292,12 +298,10 @@ class BoostedModel:
 
 
 def _sigmoid(m: np.ndarray) -> np.ndarray:
-    out = np.empty_like(m, dtype=np.float64)
-    pos = m >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-m[pos]))
-    e = np.exp(m[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # 1/(1+e^-m) where m >= 0, e^m/(1+e^m) below (NaN too): exp never
+    # overflows
+    e = np.exp(np.minimum(m, -m))
+    return np.where(m >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _log_loss(y: np.ndarray, p: np.ndarray) -> float:
@@ -306,9 +310,14 @@ def _log_loss(y: np.ndarray, p: np.ndarray) -> float:
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
-# Sort keys pack (node, x rank, position) into one int64; they stay below
-# n**3, which must be < 2**63.
+# A level whose keys exceed 16 bits (see _node_order) is ordered by int64
+# keys that pack (node, x rank, position); they stay below n**3, which must
+# be < 2**63.
 MAX_TRAIN_ROWS = 2_097_151
+# x ranks are stored as uint16 while no column has more distinct values
+# than this, and a level is ordered by a radix sort of 16-bit keys while
+# its nodes times its largest rank count stay within it.
+RADIX_KEYS = 1 << 16
 
 
 @dataclass
@@ -334,240 +343,313 @@ class TrainStats:
                 "split_candidates": self.split_candidates}
 
 
-def _node_order(node: np.ndarray, rank: np.ndarray, n_rank) -> np.ndarray:
+def _node_order(node: np.ndarray, rank: np.ndarray,
+                n_rank: np.ndarray) -> np.ndarray:
     """Level positions node by node, each node's by (x rank, position).
 
     node holds each position's node index, in ascending order; rank the x
-    rank at each position, one row per feature or a single row; n_rank
+    rank at each position, one row per feature; n_rank, one per row,
     exceeds every rank in its row. This is the order in which a node's
     children receive its rows, so it defines how equal x values tie.
+
+    A stable sort of the keys node·n_rank + rank over the positions in
+    order gives it; while the keys fit 16 bits, numpy sorts them by radix.
+    Otherwise the position is packed into a unique int64 key, which any
+    sort orders alike.
     """
     N = node.shape[-1]
-    # the keys are unique, so any sort gives this stable order
-    return np.argsort((node * n_rank + rank) * N + np.arange(N), axis=-1)
+    n_nodes = int(node[-1]) + 1
+    if rank.dtype == np.uint16 and n_nodes * n_rank.max() <= RADIX_KEYS:
+        if n_nodes > 1:  # node 0 alone needs no key
+            rank = (node.astype(np.uint16)
+                    * n_rank.astype(np.uint16)[:, None] + rank)
+        return rank.argsort(axis=-1, kind="stable")
+    key = (node * n_rank[:, None] + rank) * N + np.arange(N)
+    return key.argsort(axis=-1)
 
 
-def _search_level(Xt, ranks, n_ranks, gh_rows, parts, lam, min_child_weight,
-                  stats: TrainStats):
+def _sort_level(Xt, ranks, n_ranks, rows, sizes):
+    """One level's rows in _node_order per feature, and their x values.
+
+    rows holds the level's rows node by node, each node's in node-position
+    order, and sizes each node's row count. Returns the sorted rows, their x
+    values and the cuts, each one row per feature: slot p is a cut where x
+    rises from sorted slot p to p+1 of one node.
+    """
+    F, n = Xt.shape
+    node = np.arange(len(sizes)).repeat(sizes)
+    sorted_rows = rows.take(_node_order(node, ranks.take(rows, axis=1),
+                                        n_ranks))
+    xs = Xt.take(sorted_rows + (np.arange(F) * n)[:, None])
+    cuts = np.empty(xs.shape, dtype=bool)
+    np.less(xs[:, :-1], xs[:, 1:], out=cuts[:, :-1])
+    cuts[:, sizes.cumsum() - 1] = False
+    return sorted_rows, xs, cuts
+
+
+def _search_level(Xt, ranks, n_ranks, gh_rows, rows, sizes, totals, lam,
+                  min_child_weight, stats: TrainStats, sorted_level=None):
     """Exact greedy split search for all nodes of one level at once.
 
-    parts holds each node's rows in node-position order. Returns, per node,
-    (G, H, split) with G and H the node's gradient and hessian sums and split
-    either None or (gain, feature, threshold, left rows, right rows).
+    rows holds the level's rows node by node, each node's in node-position
+    order; sizes holds each node's row count and totals its gradient and
+    hessian sums; sorted_level, if given, is _sort_level's result for them.
+    Returns, per node, the best gain (-inf if no cut is admissible), its
+    feature, threshold (where the gain is positive) and number of left rows,
+    and the level's rows with each node's in the order of its best feature,
+    left rows first.
 
     The arithmetic is that of a per-node search (one stable argsort and two
     cumsums per feature): within a node, equal x values keep node-position
-    order, cumsums run left to right per node and feature, and G, H are
-    pairwise sums in node-position order. The winner is the first maximum
-    in (feature, cut) order and must be strictly positive.
+    order and cumsums run left to right per node and feature. The winner is
+    the first maximum in (feature, cut) order and must be strictly positive.
     """
-    F, n = Xt.shape
-    k = len(parts)
-    sizes = np.array([len(p) for p in parts], dtype=np.int64)
-    start = np.cumsum(sizes) - sizes
-    rows = np.concatenate(parts)
     N = len(rows)
-    node = np.repeat(np.arange(k), sizes)
-    sorted_rows = rows[_node_order(node, ranks[:, rows], n_ranks[:, None])]
-    xs = np.take(Xt, sorted_rows + (np.arange(F) * n)[:, None])
-    gh = np.take(gh_rows, sorted_rows, axis=1)
-    # C order matters: a sum along the contiguous axis is numpy's pairwise
-    # sum, the same bits as g[rows].sum(); gh_rows[:, rows] would be strided
-    gh_pos = np.take(gh_rows, rows, axis=1)
+    sorted_rows, xs, cuts = sorted_level or _sort_level(Xt, ranks, n_ranks,
+                                                        rows, sizes)
+    stop = sizes.cumsum()
+    start = stop - sizes
+    cum = gh_rows.take(sorted_rows, axis=1)
+    for a, b in zip(start.tolist(), stop.tolist()):
+        if b - a > 1:
+            np.add.accumulate(cum[:, :, a:b], axis=2, out=cum[:, :, a:b])
 
-    cum = np.empty_like(gh)
-    totals = np.empty((2, k))
-    for j in range(k):
-        a, b = start[j], start[j] + sizes[j]
-        np.cumsum(gh[:, :, a:b], axis=2, out=cum[:, :, a:b])
-        totals[:, j] = gh_pos[:, a:b].sum(axis=1)
-
-    # cut f*N + p: x rises from sorted slot p to p+1 of the same node
-    rises = np.zeros((F, N), dtype=bool)
-    np.less(xs[:, :-1], xs[:, 1:], out=rises[:, :-1])
-    rises[:, start + sizes - 1] = False
-    cut = np.flatnonzero(rises)
-    stats.split_candidates += len(cut)
-    left = np.take(cum.reshape(2, -1), cut, axis=1)
-    node_totals = np.take(totals, node[cut % N], axis=1)
-    right = node_totals - left
-    gl, hl = left
-    gr, hr = right
-    g_sum, h_sum = node_totals
-    gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam)
-                   - g_sum * g_sum / (h_sum + lam))
-    gains[~((hl >= min_child_weight) & (hr >= min_child_weight))] = -np.inf
-    score = np.full(F * N, -np.inf)
-    score[cut] = gains
+    # every (feature, slot) is scored, each with the operations of a
+    # per-node search, and slots that are no admissible cut score -inf
+    stats.split_candidates += int(np.count_nonzero(cuts))
+    gl, hl = cum
+    g_sum, h_sum = totals
+    g_node, h_node = totals.repeat(sizes, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gr = g_node - gl
+        hr = h_node - hl
+        valid = hl >= min_child_weight
+        valid &= hr >= min_child_weight
+        valid &= cuts
+        # 0.5 * (gl*gl/(hl+lam) + gr*gr/(hr+lam) - G*G/(H+lam)), in place
+        score = np.multiply(gl, gl, out=gl)
+        hl += lam
+        score /= hl
+        gr *= gr
+        hr += lam
+        gr /= hr
+        score += gr
+        score -= (g_sum * g_sum / (h_sum + lam)).repeat(sizes)
+        score *= 0.5
+    np.copyto(score, -np.inf, where=~valid)
 
     # first maximum per node in (feature, cut) order; a NaN gain takes its
     # whole (feature, node) row out of the race
-    row_best = np.maximum.reduceat(score.reshape(F, N), start, axis=1)
+    row_best = np.maximum.reduceat(score, start, axis=1)
     row_best[np.isnan(row_best)] = -np.inf
     best = row_best.max(axis=0)
-    f_best = np.argmax(row_best == best, axis=0)
-    hits = np.flatnonzero(score[f_best[node] * N + np.arange(N)] == best[node])
-    p_best = hits[np.searchsorted(hits, start)]
-    out = []
-    for j in range(k):
-        split = None
-        if best[j] > 0:
-            f, p = f_best[j], p_best[j]
-            lo, hi = xs[f, p], xs[f, p + 1]
-            thr = (lo + hi) / 2.0
-            if not thr > lo:  # adjacent floats: keep the partition honest
-                thr = hi
-            split = (float(best[j]), int(f), float(thr),
-                     sorted_rows[f, start[j]:p + 1],
-                     sorted_rows[f, p + 1:start[j] + sizes[j]])
-        out.append((totals[0, j], totals[1, j], split))
-    return out
+    f_best = (row_best == best).argmax(axis=0)
+    at = (f_best * N).repeat(sizes) + np.arange(N)
+    hits = (score.take(at) == best.repeat(sizes)).nonzero()[0]
+    p_best = hits[hits.searchsorted(start)]
+    split = best > 0
+    threshold = np.zeros(len(sizes))
+    lo_at = at[p_best[split]]
+    lo = xs.take(lo_at)
+    hi = xs.take(lo_at + 1)
+    thr = (lo + hi) / 2.0
+    # adjacent floats: keep the partition honest
+    threshold[split] = np.where(thr > lo, thr, hi)
+    return best, f_best, threshold, p_best + 1 - start, sorted_rows.take(at)
 
 
-def _same(a, b) -> bool:
-    """Whether two floats serialize alike: -0.0 is not 0.0, NaN is NaN."""
-    return repr(float(a)) == repr(float(b))
+def _same(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether floats serialize alike: -0.0 is not 0.0, NaN is NaN."""
+    return ((a.view(np.int64) == b.view(np.int64))
+            | (np.isnan(a) & np.isnan(b)))
 
 
-def _grow_tree(Xt, ranks, n_ranks, g, h, params: BoostParams,
+def _check_replay(old: Tree, reused: bool, olds, cover, split, col0,
+                  weight, threshold, gain, n_left) -> None:
+    """PrefixMismatch unless a tree's replayed nodes agree with `old`.
+
+    The arrays hold the grown tree's nodes in level order: each node's node
+    in `old` (-1 where fresh), cover, whether it splits and whether column 0
+    won there, leaf weight, threshold, gain and left child's cover. A
+    replayed node must cover old's rows and split where old splits; a leaf
+    must have old's weight, and where column 0 won, threshold, gain and
+    left cover must be old's. The first node that fails is named. A tree
+    that replays `old` must reach every node of it.
+    """
+    r = (olds >= 0).nonzero()[0]
+    i = olds[r]
+    is_leaf = ~split[r]
+    col0 = col0[r]
+    checks = (
+        (old.cover[i] != cover[r], lambda j:
+         f" covers {old.cover[i[j]]} rows, its replay {cover[r[j]]}"),
+        (is_leaf & (old.feature[i] >= 0), lambda j:
+         " splits where the fit cannot split"),
+        (is_leaf & ~_same(old.weight[i], weight[r]), lambda j:
+         f" has leaf weight {old.weight[i[j]]!r}, its replay "
+         f"{weight[r[j]]!r}"),
+        (col0 & ~(_same(old.threshold[i], threshold[r])
+                  & _same(old.gain[i], gain[r])), lambda j:
+         f" has threshold {old.threshold[i[j]]!r} and gain "
+         f"{old.gain[i[j]]!r}, its replay {float(threshold[r[j]])!r} and "
+         f"{float(gain[r[j]])!r}"),
+        (col0 & (old.cover[old.left[i]] != n_left[r]), lambda j:
+         f"'s left child covers {old.cover[old.left[i[j]]]} rows, its "
+         f"replay {n_left[r[j]]}"))
+    failed = checks[0][0] | checks[1][0] | checks[2][0] | checks[3][0] \
+        | checks[4][0]
+    if failed.any():
+        j = int(failed.argmax())
+        raise PrefixMismatch(f"tree node {i[j]}" + next(
+            what(j) for bad, what in checks if bad[j]))
+    seen = np.zeros(old.n_nodes, dtype=bool)
+    seen[i] = True
+    if reused and not seen.all():
+        raise PrefixMismatch(f"tree node {int(seen.argmin())} is not "
+                             f"reachable from its root")
+
+
+def _grow_tree(Xt, ranks, n_ranks, root, gh, params: BoostParams,
                stats: TrainStats, old: Tree | None = None, n_old: int = 0
-               ) -> tuple[Tree, bool]:
-    """Grow one tree level by level; return it and whether it replays `old`.
+               ) -> tuple[Tree, bool, np.ndarray]:
+    """Grow one tree level by level from the gradients and hessians gh.
 
-    Node ids come out in preorder (node, left subtree, right subtree).
+    root is _sort_level's result for all rows, the same for every tree.
+    Returns the tree, whether it replays `old`, and each row's leaf weight
+    by the fit's own partition of the rows. Node ids come out in preorder
+    (node, left subtree, right subtree).
 
     `old` is a prefix model's tree over Xt's first n_old features, given the
-    gradients it was grown from. Each node carries its node in `old`, or None.
-    A fresh node (None) is searched over every feature. A replayed node is
+    gradients it was grown from. Each node carries its node in `old`, or -1.
+    A fresh node (-1) is searched over every feature. A replayed node is
     searched over column 0, which holds the x values and ranks of old's
     split feature at that node (one constant at a leaf of old), then the
     appended features Xt[n_old:]. Old's split was the first maximum over the
     prefix features, so it is column 0's too, and a tie goes to it, the lower
     index, as in a cold fit. Where column 0 wins, the children replay old's;
-    where an appended feature wins, they are fresh. Every replayed node must
-    agree with `old` (cover, threshold and gain, left child's cover, leaf
-    weight), or PrefixMismatch is raised. The tree replays `old` when every
-    node was replayed; then every node of `old` must have been reached.
+    where an appended feature wins, they are fresh. The tree replays `old`
+    when every node was replayed. Once the tree is grown, _check_replay
+    holds every replayed node to `old`.
     """
-    n = len(g)
+    n = gh.shape[1]
     lam = params.lambda_l2
     lr = params.learning_rate
-    feature: list[int] = []
-    threshold: list[float] = []
-    weight: list[float] = []
-    gain: list[float] = []
-    cover: list[int] = []
-    kids: list[tuple[int, int] | None] = []
-    gh = np.stack((g, h))
+    searchers = [(Xt, ranks, n_ranks, root)]
     if old is not None:
         Xr = np.concatenate((np.zeros((1, n)), Xt[n_old:]))
-        ranks_r = np.concatenate((np.zeros((1, n), dtype=np.int64),
+        ranks_r = np.concatenate((np.zeros((1, n), dtype=ranks.dtype),
                                   ranks[n_old:]))
-        # column 0's ranks come from any prefix feature; keys stay below n**3
+        # column 0's ranks come from any prefix feature
         n_ranks_r = np.concatenate(([n_ranks[:n_old].max(initial=1)],
                                     n_ranks[n_old:]))
+        searchers.append((Xr, ranks_r, n_ranks_r, None))
 
-    parts = [np.arange(n, dtype=np.int64)]
-    olds: list[int | None] = [None if old is None else 0]
-    seen: set[int] = set()
+    # one entry per level, nodes in level order: feature, threshold, leaf
+    # weight, gain, cover, whether the node splits, its node in `old`, its
+    # left child's cover, and whether column 0 won at a replayed node
+    levels = []
+    step = np.empty(n)
+    rows = np.arange(n)
+    sizes = np.array([n])
+    olds = np.array([-1 if old is None else 0])
     reused = old is not None
     depth = 0
-    while parts:
-        search = ([j for j, (p, i) in enumerate(zip(parts, olds))
-                   if len(p) >= 2 and (i is None or old.feature[i] < n_old)]
-                  if depth < params.max_depth and len(Xt) else [])
-        fresh = [j for j in search if olds[j] is None]
-        replay = [j for j in search if olds[j] is not None]
-        found = dict(zip(fresh, _search_level(
-            Xt, ranks, n_ranks, gh, [parts[j] for j in fresh], lam,
-            params.min_child_weight, stats))) if fresh else {}
-        if replay:
-            rows = np.concatenate([parts[j] for j in replay])
-            feat = np.repeat(old.feature[[olds[j] for j in replay]],
-                             [len(parts[j]) for j in replay])
-            Xr[0, rows] = np.where(feat >= 0, Xt[feat, rows], 0.0)
-            ranks_r[0, rows] = np.where(feat >= 0, ranks[feat, rows], 0)
-            found.update(zip(replay, _search_level(
-                Xr, ranks_r, n_ranks_r, gh, [parts[j] for j in replay], lam,
-                params.min_child_weight, stats)))
-        children: list[np.ndarray] = []
-        child_olds: list[int | None] = []
-        for j, (rows, i) in enumerate(zip(parts, olds)):
-            node = len(feature)
-            g_sum, h_sum, split = found.get(j) or (g[rows].sum(),
-                                                   h[rows].sum(), None)
-            if i is not None:
-                seen.add(i)
-                if old.cover[i] != len(rows):
-                    raise PrefixMismatch(f"tree node {i} covers {old.cover[i]} "
-                                         f"rows, its replay {len(rows)}")
-                if split is None and old.feature[i] >= 0:
-                    raise PrefixMismatch(f"tree node {i} splits where the "
-                                         f"fit cannot split")
-            cover.append(len(rows))
-            if split is None:
-                leaf = -lr * g_sum / (h_sum + lam)
-                if i is not None and not _same(old.weight[i], leaf):
-                    raise PrefixMismatch(
-                        f"tree node {i} has leaf weight {old.weight[i]!r}, "
-                        f"its replay {leaf!r}")
-                feature.append(-1)
-                threshold.append(0.0)
-                gain.append(0.0)
-                weight.append(leaf)
-                kids.append(None)
-                continue
-            node_gain, f, thr, rows_l, rows_r = split
-            if i is not None and f == 0:
-                if not (_same(thr, old.threshold[i])
-                        and _same(node_gain, old.gain[i])):
-                    raise PrefixMismatch(
-                        f"tree node {i} has threshold {old.threshold[i]!r} "
-                        f"and gain {old.gain[i]!r}, its replay {thr!r} and "
-                        f"{node_gain!r}")
-                if old.cover[old.left[i]] != len(rows_l):
-                    raise PrefixMismatch(
-                        f"tree node {i}'s left child covers "
-                        f"{old.cover[old.left[i]]} rows, its replay "
-                        f"{len(rows_l)}")
-                f = int(old.feature[i])
-                child_olds += [int(old.left[i]), int(old.right[i])]
-            else:
-                if i is not None:  # an appended feature wins
-                    f += n_old - 1
-                    reused = False
-                child_olds += [None, None]
-            feature.append(f)
-            threshold.append(thr)
-            gain.append(node_gain)
-            weight.append(0.0)
-            # ids run level by level: the next level starts right after
-            # this one, in the order children are appended
-            first_child = node - j + len(parts) + len(children)
-            kids.append((first_child, first_child + 1))
-            children += [rows_l, rows_r]
-        parts, olds = children, child_olds
-        depth += 1
-    if reused and len(seen) != old.n_nodes:
-        raise PrefixMismatch(f"tree node {min(set(range(old.n_nodes)) - seen)}"
-                             f" is not reachable from its root")
+    while True:
+        k = len(sizes)
+        # C order matters: a sum along the contiguous axis is numpy's
+        # pairwise sum, the same bits as g[rows].sum() in node-position order
+        gh_pos = gh.take(rows, axis=1)
+        totals = np.empty((2, k))
+        a = 0
+        for j, b in enumerate(sizes.cumsum().tolist()):
+            np.add.reduce(gh_pos[:, a:b], axis=1, out=totals[:, j])
+            a = b
 
+        gain = np.full(k, -np.inf)
+        feature = np.zeros(k, dtype=np.int64)
+        threshold = np.zeros(k)
+        n_left = np.zeros(k, dtype=np.int64)
+        order = rows
+        if depth < params.max_depth and len(Xt):
+            replay = olds >= 0
+            if old is not None:
+                replay &= old.feature[olds] < n_old
+                feat = old.feature[olds[replay]].repeat(sizes[replay])
+                at = rows[replay.repeat(sizes)]
+                # a leaf of old (feature -1) gives column 0 one value
+                flat = feat * n + at
+                Xr[0, at] = np.where(feat >= 0, Xt.take(flat), 0.0)
+                ranks_r[0, at] = np.where(feat >= 0, ranks.take(flat), 0)
+            for which, (X_, ranks_, n_ranks_, root_) in zip(
+                    (olds < 0, replay), searchers):
+                if which.all():
+                    gain, feature, threshold, n_left, order = _search_level(
+                        X_, ranks_, n_ranks_, gh, rows, sizes, totals, lam,
+                        params.min_child_weight, stats,
+                        root_ if depth == 0 else None)
+                elif which.any():  # a level of fresh and replayed nodes
+                    at = which.repeat(sizes)
+                    order = order.copy()
+                    (gain[which], feature[which], threshold[which],
+                     n_left[which], order[at]) = _search_level(
+                        X_, ranks_, n_ranks_, gh, rows[at], sizes[which],
+                        totals[:, which], lam, params.min_child_weight, stats)
+
+        split = gain > 0
+        leaf = ~split
+        weight = np.zeros(k)
+        weight[leaf] = -lr * totals[0, leaf] / (totals[1, leaf] + lam)
+        # a split node's rows are overwritten by its leaves further down
+        step[rows] = weight.repeat(sizes)
+        gain[leaf] = 0.0
+        col0 = split & (olds >= 0)
+        if old is not None:
+            # a replayed node's column 0 is old's feature there; the
+            # appended features follow it
+            appended = col0 & (feature > 0)
+            col0 &= feature == 0
+            reused &= not appended.any()
+            feature[appended] += n_old - 1
+            feature[col0] = old.feature[olds[col0]]
+        feature[leaf] = -1
+        levels.append((feature, threshold, weight, gain, sizes, split, olds,
+                       n_left, col0))
+        if not split.any():
+            break
+        # the next level: each split node's left child, then its right
+        rows = order[split.repeat(sizes)]
+        n_left = n_left[split]
+        sizes = np.ravel((n_left, sizes[split] - n_left), order="F")
+        if old is None:
+            olds = np.full(len(sizes), -1)
+        else:
+            olds = np.where(col0, (old.left[olds], old.right[olds]),
+                            -1)[:, split].ravel(order="F")
+        depth += 1
+
+    (feature, threshold, weight, gain, cover, split, olds, n_left, col0) = (
+        np.concatenate(arrays) for arrays in zip(*levels))
+    if old is not None:
+        _check_replay(old, reused, olds, cover, split, col0, weight,
+                      threshold, gain, n_left)
+    # level order: the children of the s-th split node are nodes 2s+1, 2s+2
+    first_child = np.full(len(split), -1)
+    first_child[split] = np.arange(1, 2 * np.count_nonzero(split), 2)
+    children = first_child.tolist()
     preorder = []
     stack = [0]
     while stack:
         i = stack.pop()
         preorder.append(i)
-        if kids[i] is not None:
-            stack += [kids[i][1], kids[i][0]]
+        if children[i] > 0:
+            stack += [children[i] + 1, children[i]]
+    preorder = np.array(preorder)
     new_id = np.empty(len(preorder), dtype=np.int64)
     new_id[preorder] = np.arange(len(preorder))
-    return Tree([feature[i] for i in preorder],
-                [threshold[i] for i in preorder],
-                [new_id[kids[i][0]] if kids[i] else -1 for i in preorder],
-                [new_id[kids[i][1]] if kids[i] else -1 for i in preorder],
-                [weight[i] for i in preorder],
-                [gain[i] for i in preorder],
-                [cover[i] for i in preorder]), reused
+    left = np.where(split, new_id[first_child], -1)[preorder]
+    right = np.where(split, new_id[first_child + 1], -1)[preorder]
+    return Tree(feature[preorder], threshold[preorder], left, right,
+                weight[preorder], gain[preorder], cover[preorder]), reused, step
 
 
 def _check_prefix(prefix: BoostedModel, names: list[str], params: BoostParams,
@@ -623,29 +705,39 @@ def train(train_ds: ColumnarDataset, params: BoostParams,
     for f, column in enumerate(Xt):
         distinct, ranks[f] = np.unique(column, return_inverse=True)
         n_ranks[f] = len(distinct)
+    if n_ranks.max(initial=0) <= RADIX_KEYS:
+        ranks = ranks.astype(np.uint16)
 
     prior = n_pos / n
     base_score = math.log(prior / (1.0 - prior))
     if prefix is not None:
         _check_prefix(prefix, names, params, base_score)
     margin = np.full(n, base_score, dtype=np.float64)
-    losses = [_log_loss(y, _sigmoid(margin))]
+    p = _sigmoid(margin)
+    losses = [_log_loss(y, p)]
 
     trees: list[Tree] = []
     reusing = prefix is not None
     n_old = len(prefix.feature_names) if reusing else 0
+    root = (_sort_level(Xt, ranks, n_ranks, np.arange(n), np.array([n]))
+            if len(Xt) else None)
+    gh = np.empty((2, n))
     for t in range(params.n_estimators):
-        p = _sigmoid(margin)
-        g = p - y
-        h = p * (1.0 - p)
-        tree, reusing = _grow_tree(Xt, ranks, n_ranks, g, h, params, stats,
-                                   prefix.trees[t] if reusing else None, n_old)
+        np.subtract(p, y, out=gh[0])
+        np.multiply(p, 1.0 - p, out=gh[1])
+        tree, reusing, step = _grow_tree(
+            Xt, ranks, n_ranks, root, gh, params, stats,
+            prefix.trees[t] if reusing else None, n_old)
         stats.reused_trees += reusing
         trees.append(tree)
         stats.trees += 1
         stats.nodes += tree.n_nodes
-        margin += tree.predict_margin(X)
-        losses.append(_log_loss(y, _sigmoid(margin)))
+        # a midpoint that overflowed to inf routes rows left that the
+        # partition put right; prediction decides there
+        margin += (step if np.isfinite(tree.threshold).all()
+                   else tree.predict_margin(X))
+        p = _sigmoid(margin)
+        losses.append(_log_loss(y, p))
 
     return BoostedModel(trees, base_score, names, params, losses)
 

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import warnings
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -742,3 +744,89 @@ class TestRowLimit:
         with pytest.raises(ConfigError, match="4 rows"):
             gbdt.train(ds, STUMP)
 
+
+
+@pytest.mark.parametrize("limit", [0, 12], ids=["int64-keys", "mixed-keys"])
+class TestSortPaths:
+    """Both ways of ordering a level give the ensemble of TestReferenceOracle
+    and TestWarmStart.
+
+    With RADIX_KEYS patched to 0, ranks are stored as int64 and every level
+    is ordered by int64 keys. At 12, a column with at most 12 distinct
+    values keeps uint16 ranks, and a level switches to int64 keys once its
+    nodes times its largest rank count pass 12.
+    """
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(problem=tie_heavy_problems())
+    def test_ensemble_equals_reference(self, limit, problem):
+        X, y, params = problem
+        counts = [0]
+        want = train_reference(X, y, [f"f{j}" for j in range(X.shape[1])],
+                               params, counts)
+        stats = gbdt.TrainStats()
+        with patch.object(gbdt, "RADIX_KEYS", limit):
+            got = gbdt.train(make_ds(X, y), params, stats)
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+        assert stats.split_candidates == counts[0]
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(problem=warm_start_problems())
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered")
+    def test_warm_equals_cold(self, limit, problem):
+        X, appended, y, params = problem
+        ds = make_ds(np.column_stack([X, appended]), y)
+        cold = gbdt.train(ds, params)
+        with patch.object(gbdt, "RADIX_KEYS", limit):
+            prefix = gbdt.train(make_ds(X, y), params)
+            warm = gbdt.train(ds, params, prefix=prefix)
+        assert json.dumps(warm.to_dict()) == json.dumps(cold.to_dict())
+
+
+def test_replay_column_zero_carries_uint16_ranks(monkeypatch):
+    # a replayed node's column 0 takes the ranks of the prefix's split
+    # feature there, uint16 like the prefix's, and is ordered by radix keys
+    # at the root and by int64 keys once 2 nodes times 40 ranks pass 64
+    orders = []
+    node_order = gbdt._node_order
+
+    def spy(node, rank, n_rank):
+        radix = (int(node[-1]) + 1) * int(n_rank.max()) <= gbdt.RADIX_KEYS
+        orders.append((len(rank), rank.dtype, radix))
+        return node_order(node, rank, n_rank)
+
+    monkeypatch.setattr(gbdt, "_node_order", spy)
+    monkeypatch.setattr(gbdt, "RADIX_KEYS", 64)
+    base = random_labeled(40, 2, seed=1)  # 40 distinct values per column
+    X, _ = base.feature_matrix()
+    prefix = gbdt.train(base, UNIT)
+    # a copy of f0 never wins a split, so every tree is replayed
+    ds = make_ds(np.column_stack([X, X[:, 0]]), base.label)
+    orders.clear()
+    stats = gbdt.TrainStats()
+    warm = gbdt.train(ds, UNIT, stats, prefix=prefix)
+    assert stats.reused_trees == UNIT.n_estimators
+    # replay searches order column 0 and the one appended column
+    replays = {(dtype, radix) for rows, dtype, radix in orders if rows == 2}
+    assert replays == {(np.dtype(np.uint16), True),
+                       (np.dtype(np.uint16), False)}
+    assert (json.dumps(warm.to_dict())
+            == json.dumps(gbdt.train(ds, UNIT).to_dict()))
+
+
+def test_lambda_zero_scores_the_grid_without_warnings():
+    # with lam = 0, the last slot of a node of fewer than 8 rows, which is
+    # no cut, divides 0 by 0; it scores -inf, and no warning escapes
+    X = np.arange(6, dtype=np.float64).reshape(6, 1)
+    y = np.array([0, 0, 1, 0, 1, 1])
+    params = BoostParams(max_depth=2, learning_rate=1.0, n_estimators=3,
+                         min_child_weight=0.0, lambda_l2=0.0)
+    want = train_reference(X, y, ["f0"], params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = gbdt.train(make_ds(X, y), params)
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
