@@ -904,4 +904,4 @@ def save_model(model: BoostedModel, path: str, lineage: dict | None = None) -> N
     doc = model.to_dict()
     if lineage is not None:
         doc["lineage"] = jsonable(lineage)
-    atomic_write_text(path, json.dumps(doc, indent=1) + "\n")
+    atomic_write_text(path, json.dumps(doc, separators=(",", ":")) + "\n")

@@ -293,7 +293,7 @@ def test_criterion_10_determinism(planted_run):
 # sha256 of the planted pipeline's artifacts; their trees are those of the
 # recursive per-node grower that tests/gbdt_reference.py keeps as the oracle
 PLANTED_SHA256 = {
-    "model": "3184d0ffaf37cad79ea0f32187486b8ed7b3275931b6aa2afbef6b980dad8b00",
+    "model": "828932cd5a0bfe6c59d26f4802bb736c87ccd14147a52a87d1b51f811101f0af",
     "report": "bafdf2c89d7ccccd8c52dbe8aa7fa36e75dc5be9725d48028832c7061319f0ee",
 }
 
