@@ -30,6 +30,8 @@ lineage mismatches, and a file read that is a directory or not UTF-8),
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import math
 import os
@@ -268,6 +270,30 @@ def _read_artifact(cfg: PipelineConfig, train_ds: ColumnarDataset, name: str,
         raise ParseError(f"{what} artifact {path} is corrupt: {e}") from None
 
 
+def _read_patterns(cfg: PipelineConfig, meta: dict) -> list[miner.Pattern]:
+    """patterns.jsonl, read once; its bytes must have the sha256 that
+    patterns.meta.json's lineage records, else LineageError naming both."""
+    path = cfg.artifact("patterns")
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except FileNotFoundError:
+        raise MissingArtifact(f"patterns artifact not found: {path}") from None
+    except IsADirectoryError:
+        raise ParseError(f"{path} is a directory, not a file") from None
+    digest = hashlib.sha256(data).hexdigest()
+    recorded = str(meta["lineage"].get("patterns_sha256"))
+    if digest != recorded:
+        raise LineageError(
+            f"{path} has sha256 {digest[:12]}..., but "
+            f"{cfg.artifact('patterns_meta')} records {recorded[:12]}...")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path} is not UTF-8 text ({e.reason})") from None
+    return miner.parse_patterns(io.StringIO(text, newline=""), path)
+
+
 def _make_output_dir(cfg: PipelineConfig) -> None:
     try:
         os.makedirs(cfg.output_dir, exist_ok=True)
@@ -429,7 +455,7 @@ def cmd_mine(cfg: PipelineConfig, splits: Splits) -> None:
     stats = miner.SearchStats()
     patterns = miner.mine_topk(db, profits, cfg.mining, stats)
 
-    miner.write_patterns(patterns, cfg.artifact("patterns"))
+    patterns_sha256 = miner.write_patterns(patterns, cfg.artifact("patterns"))
     table_txt = miner.render_patterns_table(patterns)
     atomic_write_text(cfg.artifact("patterns_txt"),
                       table_txt + f"\nconfig: {cfg_fp}\n")
@@ -443,7 +469,8 @@ def cmd_mine(cfg: PipelineConfig, splits: Splits) -> None:
                  "n_transactions": len(db.transactions),
                  **stats.to_dict(),
                  "lineage": {"config": cfg_fp,
-                             "train_split": train_ds.fingerprint()}})
+                             "train_split": train_ds.fingerprint(),
+                             "patterns_sha256": patterns_sha256}})
     _write_effective_config(cfg)
     print(f"wrote {cfg.artifact('patterns')} ({len(patterns)} patterns)")
     print(f"wrote {cfg.artifact('patterns_txt')}")
@@ -455,12 +482,9 @@ def cmd_report(cfg: PipelineConfig, splits: Splits) -> None:
     cfg_fp = cfg.fingerprint()
     _, train_ds, test_ds = splits
 
-    patterns_path = cfg.artifact("patterns")
-    if not os.path.exists(patterns_path):
-        raise MissingArtifact(f"patterns artifact not found: {patterns_path}")
-    patterns = miner.read_patterns(patterns_path)
     meta = _read_artifact(cfg, train_ds, "patterns_meta",
                           "patterns metadata")
+    patterns = _read_patterns(cfg, meta)
     specs, skipped = _read_specs(cfg, train_ds)
     baseline = _read_artifact(
         cfg, train_ds, "baseline", "baseline metrics",

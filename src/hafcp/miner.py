@@ -50,8 +50,10 @@ what is pruned, so their summation order does not reach the output.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from bisect import insort
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -501,25 +503,33 @@ def _beam_topk(db: TransactionDB, pt: dict[str, float], cfg: MiningConfig,
     return pool.result()
 
 
-def write_patterns(patterns: list[Pattern], path: str) -> None:
-    """JSON lines, one pattern per line: {"items": [...], "utility": u, "support": s}."""
+def write_patterns(patterns: list[Pattern], path: str) -> str:
+    """JSON lines, one pattern per line: {"items": [...], "utility": u,
+    "support": s}. Returns the sha256 of the bytes written."""
     lines = [json.dumps(p.to_dict(), ensure_ascii=False) for p in patterns]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    text = "\n".join(lines) + ("\n" if lines else "")
+    atomic_write_text(path, text)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def read_patterns(path: str) -> list[Pattern]:
-    patterns = []
     with text_file(path) as f:
-        for lineno, line in enumerate(f):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno + 1}:"
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{where} {e}") from None
-            patterns.append(Pattern.from_dict(doc, where))
+        return parse_patterns(f, path)
+
+
+def parse_patterns(lines: Iterable[str], path: str) -> list[Pattern]:
+    """The patterns of write_patterns' lines; a ParseError names path:line."""
+    patterns = []
+    for lineno, line in enumerate(lines):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno + 1}:"
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"{where} {e}") from None
+        patterns.append(Pattern.from_dict(doc, where))
     return patterns
 
 

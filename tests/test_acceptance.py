@@ -294,7 +294,7 @@ def test_criterion_10_determinism(planted_run):
 # recursive per-node grower that tests/gbdt_reference.py keeps as the oracle
 PLANTED_SHA256 = {
     "model": "828932cd5a0bfe6c59d26f4802bb736c87ccd14147a52a87d1b51f811101f0af",
-    "report": "bafdf2c89d7ccccd8c52dbe8aa7fa36e75dc5be9725d48028832c7061319f0ee",
+    "report": "5179408620b0fedcf25541198b8fa8926bb5d3eafd9ccdcd493742d5011bc803",
 }
 
 

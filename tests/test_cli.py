@@ -1,4 +1,5 @@
 import ctypes
+import hashlib
 import json
 import multiprocessing
 import os
@@ -148,6 +149,15 @@ def set_key(dotted, value):
         else:
             node[last] = value
     return edit
+
+
+def record_patterns_sha256(out_dir):
+    """Record an edited patterns.jsonl's sha256 in patterns.meta.json, as
+    mine does, so that report reads the edit."""
+    data = Path(artifact(out_dir, "patterns")).read_bytes()
+    edit_json(artifact(out_dir, "patterns_meta"),
+              set_key("lineage.patterns_sha256",
+                      hashlib.sha256(data).hexdigest()))
 
 
 def with_key(dotted, value):
@@ -776,7 +786,8 @@ class TestMineAndReport:
             importance_text="feature,score\nShop Location,1.0\nAge,0\nSpending,0\n")
         self.run_through(cfg_path, "train", "fuzzify", "mine")
         meta = json.load(open(artifact(out, "patterns_meta")))
-        assert set(meta["lineage"]) == {"config", "train_split"}
+        assert set(meta["lineage"]) == {"config", "train_split",
+                                        "patterns_sha256"}
         assert meta["n_items"] > 0
 
     def test_stale_frame_json_ignored(self, tmp_path):
@@ -807,6 +818,7 @@ class TestMineAndReport:
         with open(artifact(out, "patterns"), "w", encoding="utf-8") as f:
             f.write(json.dumps({"items": ["Age_L", "Spending_M"],
                                 "utility": 1.0, "support": 2}) + "\n")
+        record_patterns_sha256(out)
         capsys.readouterr()
         assert cli.main(["report", "--config", cfg_path]) == 2
         err = capsys.readouterr().err
@@ -824,6 +836,7 @@ class TestMineAndReport:
         self.run_through(cfg_path, "train", "fuzzify", "mine")
         with open(artifact(out, "patterns"), "a", encoding="utf-8") as f:
             f.write(json.dumps(line) + "\n")
+        record_patterns_sha256(out)
         n_lines = len(open(artifact(out, "patterns")).read().splitlines())
         capsys.readouterr()
         assert cli.main(["report", "--config", cfg_path]) == 2
@@ -831,6 +844,39 @@ class TestMineAndReport:
         assert "ParseError" in err
         assert f"patterns.jsonl:{n_lines}:" in err
         assert not os.path.exists(artifact(out, "report"))
+
+    def assert_patterns_lineage_error(self, cfg_path, out, capsys):
+        capsys.readouterr()
+        assert cli.main(["report", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert "error[LineageError]" in err
+        assert artifact(out, "patterns") in err
+        assert artifact(out, "patterns_meta") in err
+        assert not os.path.exists(artifact(out, "report"))
+
+    def test_patterns_of_another_config_exit_2(self, tmp_path, capsys):
+        # a k=3 run's patterns copied over this run's: this run's
+        # patterns.meta.json records other bytes
+        cfg_path, out = make_project(tmp_path)
+        self.run_through(cfg_path, "train", "fuzzify", "mine")
+        (tmp_path / "other").mkdir()
+        other_cfg, other_out = make_project(tmp_path / "other",
+                                            {"mining": {"k": 3}})
+        self.run_through(other_cfg, "train", "fuzzify", "mine")
+        Path(artifact(out, "patterns")).write_bytes(
+            Path(artifact(other_out, "patterns")).read_bytes())
+        self.assert_patterns_lineage_error(cfg_path, out, capsys)
+
+    def test_one_byte_edit_of_patterns_exits_2(self, tmp_path, capsys):
+        # a first support of s becomes s+1 (or 0): still valid patterns
+        cfg_path, out = make_project(tmp_path)
+        self.run_through(cfg_path, "train", "fuzzify", "mine")
+        path = Path(artifact(out, "patterns"))
+        data = bytearray(path.read_bytes())
+        at = data.index(b'"support": ') + len(b'"support": ')
+        data[at] = ord(str((int(chr(data[at])) + 1) % 10))
+        path.write_bytes(bytes(data))
+        self.assert_patterns_lineage_error(cfg_path, out, capsys)
 
     def test_cumulative_report(self, tmp_path):
         cfg_path, out = make_project(tmp_path,
