@@ -496,8 +496,7 @@ def _check_replay(old: Tree, reused: bool, olds, cover, split, col0,
         (col0 & (old.cover[old.left[i]] != n_left[r]), lambda j:
          f"'s left child covers {old.cover[old.left[i[j]]]} rows, its "
          f"replay {n_left[r[j]]}"))
-    failed = checks[0][0] | checks[1][0] | checks[2][0] | checks[3][0] \
-        | checks[4][0]
+    failed = np.any([bad for bad, _ in checks], axis=0)
     if failed.any():
         j = int(failed.argmax())
         raise PrefixMismatch(f"tree node {i[j]}" + next(
