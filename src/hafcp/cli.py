@@ -31,7 +31,6 @@ lineage mismatches, and a file read that is a directory or not UTF-8),
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 import os
@@ -275,23 +274,18 @@ def _read_patterns(cfg: PipelineConfig, meta: dict) -> list[miner.Pattern]:
     patterns.meta.json's lineage records, else LineageError naming both."""
     path = cfg.artifact("patterns")
     try:
-        with open(path, "rb") as f:
-            data = f.read()
+        # line ends untranslated: the text encodes back to the file's bytes
+        with text_file(path) as f:
+            text = f.read()
     except FileNotFoundError:
         raise MissingArtifact(f"patterns artifact not found: {path}") from None
-    except IsADirectoryError:
-        raise ParseError(f"{path} is a directory, not a file") from None
-    digest = hashlib.sha256(data).hexdigest()
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     recorded = str(meta["lineage"].get("patterns_sha256"))
     if digest != recorded:
         raise LineageError(
             f"{path} has sha256 {digest[:12]}..., but "
             f"{cfg.artifact('patterns_meta')} records {recorded[:12]}...")
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise ParseError(f"{path} is not UTF-8 text ({e.reason})") from None
-    return miner.parse_patterns(io.StringIO(text, newline=""), path)
+    return miner.parse_patterns(text, path)
 
 
 def _make_output_dir(cfg: PipelineConfig) -> None:

@@ -51,9 +51,9 @@ what is pruned, so their summation order does not reach the output.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 from bisect import insort
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -514,13 +514,13 @@ def write_patterns(patterns: list[Pattern], path: str) -> str:
 
 def read_patterns(path: str) -> list[Pattern]:
     with text_file(path) as f:
-        return parse_patterns(f, path)
+        return parse_patterns(f.read(), path)
 
 
-def parse_patterns(lines: Iterable[str], path: str) -> list[Pattern]:
-    """The patterns of write_patterns' lines; a ParseError names path:line."""
+def parse_patterns(text: str, path: str) -> list[Pattern]:
+    """The patterns of write_patterns' text; a ParseError names path:line."""
     patterns = []
-    for lineno, line in enumerate(lines):
+    for lineno, line in enumerate(io.StringIO(text, newline="")):
         line = line.strip()
         if not line:
             continue
