@@ -14,8 +14,10 @@ an older version is ignored and can be deleted.
 
 Every artifact embeds the config fingerprint and the content fingerprints of
 its inputs; a subcommand refuses every artifact it reads whose lineage does
-not name the current config and train split (``_check_lineage``), or whose
-specs were fitted on another split (``_read_specs``). All writes are atomic
+not name the current config and train split (``_check_lineage``), whose
+specs were fitted on another split (``_read_specs``), or, for
+``patterns.jsonl``, whose bytes lack the sha256 that ``patterns.meta.json``
+records (``_read_patterns``). All writes are atomic
 and all randomness flows from config seeds, so rerunning any subcommand with
 unchanged inputs reproduces byte-identical files.
 

@@ -745,7 +745,6 @@ class TestRowLimit:
             gbdt.train(ds, STUMP)
 
 
-
 @pytest.mark.parametrize("limit", [0, 12], ids=["int64-keys", "mixed-keys"])
 class TestSortPaths:
     """Both ways of ordering a level give the ensemble of TestReferenceOracle
