@@ -459,7 +459,7 @@ def _search_level(Xt, ranks, n_ranks, gh_rows, rows, sizes, totals, lam,
 
 
 def _same(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Whether floats serialize alike: -0.0 is not 0.0, NaN is NaN."""
+    """Where two float arrays serialize alike: -0.0 is not 0.0, NaN is NaN."""
     return ((a.view(np.int64) == b.view(np.int64))
             | (np.isnan(a) & np.isnan(b)))
 
