@@ -176,3 +176,50 @@ def random_labeled(n: int, d: int, seed: int) -> ColumnarDataset:
     schema.append(ColumnSchema("y", LABEL, ("0", "1")))
     cols["y"] = y
     return ColumnarDataset(schema, cols, y)
+
+
+def bank_churn_dataset(n: int = 3000, seed: int = 9001
+                       ) -> tuple[ColumnarDataset, np.ndarray]:
+    """A bank-churn-shaped table and one 0/1 column to append to it.
+
+    Eight integer columns of 2-53 values (CreditScore in tens, Age,
+    Tenure, NumOfProducts, HasCrCard, IsActive, SupportCalls, Geography
+    as codes) and two continuous ones (Balance, 35% zero, and
+    EstimatedSalary). Churn rises with age among inactive members, with
+    three or more products and with many support calls, XOR a 5% flip. The
+    second value is the pattern column "Age >= 60 and SupportCalls >= 8".
+    """
+    r = SplitMix64(seed)
+
+    def ints(lo, hi):
+        return np.array([lo + r.below(hi - lo + 1) for _ in range(n)],
+                        dtype=np.float64)
+
+    credit = ints(35, 85) * 10.0
+    age = ints(18, 70)
+    tenure = ints(0, 10)
+    products = ints(1, 4)
+    card = ints(0, 1)
+    active = ints(0, 1)
+    calls = ints(0, 10)
+    geography = ints(0, 2)
+    balance = np.array([0.0 if sm_uniform(r) < 0.35
+                        else round(sm_uniform(r) * 200000.0, 2)
+                        for _ in range(n)])
+    salary = np.array([round(sm_uniform(r) * 200000.0, 2) for _ in range(n)])
+    rate = (0.05 + 0.45 * ((age >= 55) & (active == 0))
+            + 0.25 * (products >= 3)
+            + 0.02 * calls + 0.05 * (balance > 150000.0))
+    churn = np.array([sm_uniform(r) < p for p in rate])
+    flip = np.array([sm_uniform(r) < 0.05 for _ in range(n)])
+    labels = (churn ^ flip).astype(np.int64)
+    pattern = ((age >= 60) & (calls >= 8)).astype(np.float64)
+    columns = {"CreditScore": credit, "Age": age, "Tenure": tenure,
+               "NumOfProducts": products, "HasCrCard": card,
+               "IsActive": active, "SupportCalls": calls,
+               "Geography": geography, "Balance": balance,
+               "EstimatedSalary": salary}
+    schema = [ColumnSchema(name, NUMERIC) for name in columns]
+    schema.append(ColumnSchema("Exited", LABEL, ("0", "1")))
+    columns["Exited"] = labels
+    return ColumnarDataset(schema, columns, labels), pattern

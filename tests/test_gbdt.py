@@ -25,7 +25,8 @@ from hafcp.errors import (
 from hafcp.gbdt import BoostParams, BoostedModel, ImportanceTable, Tree
 
 from gbdt_reference import train_reference
-from synthdata import planted_dataset, random_labeled, toy_separable
+from synthdata import (bank_churn_dataset, planted_dataset, random_labeled,
+                       toy_separable)
 
 
 def make_ds(X, y, names=None):
@@ -732,6 +733,28 @@ class TestTrainStats:
         gbdt.train(ds, params, twice)
         assert twice.split_candidates == 2 * once.split_candidates
         assert twice.nodes == 2 * once.nodes
+
+
+def test_bank_churn_characterization():
+    # bits of a fit whose levels are mostly ties, cold and warm-started from
+    # it with one pattern column appended (which diverges at tree 4)
+    ds, pattern = bank_churn_dataset()
+    X, names = ds.feature_matrix()
+    params = BoostParams(n_estimators=10)
+    wide = make_ds(np.column_stack([X, pattern]), ds.label,
+                   names + ["Pattern"])
+    got = []
+    prefix = None
+    for data in (ds, wide):
+        stats = gbdt.TrainStats()
+        prefix = gbdt.train(data, params, stats, prefix=prefix)
+        got.append((hashlib.sha256(json.dumps(prefix.to_dict()).encode())
+                    .hexdigest(), stats.to_dict(), stats.reused_trees))
+    assert got == [
+        ("c13f3d2bc8351f1f8dfe636220472ea7bd16b2cdd4919735eceb89c85a47eee9",
+         {"trees": 10, "nodes": 912, "split_candidates": 335903}, 0),
+        ("a436799371b06da7549207fd0e5d992e407e99eb86203593a8b609ae85afb1b7",
+         {"trees": 10, "nodes": 892, "split_candidates": 182423}, 4)]
 
 
 class TestRowLimit:
