@@ -15,16 +15,20 @@ toward the lowest feature index, then the lowest threshold.
 Trees grow level by level: one argsort per feature orders every node of a
 level at once, over x ranks computed once per train(). While the keys
 node·n_rank + rank fit 16 bits, that is a stable radix sort of uint16 keys;
-otherwise an int64 sort of keys that also pack the position. Gains are
-scored on the whole (feature, slot) grid of a level, and the slots that
-are no admissible cut score -inf. The floating-point arithmetic is that of
-a per-node search, so the bits do not depend on the batching: within a
-node, equal x values keep the node's row order (a child's row order is its
-parent's order by the winning feature); cumsums run left to right per node
-and feature; node totals and leaf weights use numpy's pairwise sum over the
-node's rows in that order. The margins move by each row's leaf weight in
-the fit's own partition; only a tree whose threshold overflowed to inf,
-where prediction routes rows otherwise, is applied through prediction.
+otherwise an int64 sort of keys that also pack the position. A sorted slot
+is a cut where the x rank rises to the next slot of its node. A level whose
+cuts are under SPARSE_LEVELS of its (feature, slot) grid, as on tables of
+low-cardinality columns, scores its cuts only; a level where cuts dominate
+scores the whole grid, and the slots that are no cut score -inf. The x
+values are read only for the winners' thresholds. The floating-point
+arithmetic is that of a per-node search, so the bits do not depend on the
+batching or the path: within a node, equal x values keep the node's row
+order (a child's row order is its parent's order by the winning feature);
+cumsums run left to right per node and feature; node totals and leaf
+weights use numpy's pairwise sum over the node's rows in that order. The
+margins move by each row's leaf weight in the fit's own partition; only a
+tree whose threshold overflowed to inf, where prediction routes rows
+otherwise, is applied through prediction.
 
 A fit can start from a model fitted with the same params on the leading
 columns (train's `prefix`, the baseline before pattern columns were
@@ -42,6 +46,7 @@ training rows, a deterministic stand-in for mean |SHAP|).
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -318,6 +323,11 @@ MAX_TRAIN_ROWS = 2_097_151
 # than this, and a level is ordered by a radix sort of 16-bit keys while
 # its nodes times its largest rank count stay within it.
 RADIX_KEYS = 1 << 16
+# A level whose cuts are fewer than this share of its (feature, slot) grid
+# scores its cuts only, and the whole grid otherwise. A cut scored alone
+# costs about 1.5 grid slots (its gathers), so on 16,000-row levels the two
+# break even near 0.4.
+SPARSE_LEVELS = 0.4
 
 
 @dataclass
@@ -368,65 +378,42 @@ def _node_order(node: np.ndarray, rank: np.ndarray,
     return key.argsort(axis=-1)
 
 
-def _sort_level(Xt, ranks, n_ranks, rows, sizes):
-    """One level's rows in _node_order per feature, and their x values.
+def _sort_level(ranks, n_ranks, rows, sizes):
+    """One level's rows in _node_order per feature, and where they cut.
 
     rows holds the level's rows node by node, each node's in node-position
-    order, and sizes each node's row count. Returns the sorted rows, their x
-    values and the cuts, each one row per feature: slot p is a cut where x
-    rises from sorted slot p to p+1 of one node.
+    order, and sizes each node's row count. Returns the sorted rows and the
+    cuts, each one row per feature: slot p is a cut where the x rank, and so
+    x, rises from sorted slot p to p+1 of one node.
     """
-    F, n = Xt.shape
+    F, n = ranks.shape
     node = np.arange(len(sizes)).repeat(sizes)
     sorted_rows = rows.take(_node_order(node, ranks.take(rows, axis=1),
                                         n_ranks))
-    xs = Xt.take(sorted_rows + (np.arange(F) * n)[:, None])
-    cuts = np.empty(xs.shape, dtype=bool)
-    np.less(xs[:, :-1], xs[:, 1:], out=cuts[:, :-1])
+    sorted_ranks = ranks.take(sorted_rows + (np.arange(F) * n)[:, None])
+    cuts = np.empty(sorted_rows.shape, dtype=bool)
+    np.less(sorted_ranks[:, :-1], sorted_ranks[:, 1:], out=cuts[:, :-1])
     cuts[:, sizes.cumsum() - 1] = False
-    return sorted_rows, xs, cuts
+    return sorted_rows, cuts
 
 
-def _search_level(Xt, ranks, n_ranks, gh_rows, rows, sizes, totals, lam,
-                  min_child_weight, stats: TrainStats, sorted_level=None):
-    """Exact greedy split search for all nodes of one level at once.
+def _gains(gl, hl, g_node, h_node, parent, lam, min_child_weight,
+           cuts=None):
+    """Split gains from left sums gl, hl, computed in place over them.
 
-    rows holds the level's rows node by node, each node's in node-position
-    order; sizes holds each node's row count and totals its gradient and
-    hessian sums; sorted_level, if given, is _sort_level's result for them.
-    Returns, per node, the best gain (-inf if no cut is admissible), its
-    feature, threshold (where the gain is positive) and number of left rows,
-    and the level's rows with each node's in the order of its best feature,
-    left rows first.
-
-    The arithmetic is that of a per-node search (one stable argsort and two
-    cumsums per feature): within a node, equal x values keep node-position
-    order and cumsums run left to right per node and feature. The winner is
-    the first maximum in (feature, cut) order and must be strictly positive.
+    g_node, h_node and parent (G*G/(H+lam)) are the node's, per element or
+    broadcast. The operations are those of a per-node search; an element
+    where a child's hessian is under min_child_weight, or that is no cut,
+    scores -inf.
     """
-    N = len(rows)
-    sorted_rows, xs, cuts = sorted_level or _sort_level(Xt, ranks, n_ranks,
-                                                        rows, sizes)
-    stop = sizes.cumsum()
-    start = stop - sizes
-    cum = gh_rows.take(sorted_rows, axis=1)
-    for a, b in zip(start.tolist(), stop.tolist()):
-        if b - a > 1:
-            np.add.accumulate(cum[:, :, a:b], axis=2, out=cum[:, :, a:b])
-
-    # every (feature, slot) is scored, each with the operations of a
-    # per-node search, and slots that are no admissible cut score -inf
-    stats.split_candidates += int(np.count_nonzero(cuts))
-    gl, hl = cum
-    g_sum, h_sum = totals
-    g_node, h_node = totals.repeat(sizes, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         gr = g_node - gl
         hr = h_node - hl
         valid = hl >= min_child_weight
         valid &= hr >= min_child_weight
-        valid &= cuts
-        # 0.5 * (gl*gl/(hl+lam) + gr*gr/(hr+lam) - G*G/(H+lam)), in place
+        if cuts is not None:
+            valid &= cuts
+        # 0.5 * (gl*gl/(hl+lam) + gr*gr/(hr+lam) - parent), in place
         score = np.multiply(gl, gl, out=gl)
         hl += lam
         score /= hl
@@ -434,28 +421,90 @@ def _search_level(Xt, ranks, n_ranks, gh_rows, rows, sizes, totals, lam,
         hr += lam
         gr /= hr
         score += gr
-        score -= (g_sum * g_sum / (h_sum + lam)).repeat(sizes)
+        score -= parent
         score *= 0.5
     np.copyto(score, -np.inf, where=~valid)
+    return score
 
-    # first maximum per node in (feature, cut) order; a NaN gain takes its
-    # whole (feature, node) row out of the race
-    row_best = np.maximum.reduceat(score, start, axis=1)
+
+def _search_level(ranks, n_ranks, gh, rows, sizes, totals, lam,
+                  min_child_weight, stats: TrainStats, sorted_level=None):
+    """Exact greedy split search for all nodes of one level at once.
+
+    rows holds the level's rows node by node, each node's in node-position
+    order; sizes holds each node's row count and totals its gradient and
+    hessian sums; sorted_level, if given, is _sort_level's result for them.
+    Returns, per node, the best gain (-inf if no cut is admissible), its
+    feature and, where the gain is positive, its number of left rows; and
+    the level's rows with each node's in the order of its best feature,
+    left rows first.
+
+    The arithmetic is that of a per-node search (one stable argsort and two
+    cumsums per feature): within a node, equal x values keep node-position
+    order and cumsums run left to right per node and feature. A level whose
+    cuts are under SPARSE_LEVELS of its (feature, slot) grid scores its
+    cuts only; otherwise it scores the whole grid, where the slots that are
+    no cut score -inf. The winner is the first maximum in (feature, cut)
+    order and must be strictly positive; a NaN gain takes its (feature,
+    node) out of the race.
+    """
+    N = len(rows)
+    k = len(sizes)
+    sorted_rows, cuts = sorted_level or _sort_level(ranks, n_ranks, rows,
+                                                    sizes)
+    stop = sizes.cumsum()
+    start = stop - sizes
+    cum = gh.take(sorted_rows, axis=1)
+    for a, b in zip(start.tolist(), stop.tolist()):
+        if b - a > 1:
+            np.add.accumulate(cum[:, :, a:b], axis=2, out=cum[:, :, a:b])
+
+    n_cuts = int(np.count_nonzero(cuts))
+    stats.split_candidates += n_cuts
+    g_sum, h_sum = totals
+    # per node: G, H and G*G/(H+lam)
+    node_sums = np.vstack((totals, g_sum * g_sum / (h_sum + lam)))
+    sparse = n_cuts < SPARSE_LEVELS * cuts.size
+    if sparse:
+        # the cuts in (feature, slot) order: (feature, node) group q holds
+        # cuts bounds[q] to bounds[q+1]
+        flat = np.flatnonzero(cuts)
+        edges = np.empty(len(cuts) * k + 1, dtype=np.int64)
+        edges[:-1] = (np.arange(0, cuts.size, N)[:, None] + start).ravel()
+        edges[-1] = cuts.size
+        bounds = flat.searchsorted(edges)
+        counts = np.diff(bounds)
+        node_at = (np.arange(len(counts)) % k).repeat(counts)
+        score = _gains(*cum.reshape(2, -1).take(flat, axis=1),
+                       *node_sums.take(node_at, axis=1), lam,
+                       min_child_weight)
+        row_best = np.full(len(counts), -np.inf)
+        cut = counts > 0
+        row_best[cut] = np.maximum.reduceat(score, bounds[:-1][cut])
+        row_best = row_best.reshape(-1, k)
+    else:
+        score = _gains(*cum, *node_sums.repeat(sizes, axis=1), lam,
+                       min_child_weight, cuts)
+        row_best = np.maximum.reduceat(score, start, axis=1)
+
+    # first maximum per node in (feature, cut) order
     row_best[np.isnan(row_best)] = -np.inf
     best = row_best.max(axis=0)
     f_best = (row_best == best).argmax(axis=0)
     at = (f_best * N).repeat(sizes) + np.arange(N)
-    hits = (score.take(at) == best.repeat(sizes)).nonzero()[0]
-    p_best = hits[hits.searchsorted(start)]
-    split = best > 0
-    threshold = np.zeros(len(sizes))
-    lo_at = at[p_best[split]]
-    lo = xs.take(lo_at)
-    hi = xs.take(lo_at + 1)
-    thr = (lo + hi) / 2.0
-    # adjacent floats: keep the partition honest
-    threshold[split] = np.where(thr > lo, thr, hi)
-    return best, f_best, threshold, p_best + 1 - start, sorted_rows.take(at)
+    if sparse:
+        # a node that splits has cuts in its winning (feature, node) group
+        split = (best > 0).nonzero()[0]
+        won = f_best.take(split)
+        hits = (score == best.take(node_at)).nonzero()[0]
+        hits = flat.take(hits.take(hits.searchsorted(
+            bounds.take(won * k + split))))
+        p_best = start - 1
+        p_best[split] = hits - won * N
+    else:
+        hits = (score.take(at) == best.repeat(sizes)).nonzero()[0]
+        p_best = hits.take(hits.searchsorted(start))
+    return best, f_best, p_best + 1 - start, sorted_rows.take(at)
 
 
 def _same(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -513,18 +562,18 @@ def _grow_tree(Xt, ranks, n_ranks, root, gh, params: BoostParams,
                ) -> tuple[Tree, bool, np.ndarray]:
     """Grow one tree level by level from the gradients and hessians gh.
 
-    root is _sort_level's result for all rows, the same for every tree.
-    Returns the tree, whether it replays `old`, and each row's leaf weight
-    by the fit's own partition of the rows. Node ids come out in preorder
-    (node, left subtree, right subtree).
+    root() returns _sort_level's result for all rows, the same for every
+    tree. Returns the tree, whether it replays `old`, and each row's leaf
+    weight by the fit's own partition of the rows. Node ids come out in
+    preorder (node, left subtree, right subtree).
 
     `old` is a prefix model's tree over Xt's first n_old features, given the
     gradients it was grown from. Each node carries its node in `old`, or -1.
     A fresh node (-1) is searched over every feature. A replayed node is
-    searched over column 0, which holds the x values and ranks of old's
-    split feature at that node (one constant at a leaf of old), then the
-    appended features Xt[n_old:]. Old's split was the first maximum over the
-    prefix features, so it is column 0's too, and a tie goes to it, the lower
+    searched over column 0, which holds the x ranks of old's split feature
+    at that node (one constant at a leaf of old), then the appended
+    features Xt[n_old:]. Old's split was the first maximum over the prefix
+    features, so it is column 0's too, and a tie goes to it, the lower
     index, as in a cold fit. Where column 0 wins, the children replay old's;
     where an appended feature wins, they are fresh. The tree replays `old`
     when every node was replayed. Once the tree is grown, _check_replay
@@ -533,15 +582,14 @@ def _grow_tree(Xt, ranks, n_ranks, root, gh, params: BoostParams,
     n = gh.shape[1]
     lam = params.lambda_l2
     lr = params.learning_rate
-    searchers = [(Xt, ranks, n_ranks, root)]
+    searchers = [(ranks, n_ranks, root)]
     if old is not None:
-        Xr = np.concatenate((np.zeros((1, n)), Xt[n_old:]))
         ranks_r = np.concatenate((np.zeros((1, n), dtype=ranks.dtype),
                                   ranks[n_old:]))
         # column 0's ranks come from any prefix feature
         n_ranks_r = np.concatenate(([n_ranks[:n_old].max(initial=1)],
                                     n_ranks[n_old:]))
-        searchers.append((Xr, ranks_r, n_ranks_r, None))
+        searchers.append((ranks_r, n_ranks_r, None))
 
     # one entry per level, nodes in level order: feature, threshold, leaf
     # weight, gain, cover, whether the node splits, its node in `old`, its
@@ -566,7 +614,6 @@ def _grow_tree(Xt, ranks, n_ranks, root, gh, params: BoostParams,
 
         gain = np.full(k, -np.inf)
         feature = np.zeros(k, dtype=np.int64)
-        threshold = np.zeros(k)
         n_left = np.zeros(k, dtype=np.int64)
         order = rows
         if depth < params.max_depth and len(Xt):
@@ -576,22 +623,21 @@ def _grow_tree(Xt, ranks, n_ranks, root, gh, params: BoostParams,
                 feat = old.feature[olds[replay]].repeat(sizes[replay])
                 at = rows[replay.repeat(sizes)]
                 # a leaf of old (feature -1) gives column 0 one value
-                flat = feat * n + at
-                Xr[0, at] = np.where(feat >= 0, Xt.take(flat), 0.0)
-                ranks_r[0, at] = np.where(feat >= 0, ranks.take(flat), 0)
-            for which, (X_, ranks_, n_ranks_, root_) in zip(
+                ranks_r[0, at] = np.where(feat >= 0,
+                                          ranks.take(feat * n + at), 0)
+            for which, (ranks_, n_ranks_, root_) in zip(
                     (olds < 0, replay), searchers):
                 if which.all():
-                    gain, feature, threshold, n_left, order = _search_level(
-                        X_, ranks_, n_ranks_, gh, rows, sizes, totals, lam,
+                    gain, feature, n_left, order = _search_level(
+                        ranks_, n_ranks_, gh, rows, sizes, totals, lam,
                         params.min_child_weight, stats,
-                        root_ if depth == 0 else None)
+                        root_() if root_ and depth == 0 else None)
                 elif which.any():  # a level of fresh and replayed nodes
                     at = which.repeat(sizes)
                     order = order.copy()
-                    (gain[which], feature[which], threshold[which],
-                     n_left[which], order[at]) = _search_level(
-                        X_, ranks_, n_ranks_, gh, rows[at], sizes[which],
+                    (gain[which], feature[which], n_left[which],
+                     order[at]) = _search_level(
+                        ranks_, n_ranks_, gh, rows[at], sizes[which],
                         totals[:, which], lam, params.min_child_weight, stats)
 
         split = gain > 0
@@ -611,6 +657,15 @@ def _grow_tree(Xt, ranks, n_ranks, root, gh, params: BoostParams,
             feature[appended] += n_old - 1
             feature[col0] = old.feature[olds[col0]]
         feature[leaf] = -1
+        # the midpoint of the winning cut's two x values
+        threshold = np.zeros(k)
+        lo_at = (sizes.cumsum() - sizes + n_left - 1)[split]
+        f = feature[split] * n
+        lo = Xt.take(order.take(lo_at) + f)
+        hi = Xt.take(order.take(lo_at + 1) + f)
+        thr = (lo + hi) / 2.0
+        # adjacent floats: keep the partition honest
+        threshold[split] = np.where(thr > lo, thr, hi)
         levels.append((feature, threshold, weight, gain, sizes, split, olds,
                        n_left, col0))
         if not split.any():
@@ -697,12 +752,16 @@ def train(train_ds: ColumnarDataset, params: BoostParams,
     if stats is None:
         stats = TrainStats()
 
-    # dense x ranks per column, computed once for every tree
+    # dense x ranks per column, computed once for every tree; a cut is
+    # where the rank rises, which NaN (one rank, but unequal to itself)
+    # would break
     Xt = np.ascontiguousarray(X.T)
     ranks = np.empty(Xt.shape, dtype=np.int64)
     n_ranks = np.empty(len(Xt), dtype=np.int64)
     for f, column in enumerate(Xt):
         distinct, ranks[f] = np.unique(column, return_inverse=True)
+        if np.isnan(distinct[-1]):
+            raise ValueError(f"feature {names[f]!r} holds NaN")
         n_ranks[f] = len(distinct)
     if n_ranks.max(initial=0) <= RADIX_KEYS:
         ranks = ranks.astype(np.uint16)
@@ -718,8 +777,9 @@ def train(train_ds: ColumnarDataset, params: BoostParams,
     trees: list[Tree] = []
     reusing = prefix is not None
     n_old = len(prefix.feature_names) if reusing else 0
-    root = (_sort_level(Xt, ranks, n_ranks, np.arange(n), np.array([n]))
-            if len(Xt) else None)
+    # the root's order, sorted once the first tree grows a fresh root
+    root = functools.cache(lambda: _sort_level(ranks, n_ranks, np.arange(n),
+                                               np.array([n])))
     gh = np.empty((2, n))
     for t in range(params.n_estimators):
         np.subtract(p, y, out=gh[0])

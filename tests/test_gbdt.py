@@ -117,6 +117,12 @@ class TestTraining:
         with pytest.raises(SingleClassTraining):
             gbdt.train(ds, STUMP)
 
+    def test_nan_feature_rejected(self):
+        # x ranks tell cuts apart, and NaN is unequal to its own rank's x
+        ds = make_ds([[1.0], [np.nan], [3.0], [4.0]], [0, 0, 1, 1])
+        with pytest.raises(ValueError, match="'f0' holds NaN"):
+            gbdt.train(ds, STUMP)
+
     def test_empty_training_set(self):
         ds = make_ds(np.empty((0, 1)), np.empty(0, dtype=np.int64))
         with pytest.raises(EmptyTrainingSet):
@@ -768,27 +774,33 @@ class TestRowLimit:
             gbdt.train(ds, STUMP)
 
 
-@pytest.mark.parametrize("limit", [0, 12], ids=["int64-keys", "mixed-keys"])
+@pytest.mark.parametrize("constants", [
+    {"RADIX_KEYS": 0}, {"RADIX_KEYS": 12},
+    {"SPARSE_LEVELS": 0.0}, {"SPARSE_LEVELS": 1.0}],
+    ids=["int64-keys", "mixed-keys", "dense-scores", "sparse-scores"])
 class TestSortPaths:
-    """Both ways of ordering a level give the ensemble of TestReferenceOracle
-    and TestWarmStart.
+    """Both ways of ordering a level, and both ways of scoring it, give the
+    ensemble of TestReferenceOracle and TestWarmStart.
 
     With RADIX_KEYS patched to 0, ranks are stored as int64 and every level
     is ordered by int64 keys. At 12, a column with at most 12 distinct
     values keeps uint16 ranks, and a level switches to int64 keys once its
-    nodes times its largest rank count pass 12.
+    nodes times its largest rank count pass 12. With SPARSE_LEVELS patched
+    to 0, every level scores its whole (feature, slot) grid; at 1, every
+    level scores its cuts only.
     """
 
     @settings(max_examples=100, deadline=None, derandomize=True,
               database=None)
     @given(problem=tie_heavy_problems())
-    def test_ensemble_equals_reference(self, limit, problem):
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered")
+    def test_ensemble_equals_reference(self, constants, problem):
         X, y, params = problem
         counts = [0]
         want = train_reference(X, y, [f"f{j}" for j in range(X.shape[1])],
                                params, counts)
         stats = gbdt.TrainStats()
-        with patch.object(gbdt, "RADIX_KEYS", limit):
+        with patch.multiple(gbdt, **constants):
             got = gbdt.train(make_ds(X, y), params, stats)
         assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
         assert stats.split_candidates == counts[0]
@@ -799,14 +811,27 @@ class TestSortPaths:
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.filterwarnings("ignore:divide by zero encountered")
-    def test_warm_equals_cold(self, limit, problem):
+    def test_warm_equals_cold(self, constants, problem):
         X, appended, y, params = problem
         ds = make_ds(np.column_stack([X, appended]), y)
         cold = gbdt.train(ds, params)
-        with patch.object(gbdt, "RADIX_KEYS", limit):
+        with patch.multiple(gbdt, **constants):
             prefix = gbdt.train(make_ds(X, y), params)
             warm = gbdt.train(ds, params, prefix=prefix)
         assert json.dumps(warm.to_dict()) == json.dumps(cold.to_dict())
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_nan_gains_match_reference(self, constants):
+        # TestReferenceOracle's saturated hessians: some cut gains are
+        # 0/0 = NaN, and their (feature, node) drops out on either path
+        X = np.arange(6, dtype=np.float64).reshape(6, 1)
+        y = np.array([0, 0, 1, 0, 1, 1])
+        params = BoostParams(max_depth=2, learning_rate=1.0, n_estimators=100,
+                             min_child_weight=0.0, lambda_l2=0.0)
+        want = train_reference(X, y, ["f0"], params)
+        with patch.multiple(gbdt, **constants):
+            got = gbdt.train(make_ds(X, y), params)
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
 
 
 def test_replay_column_zero_carries_uint16_ranks(monkeypatch):
@@ -832,8 +857,10 @@ def test_replay_column_zero_carries_uint16_ranks(monkeypatch):
     stats = gbdt.TrainStats()
     warm = gbdt.train(ds, UNIT, stats, prefix=prefix)
     assert stats.reused_trees == UNIT.n_estimators
-    # replay searches order column 0 and the one appended column
-    replays = {(dtype, radix) for rows, dtype, radix in orders if rows == 2}
+    # replay searches order column 0 and the one appended column; no tree
+    # grows a fresh root, so the three columns are never sorted
+    assert {rows for rows, _, _ in orders} == {2}
+    replays = {(dtype, radix) for rows, dtype, radix in orders}
     assert replays == {(np.dtype(np.uint16), True),
                        (np.dtype(np.uint16), False)}
     assert (json.dumps(warm.to_dict())
