@@ -326,8 +326,9 @@ RADIX_KEYS = 1 << 16
 # A level whose cuts are fewer than this share of its (feature, slot) grid
 # scores its cuts only, and the whole grid otherwise. A cut scored alone
 # costs about 1.5 grid slots (its gathers), so on 16,000-row levels the two
-# break even near 0.4.
-SPARSE_LEVELS = 0.4
+# break even near 0.4; a fixed ~20 µs per level moves that lower on small
+# levels, such as the two-column replay levels of a 2,000-row table.
+SPARSE_LEVELS = 0.3
 
 
 @dataclass
@@ -462,8 +463,7 @@ def _search_level(ranks, n_ranks, gh, rows, sizes, totals, lam,
     n_cuts = int(np.count_nonzero(cuts))
     stats.split_candidates += n_cuts
     g_sum, h_sum = totals
-    # per node: G, H and G*G/(H+lam)
-    node_sums = np.vstack((totals, g_sum * g_sum / (h_sum + lam)))
+    parent = g_sum * g_sum / (h_sum + lam)
     sparse = n_cuts < SPARSE_LEVELS * cuts.size
     if sparse:
         # the cuts in (feature, slot) order: (feature, node) group q holds
@@ -476,15 +476,15 @@ def _search_level(ranks, n_ranks, gh, rows, sizes, totals, lam,
         counts = np.diff(bounds)
         node_at = (np.arange(len(counts)) % k).repeat(counts)
         score = _gains(*cum.reshape(2, -1).take(flat, axis=1),
-                       *node_sums.take(node_at, axis=1), lam,
-                       min_child_weight)
+                       *totals.take(node_at, axis=1), parent.take(node_at),
+                       lam, min_child_weight)
         row_best = np.full(len(counts), -np.inf)
         cut = counts > 0
         row_best[cut] = np.maximum.reduceat(score, bounds[:-1][cut])
         row_best = row_best.reshape(-1, k)
     else:
-        score = _gains(*cum, *node_sums.repeat(sizes, axis=1), lam,
-                       min_child_weight, cuts)
+        score = _gains(*cum, *totals.repeat(sizes, axis=1),
+                       parent.repeat(sizes), lam, min_child_weight, cuts)
         row_best = np.maximum.reduceat(score, start, axis=1)
 
     # first maximum per node in (feature, cut) order
@@ -591,9 +591,10 @@ def _grow_tree(Xt, ranks, n_ranks, root, gh, params: BoostParams,
                                     n_ranks[n_old:]))
         searchers.append((ranks_r, n_ranks_r, None))
 
-    # one entry per level, nodes in level order: feature, threshold, leaf
-    # weight, gain, cover, whether the node splits, its node in `old`, its
-    # left child's cover, and whether column 0 won at a replayed node
+    # one entry per level, nodes in level order: feature, leaf weight,
+    # gain, cover, whether the node splits, its node in `old`, its left
+    # child's cover and whether column 0 won at a replayed node; then, per
+    # split node, the two rows on either side of its winning cut
     levels = []
     step = np.empty(n)
     rows = np.arange(n)
@@ -657,17 +658,9 @@ def _grow_tree(Xt, ranks, n_ranks, root, gh, params: BoostParams,
             feature[appended] += n_old - 1
             feature[col0] = old.feature[olds[col0]]
         feature[leaf] = -1
-        # the midpoint of the winning cut's two x values
-        threshold = np.zeros(k)
-        lo_at = (sizes.cumsum() - sizes + n_left - 1)[split]
-        f = feature[split] * n
-        lo = Xt.take(order.take(lo_at) + f)
-        hi = Xt.take(order.take(lo_at + 1) + f)
-        thr = (lo + hi) / 2.0
-        # adjacent floats: keep the partition honest
-        threshold[split] = np.where(thr > lo, thr, hi)
-        levels.append((feature, threshold, weight, gain, sizes, split, olds,
-                       n_left, col0))
+        at = (sizes.cumsum() - sizes + n_left - 1)[split]
+        levels.append((feature, weight, gain, sizes, split, olds, n_left,
+                       col0, order.take(at[:, None] + (0, 1))))
         if not split.any():
             break
         # the next level: each split node's left child, then its right
@@ -681,8 +674,14 @@ def _grow_tree(Xt, ranks, n_ranks, root, gh, params: BoostParams,
                             -1)[:, split].ravel(order="F")
         depth += 1
 
-    (feature, threshold, weight, gain, cover, split, olds, n_left, col0) = (
+    (feature, weight, gain, cover, split, olds, n_left, col0, cut_rows) = (
         np.concatenate(arrays) for arrays in zip(*levels))
+    # a split's threshold is the midpoint of its winning cut's two x values
+    lo, hi = Xt.take(cut_rows + feature[split, None] * n).T
+    thr = (lo + hi) / 2.0
+    threshold = np.zeros(len(split))
+    # adjacent floats: keep the partition honest
+    threshold[split] = np.where(thr > lo, thr, hi)
     if old is not None:
         _check_replay(old, reused, olds, cover, split, col0, weight,
                       threshold, gain, n_left)
