@@ -466,21 +466,19 @@ def _search_level(ranks, n_ranks, gh, rows, sizes, totals, lam,
     parent = g_sum * g_sum / (h_sum + lam)
     sparse = n_cuts < SPARSE_LEVELS * cuts.size
     if sparse:
-        # the cuts in (feature, slot) order: (feature, node) group q holds
-        # cuts bounds[q] to bounds[q+1]
+        # the cuts in (feature, slot) order; the counts[q] cuts of
+        # (feature, node) group q = feature * k + node start at bounds[q]
         flat = np.flatnonzero(cuts)
-        edges = np.empty(len(cuts) * k + 1, dtype=np.int64)
-        edges[:-1] = (np.arange(0, cuts.size, N)[:, None] + start).ravel()
-        edges[-1] = cuts.size
-        bounds = flat.searchsorted(edges)
-        counts = np.diff(bounds)
+        bounds = flat.searchsorted(
+            (np.arange(0, cuts.size, N)[:, None] + start).ravel())
+        counts = np.diff(bounds, append=len(flat))
         node_at = (np.arange(len(counts)) % k).repeat(counts)
         score = _gains(*cum.reshape(2, -1).take(flat, axis=1),
                        *totals.take(node_at, axis=1), parent.take(node_at),
                        lam, min_child_weight)
         row_best = np.full(len(counts), -np.inf)
-        cut = counts > 0
-        row_best[cut] = np.maximum.reduceat(score, bounds[:-1][cut])
+        some = counts > 0
+        row_best[some] = np.maximum.reduceat(score, bounds[some])
         row_best = row_best.reshape(-1, k)
     else:
         score = _gains(*cum, *totals.repeat(sizes, axis=1),
@@ -658,9 +656,9 @@ def _grow_tree(Xt, ranks, n_ranks, root, gh, params: BoostParams,
             feature[appended] += n_old - 1
             feature[col0] = old.feature[olds[col0]]
         feature[leaf] = -1
-        at = (sizes.cumsum() - sizes + n_left - 1)[split]
+        last_left = (sizes.cumsum() - sizes + n_left - 1)[split]
         levels.append((feature, weight, gain, sizes, split, olds, n_left,
-                       col0, order.take(at[:, None] + (0, 1))))
+                       col0, order.take(last_left[:, None] + (0, 1))))
         if not split.any():
             break
         # the next level: each split node's left child, then its right
