@@ -128,6 +128,13 @@ class TestTraining:
         with pytest.raises(EmptyTrainingSet):
             gbdt.train(ds, STUMP)
 
+    def test_label_only_table_fits_leaf_only_trees(self):
+        ds = make_ds(np.empty((4, 0)), [0, 1, 1, 1])
+        model = gbdt.train(ds, BoostParams(n_estimators=2))
+        assert model.feature_names == []
+        assert [t.n_nodes for t in model.trees] == [1, 1]
+        assert gbdt.predict_proba(model, ds) == pytest.approx([0.75] * 4)
+
     def test_constant_features_give_constant_model(self):
         ds = make_ds([[5.0], [5.0], [5.0], [5.0]], [0, 1, 0, 1])
         model = gbdt.train(ds, BoostParams(n_estimators=3))
