@@ -271,7 +271,7 @@ def _triangular_mus(x: np.ndarray, a: float, b: float, c: float) -> np.ndarray:
     """Triangle (a, b, c) memberships: 0 for x <= a or x >= c, (x-a)/(b-a)
     up to b, (c-x)/(c-b) after it. A shoulder, applied last, overrides:
     b == c gives 1 for every x >= b, a == b gives 1 for every x <= b."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         mu = np.where(x <= b, (x - a) / (b - a), (c - x) / (c - b))
     mu = np.where((x <= a) | (x >= c), 0.0, mu)
     if b == c:

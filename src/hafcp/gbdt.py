@@ -26,9 +26,9 @@ batching or the path: within a node, equal x values keep the node's row
 order (a child's row order is its parent's order by the winning feature);
 cumsums run left to right per node and feature; node totals and leaf
 weights use numpy's pairwise sum over the node's rows in that order. The
-margins move by each row's leaf weight in the fit's own partition; only a
-tree whose threshold overflowed to inf, where prediction routes rows
-otherwise, is applied through prediction.
+margins move by each row's leaf weight in the fit's own partition. A
+threshold is the midpoint lo/2 + hi/2 of its cut's two x values, which
+cannot overflow, so prediction routes every row as the fit did.
 
 A fit can start from a model fitted with the same params on the leading
 columns (train's `prefix`, the baseline before pattern columns were
@@ -199,11 +199,8 @@ class Tree:
         return path[self.leaves(X)]
 
     def gain_by_feature(self, n_features: int) -> np.ndarray:
-        out = np.zeros(n_features, dtype=np.float64)
-        for i in range(self.n_nodes):
-            if self.feature[i] >= 0:
-                out[self.feature[i]] += self.gain[i]
-        return out
+        split = self.feature >= 0
+        return np.bincount(self.feature[split], self.gain[split], n_features)
 
     def to_dict(self) -> dict:
         return {key: getattr(self, key).tolist() for key in TREE_ARRAYS}
@@ -674,9 +671,10 @@ def _grow_tree(Xt, ranks, n_ranks, root, gh, params: BoostParams,
 
     (feature, weight, gain, cover, split, olds, n_left, col0, cut_rows) = (
         np.concatenate(arrays) for arrays in zip(*levels))
-    # a split's threshold is the midpoint of its winning cut's two x values
+    # a split's threshold is the midpoint of its winning cut's two x values,
+    # halved first so that it cannot overflow
     lo, hi = Xt.take(cut_rows + feature[split, None] * n).T
-    thr = (lo + hi) / 2.0
+    thr = lo / 2.0 + hi / 2.0
     threshold = np.zeros(len(split))
     # adjacent floats: keep the partition honest
     threshold[split] = np.where(thr > lo, thr, hi)
@@ -733,7 +731,7 @@ def train(train_ds: ColumnarDataset, params: BoostParams,
     scratch. The model equals the cold fit's bit for bit. A prefix that
     does not fit these inputs raises PrefixMismatch.
     """
-    X, names = train_ds.feature_matrix()
+    names = train_ds.feature_names()
     y = train_ds.label.astype(np.float64)
     n = len(y)
     if n == 0:
@@ -749,16 +747,17 @@ def train(train_ds: ColumnarDataset, params: BoostParams,
     if stats is None:
         stats = TrainStats()
 
-    # dense x ranks per column, computed once for every tree; a cut is
-    # where the rank rises, which NaN (one rank, but unequal to itself)
-    # would break
-    Xt = np.ascontiguousarray(X.T)
+    # x and its dense ranks, one row per feature, computed once for every
+    # tree; a cut is where the rank rises, which NaN (one rank, but unequal
+    # to itself) would break
+    Xt = np.empty((len(names), n))
     ranks = np.empty(Xt.shape, dtype=np.int64)
-    n_ranks = np.empty(len(Xt), dtype=np.int64)
-    for f, column in enumerate(Xt):
-        distinct, ranks[f] = np.unique(column, return_inverse=True)
+    n_ranks = np.empty(len(names), dtype=np.int64)
+    for f, name in enumerate(names):
+        Xt[f] = train_ds.columns[name]
+        distinct, ranks[f] = np.unique(Xt[f], return_inverse=True)
         if np.isnan(distinct[-1]):
-            raise ValueError(f"feature {names[f]!r} holds NaN")
+            raise ValueError(f"feature {name!r} holds NaN")
         n_ranks[f] = len(distinct)
     if n_ranks.max(initial=0) <= RADIX_KEYS:
         ranks = ranks.astype(np.uint16)
@@ -788,10 +787,7 @@ def train(train_ds: ColumnarDataset, params: BoostParams,
         trees.append(tree)
         stats.trees += 1
         stats.nodes += tree.n_nodes
-        # a midpoint that overflowed to inf routes rows left that the
-        # partition put right; prediction decides there
-        margin += (step if np.isfinite(tree.threshold).all()
-                   else tree.predict_margin(X))
+        margin += step
         p = _sigmoid(margin)
         losses.append(_log_loss(y, p))
 

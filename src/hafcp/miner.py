@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import atomic_write_text, json_field, text_file
+from ._util import atomic_write_text, json_field
 from .errors import (
     ConfigError,
     EmptyDatabase,
@@ -510,11 +510,6 @@ def write_patterns(patterns: list[Pattern], path: str) -> str:
     text = "\n".join(lines) + ("\n" if lines else "")
     atomic_write_text(path, text)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def read_patterns(path: str) -> list[Pattern]:
-    with text_file(path) as f:
-        return parse_patterns(f.read(), path)
 
 
 def parse_patterns(text: str, path: str) -> list[Pattern]:

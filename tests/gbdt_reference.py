@@ -55,7 +55,7 @@ def _best_split(X, g, h, rows, lam, min_child_weight, counts=None):
         i = int(np.argmax(gains))
         if gains[i] > best_gain:
             c = int(cuts[i])
-            thr = (xs[c] + xs[c + 1]) / 2.0
+            thr = xs[c] / 2.0 + xs[c + 1] / 2.0
             if not thr > xs[c]:  # adjacent floats: keep the partition honest
                 thr = float(xs[c + 1])
             best_gain = float(gains[i])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -243,6 +244,20 @@ class TestAssignTerms:
         term, mu = assign_terms([1e6, -1e6], spec)
         assert term.tolist() == [0, 0]
         assert mu.tolist() == [0.0, 0.0]
+
+    def test_vertices_a_subnormal_apart_raise_no_warning(self):
+        # at x = -1e6 the medium term's falling side divides 1e6 by 5e-324,
+        # which overflows in the branch np.where discards
+        spec = MembershipSpec(column="v", family="triangular",
+                              low=(-1e6, -1e6, 0.0),
+                              medium=(-1e6, 0.0, 5e-324),
+                              high=(0.0, 5e-324, 5e-324), stats={},
+                              alpha=0.05, source_fingerprint="")
+        want = reference.assign_term(-1e6, spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            term, mu = assign_terms([-1e6], spec)
+        assert (TERMS[term[0]], mu[0]) == (want.term, want.membership)
 
     def test_invalid_parameters_rejected(self):
         # the same class whether a spec is built or read back, naming the

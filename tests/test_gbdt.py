@@ -253,6 +253,16 @@ class TestImportance:
             assert table.scores[name] == pytest.approx(manual[j])
         assert table.method == "gain"
 
+    def test_gain_by_feature_adds_in_node_order(self):
+        model = gbdt.train(random_labeled(200, 3, seed=5),
+                           BoostParams(n_estimators=6))
+        for t in model.trees:
+            want = [0.0] * 4
+            for f, g in zip(t.feature.tolist(), t.gain.tolist()):
+                if f >= 0:
+                    want[f] += g
+            assert t.gain_by_feature(4).tolist() == want
+
     def test_path_attribution_importance_matches_mean_abs(self):
         ds = random_labeled(200, 3, seed=6)
         model = gbdt.train(ds, BoostParams(n_estimators=6))
@@ -513,15 +523,19 @@ class TestReferenceOracle:
         want = train_reference(X, ds.label, names, params)
         assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_threshold_matches_reference(self):
-        # the midpoint of 1.5e308 and 1.6e308 overflows to inf, so prediction
-        # routes the right child's rows left; margins must follow prediction
+        # 1.5e308 + 1.6e308 overflows, their halves' sum does not; the
+        # reference's margins come from prediction, the fit's from its
+        # partition, so both must route the rows alike
         X = np.array([[1.0e308], [1.5e308], [1.6e308], [1.7e308]])
         y = np.array([0, 0, 1, 1])
         params = BoostParams(max_depth=1, n_estimators=3, min_child_weight=0.0)
-        got = gbdt.train(make_ds(X, y), params)
-        assert got.trees[0].threshold[0] == np.inf
+        ds = make_ds(X, y)
+        got = gbdt.train(ds, params)
+        assert got.trees[0].threshold[0] == 1.55e308
+        json.dumps(got.to_dict(), allow_nan=False)
+        p = gbdt.predict_proba(got, ds)
+        assert gbdt._log_loss(y, p) == got.train_loss[-1]
         want = train_reference(X, y, ["f0"], params)
         assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
 
@@ -586,8 +600,8 @@ class TestWarmStart:
     # the appended label splits a root the table leaves as a leaf
     @example((np.full((6, 1), 2.5), np.array([[0, 1, 0, 1, 1, 0]]).T,
               np.array([0, 1, 0, 1, 1, 0]), UNIT))
-    # the root's threshold overflows to inf, so prediction routes every row
-    # left while the partition cuts at the left child's cover
+    # the root's x values sum beyond the largest float; its threshold, taken
+    # from their halves, is finite and routes rows as the partition does
     @example((np.array([[1.0e308], [1.5e308], [1.6e308], [1.7e308]]),
               np.array([[1.0e308, 1.5e308, 1.6e308, 1.7e308]]).T,
               np.array([0, 0, 1, 1]), UNIT))
@@ -602,7 +616,6 @@ class TestWarmStart:
               np.array([[0, 1, 1, 0, 1, 0], [1, 1, 1, 0, 0, 0],
                         [0, 1, 2, 0, 1, 2]], dtype=np.float64).T,
               np.array([0, 1, 1, 0, 1, 0]), UNIT))
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.filterwarnings("ignore:divide by zero encountered")
     def test_warm_equals_cold(self, problem):
@@ -632,12 +645,15 @@ class TestWarmStart:
     def test_overflowing_threshold_tree_is_reused(self):
         X = np.array([[1.0e308], [1.5e308], [1.6e308], [1.7e308]])
         y = np.array([0, 0, 1, 1])
-        with np.errstate(over="ignore"):
-            prefix = gbdt.train(make_ds(X, y), UNIT)
-            stats = gbdt.TrainStats()
-            gbdt.train(make_ds(np.column_stack([X, X]), y), UNIT, stats,
-                       prefix=prefix)
-        assert prefix.trees[0].threshold[0] == np.inf
+        ds = make_ds(X, y)
+        prefix = gbdt.train(ds, UNIT)
+        stats = gbdt.TrainStats()
+        gbdt.train(make_ds(np.column_stack([X, X]), y), UNIT, stats,
+                   prefix=prefix)
+        assert prefix.trees[0].threshold[0] == 1.55e308
+        json.dumps(prefix.to_dict(), allow_nan=False)
+        p = gbdt.predict_proba(prefix, ds)
+        assert gbdt._log_loss(y, p) == prefix.train_loss[-1]
         assert prefix.trees[0].n_nodes == 3
         assert stats.reused_trees == UNIT.n_estimators
 

@@ -25,7 +25,7 @@ from hafcp.miner import (
     SearchStats,
     build_transactions,
     mine_topk,
-    read_patterns,
+    parse_patterns,
     render_patterns_table,
     write_patterns,
 )
@@ -400,13 +400,18 @@ class TestBeam:
         assert [(p.items, p.utility, p.support) for p in beam] == TINY_TOP5
 
 
+def read_back(path: str) -> list[Pattern]:
+    with open(path, encoding="utf-8", newline="") as f:
+        return parse_patterns(f.read(), path)
+
+
 class TestPatternIo:
     def test_jsonl_roundtrip(self, tmp_path):
         db, pt = tiny_db()
         patterns = mine_topk(db, pt, MiningConfig(k=5))
         path = str(tmp_path / "patterns.jsonl")
         write_patterns(patterns, path)
-        assert read_patterns(path) == patterns
+        assert read_back(path) == patterns
         lines = open(path).read().strip().split("\n")
         assert len(lines) == 5
         assert json.loads(lines[0])["items"] == ["Age_L", "Spend_M"]
@@ -414,13 +419,13 @@ class TestPatternIo:
     def test_empty_roundtrip(self, tmp_path):
         path = str(tmp_path / "patterns.jsonl")
         write_patterns([], path)
-        assert read_patterns(path) == []
+        assert read_back(path) == []
 
     def test_parse_error_carries_line_number(self, tmp_path):
         p = tmp_path / "patterns.jsonl"
         p.write_text('{"items": ["a"], "utility": 1.0, "support": 1}\nnot json\n')
         with pytest.raises(ParseError) as exc:
-            read_patterns(str(p))
+            read_back(str(p))
         assert ":2:" in str(exc.value)
 
     @pytest.mark.parametrize("line", [
@@ -443,13 +448,13 @@ class TestPatternIo:
         p.write_text('{"items": ["a"], "utility": 1.0, "support": 1}\n'
                      + line + "\n")
         with pytest.raises(ParseError) as exc:
-            read_patterns(str(p))
+            read_back(str(p))
         assert f"{p}:2:" in str(exc.value)
 
     def test_integral_utility_read_as_float(self, tmp_path):
         p = tmp_path / "patterns.jsonl"
         p.write_text('{"items": ["b", "a"], "utility": 2, "support": 2}\n')
-        got = read_patterns(str(p))
+        got = read_back(str(p))
         assert got == [Pattern(items=("b", "a"), utility=2.0, support=2)]
         assert type(got[0].utility) is float
 
