@@ -64,25 +64,6 @@ def text_file(path: str) -> Iterator[IO[str]]:
         raise ParseError(f"{path} is not UTF-8 text ({e.reason})") from None
 
 
-def jsonable(value: Any) -> Any:
-    """Recursively convert numpy scalars/arrays into plain Python types."""
-    import numpy as np
-
-    if isinstance(value, dict):
-        return {k: jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    return value
-
-
 _KINDS = {str: "a string", int: "an integer", float: "a finite number",
           list: "a list", dict: "an object"}
 

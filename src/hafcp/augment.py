@@ -11,10 +11,11 @@ the Baseline / Top-1..Top-k / AVG comparison table.
 The k retrains are independent. `run_comparison` runs them in a fork-based
 process pool of min(k, usable CPUs) workers, or serially when that is one
 or the platform cannot fork; results are gathered in rank order, so the
-report's bytes do not depend on the worker count. Given the baseline model,
-each retrain is warm-started from it (`gbdt.train`'s `prefix`): it takes
-the baseline's trees for as long as the appended columns would not change
-them, and its model stays bit-identical to a cold fit.
+report's bytes do not depend on the worker count, and a worker's error
+reaches the caller with its type, message and attributes. Given the
+baseline model, each retrain is warm-started from it (`gbdt.train`'s
+`prefix`): it takes the baseline's trees for as long as the appended columns
+would not change them, and its model stays bit-identical to a cold fit.
 """
 
 from __future__ import annotations
@@ -150,19 +151,6 @@ def _retrain(i: int) -> tuple[Metrics, int]:
     return metrics, stats.reused_trees
 
 
-def _worker_retrain(i: int):
-    """_retrain in a pool worker, as (result, None) or (None, failure).
-
-    A failure is (type, message): some error types take other constructor
-    arguments than their message, so the exception object itself would not
-    unpickle in the caller.
-    """
-    try:
-        return _retrain(i), None
-    except Exception as e:
-        return None, (type(e), str(e))
-
-
 def _retrain_all(k: int, workers: int) -> list[tuple[Metrics, int]]:
     """_retrain for ranks 1..k in rank order, forked when workers > 1."""
     ranks = range(1, k + 1)
@@ -176,16 +164,10 @@ def _retrain_all(k: int, workers: int) -> list[tuple[Metrics, int]]:
             pool = ProcessPoolExecutor(workers,
                                        multiprocessing.get_context("fork"))
             try:
-                outcomes = list(pool.map(_worker_retrain, ranks))
+                return list(pool.map(_retrain, ranks))
             finally:
                 # joins every worker; after a failure, drops unstarted ranks
                 pool.shutdown(cancel_futures=True)
-            for _, failure in outcomes:
-                if failure is not None:
-                    cls, message = failure
-                    # the worker's error type, built without its __init__
-                    raise cls.__new__(cls, message)
-            return [result for result, _ in outcomes]
     return [_retrain(i) for i in ranks]
 
 
@@ -194,25 +176,24 @@ def run_comparison(train_ds: ColumnarDataset, test_ds: ColumnarDataset,
                    params: BoostParams, baseline: Metrics,
                    cumulative: bool = False, threshold: float = 0.5,
                    config_fingerprint: str = "",
-                   prefix: BoostedModel | None = None,
-                   _workers: int | None = None) -> ComparisonReport:
+                   prefix: BoostedModel | None = None) -> ComparisonReport:
     """Retrain once per top-i pattern and build the report.
 
     `columns[i]` holds pattern i's indicator columns over the train and test
     splits, as `match_rows` builds them. Default is one engineered column per
     evaluation (top-i alone); cumulative mode stacks columns for patterns
     1..i instead. `prefix`, the baseline model of train_ds, warm-starts
-    every retrain. The retrains run in min(k, usable CPUs) forked workers;
-    `_workers` forces the count (tests only).
+    every retrain. The retrains run in min(k, usable CPUs) forked workers,
+    or serially where that is one or the platform cannot fork. A worker's
+    error reaches the caller with its type, message and attributes.
     """
     global _JOB
     k = len(patterns)
-    if _workers is None:
-        _workers = (min(k, len(os.sched_getaffinity(0)))
-                    if hasattr(os, "sched_getaffinity") else 1)
+    workers = (min(k, len(os.sched_getaffinity(0)))
+               if hasattr(os, "sched_getaffinity") else 1)
     _JOB = (train_ds, test_ds, columns, params, cumulative, threshold, prefix)
     try:
-        results = _retrain_all(k, _workers)
+        results = _retrain_all(k, workers)
     finally:
         _JOB = None
     return build_report(baseline,

@@ -59,8 +59,7 @@ if "numpy" not in sys.modules:
             os.environ["OPENBLAS_NUM_THREADS"] = _blas_threads
 
 from . import augment, fuzzify, gbdt, miner, rng
-from ._util import (atomic_write_text, fingerprint_of, json_field, jsonable,
-                    text_file)
+from ._util import atomic_write_text, fingerprint_of, json_field, text_file
 from .dataset import ColumnarDataset, SplitSpec, drop_columns, load_csv, split
 from .errors import (ConfigError, HafcpError, LineageError, MissingArtifact,
                      MissingImportance, ParseError, PrefixMismatch)
@@ -226,8 +225,7 @@ def _load_splits(cfg: PipelineConfig) -> Splits:
 
 
 def _write_json(path: str, doc: dict) -> None:
-    atomic_write_text(path, json.dumps(jsonable(doc), indent=1,
-                                       sort_keys=True) + "\n")
+    atomic_write_text(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def _check_lineage(cfg: PipelineConfig, train_ds: ColumnarDataset, path: str,
@@ -567,38 +565,11 @@ _COMMANDS = {
 }
 
 
-# glibc mallopt parameters and the values _keep_heap sets
-M_TRIM_THRESHOLD, TRIM_THRESHOLD = -1, 256 << 20
-M_MMAP_THRESHOLD, MMAP_THRESHOLD = -3, 32 << 20  # glibc's dynamic maximum
-
-
-def _keep_heap() -> None:
-    """Keep freed memory in the heap for the process and its forked workers.
-
-    By default glibc returns the free top of the heap to the system once it
-    passes the trim threshold, so a fit whose levels free and reallocate
-    large arrays faults its working set back in at every level. A fixed trim
-    threshold also freezes glibc's dynamic mmap threshold, so that one is
-    raised too; otherwise level-sized arrays would be mapped and unmapped on
-    every allocation. A no-op where libc has no mallopt.
-    """
-    import ctypes
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
-    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
-
-
 def main(argv: list[str] | None = None) -> int:
     # imported here: importing hafcp.cli needs no argument parser, and
     # loading argparse ahead of numpy raised the pipeline's peak RSS by
     # 0.3-0.4 MB (CPython 3.11, glibc), by allocation order alone
     import argparse
-    _keep_heap()
     parser = argparse.ArgumentParser(
         prog="hafcp",
         description="Mine highly associated fuzzy churn patterns and "

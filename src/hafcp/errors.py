@@ -4,9 +4,16 @@ Every error raised by the library derives from HafcpError so CLI code can
 map library failures to exit codes without enumerating modules.
 """
 
+import copyreg
+
 
 class HafcpError(Exception):
     """Base class for all errors raised by this package."""
+
+    def __reduce__(self):
+        # unpickled without __init__, whose arguments need not be the
+        # message: a report worker's error reaches the caller whole
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 # --- dataset ---------------------------------------------------------------

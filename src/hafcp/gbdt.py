@@ -55,7 +55,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from ._util import (atomic_write_text, canonical_json, json_field,
-                    json_floats, jsonable, text_file)
+                    json_floats, text_file)
 from .dataset import ColumnarDataset
 from .errors import (
     ConfigError,
@@ -253,12 +253,6 @@ class BoostedModel:
         self.feature_names = list(feature_names)
         self.params = params
         self.train_loss = list(train_loss)
-
-    def predict_margin_matrix(self, X: np.ndarray) -> np.ndarray:
-        margin = np.full(len(X), self.base_score, dtype=np.float64)
-        for tree in self.trees:
-            margin += tree.predict_margin(X)
-        return margin
 
     def to_dict(self) -> dict:
         return {
@@ -804,7 +798,11 @@ def _check_schema(model: BoostedModel, ds: ColumnarDataset) -> np.ndarray:
 
 
 def predict_margin(model: BoostedModel, ds: ColumnarDataset) -> np.ndarray:
-    return model.predict_margin_matrix(_check_schema(model, ds))
+    X = _check_schema(model, ds)
+    margin = np.full(len(X), model.base_score, dtype=np.float64)
+    for tree in model.trees:
+        margin += tree.predict_margin(X)
+    return margin
 
 
 def predict_proba(model: BoostedModel, ds: ColumnarDataset) -> np.ndarray:
@@ -948,12 +946,12 @@ def write_importance(table: ImportanceTable, path: str, lineage: dict | None = N
         w.writerow([name, repr(float(score))])
     text = buf.getvalue()
     if lineage is not None:
-        text += LINEAGE_COMMENT + canonical_json(jsonable(lineage)) + "\n"
+        text += LINEAGE_COMMENT + canonical_json(lineage) + "\n"
     atomic_write_text(path, text)
 
 
 def save_model(model: BoostedModel, path: str, lineage: dict | None = None) -> None:
     doc = model.to_dict()
     if lineage is not None:
-        doc["lineage"] = jsonable(lineage)
+        doc["lineage"] = lineage
     atomic_write_text(path, json.dumps(doc, separators=(",", ":")) + "\n")

@@ -310,24 +310,33 @@ class NoPool:
         raise AssertionError("a process pool was started")
 
 
+def usable_cpus(monkeypatch, n):
+    """Make run_comparison see n usable CPUs, so it forks min(k, n) workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
 class TestRetrainPool:
     @pytest.mark.parametrize("cumulative", [False, True])
-    def test_worker_count_does_not_change_the_report(self, setup, cumulative):
-        docs = [run_comparison(*setup, cumulative=cumulative,
-                               _workers=workers).to_dict()
-                for workers in (1, 2, len(setup[2]))]
+    def test_worker_count_does_not_change_the_report(self, setup, cumulative,
+                                                     monkeypatch):
+        docs = []
+        for cpus in (1, 2, len(setup[2])):
+            usable_cpus(monkeypatch, cpus)
+            docs.append(run_comparison(*setup,
+                                       cumulative=cumulative).to_dict())
         assert docs[1] == docs[0]
         assert docs[2] == docs[0]
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_retrain_error_keeps_its_type(self, setup, workers):
+    def test_retrain_error_keeps_its_type(self, setup, workers, monkeypatch):
         train_ds, test_ds, patterns, columns, params, baseline = setup
         one_class = ColumnarDataset(train_ds.schema, train_ds.columns,
                                     np.zeros(train_ds.n_rows))
+        usable_cpus(monkeypatch, workers)
         with pytest.raises(SingleClassTraining):
             run_comparison(one_class, test_ds, patterns, columns, params,
-                           baseline, _workers=workers)
+                           baseline)
         assert multiprocessing.active_children() == []
         assert augment._JOB is None
 
@@ -337,22 +346,24 @@ class TestRetrainPool:
             raise UnparseableCell(7, "Age", "not a number")
 
         monkeypatch.setattr(augment, "train", failing_train)
+        usable_cpus(monkeypatch, 2)
         with pytest.raises(UnparseableCell) as exc:
-            run_comparison(*setup, _workers=2)
+            run_comparison(*setup)
         assert "column 'Age'" in str(exc.value)
+        assert (exc.value.row, exc.value.column) == (7, "Age")
         assert multiprocessing.active_children() == []
 
     def test_one_cpu_runs_serially(self, setup, monkeypatch):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        serial = run_comparison(*setup)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        usable_cpus(monkeypatch, 1)
+        run_comparison(*setup)
+        usable_cpus(monkeypatch, 2)
         with pytest.raises(AssertionError, match="pool was started"):
             run_comparison(*setup)
-        assert serial.to_dict() == run_comparison(*setup, _workers=1).to_dict()
 
     def test_no_fork_runs_serially(self, setup, monkeypatch):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
         monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                             lambda: ["spawn"])
-        run_comparison(*setup, _workers=2)
+        usable_cpus(monkeypatch, 2)
+        run_comparison(*setup)

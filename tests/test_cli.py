@@ -1,4 +1,3 @@
-import ctypes
 import hashlib
 import json
 import multiprocessing
@@ -6,7 +5,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -988,9 +986,9 @@ def test_module_entry_point(tmp_path):
 
 
 def test_import_loads_no_pool_or_ctypes():
-    # set-up time is the import of hafcp.cli; the pool and the heap setting
-    # import their modules when they run. numpy imports ctypes itself, so
-    # ctypes is checked against a bare numpy import.
+    # set-up time is the import of hafcp.cli; the pool imports its modules
+    # when it runs. numpy imports ctypes itself, so each module is checked
+    # against a bare numpy import.
     code = ("import json, sys; import numpy; before = set(sys.modules); "
             "import hafcp.cli; print(json.dumps({m: [m in before, "
             "m in sys.modules] for m in sys.argv[1:]}))")
@@ -1077,35 +1075,3 @@ def test_cli_import_leaves_the_environment_as_it_was(preset):
             "print(json.dumps([before == dict(os.environ), "
             "os.environ.get('OPENBLAS_NUM_THREADS')]))")
     assert run_fresh(code, env=env) == [True, preset]
-
-
-class TestKeepHeap:
-    def test_main_sets_the_heap_once(self, tmp_path, monkeypatch):
-        calls = []
-        monkeypatch.setattr(cli, "_keep_heap", lambda: calls.append(1))
-        cfg_path, _ = make_project(tmp_path)
-        assert cli.main(["train", "--config", cfg_path]) == 0
-        assert calls == [1]
-
-    def test_sets_trim_and_mmap_thresholds(self, monkeypatch):
-        calls = []
-
-        def mallopt(param, value):
-            calls.append((param, value))
-            return 1
-
-        monkeypatch.setattr(ctypes, "CDLL",
-                            lambda name: SimpleNamespace(mallopt=mallopt))
-        cli._keep_heap()
-        assert calls == [(-1, 256 << 20), (-3, 32 << 20)]
-
-    def test_libc_without_mallopt_is_a_no_op(self, monkeypatch):
-        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
-        assert cli._keep_heap() is None
-
-    def test_unloadable_libc_is_a_no_op(self, monkeypatch):
-        def no_libc(name):
-            raise OSError("no C library")
-
-        monkeypatch.setattr(ctypes, "CDLL", no_libc)
-        assert cli._keep_heap() is None
