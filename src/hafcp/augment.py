@@ -50,27 +50,6 @@ def match_rows(frame: BinaryFrame, items) -> np.ndarray:
     return out
 
 
-def evaluate_with_patterns(train_ds: ColumnarDataset, test_ds: ColumnarDataset,
-                           columns: list[ColumnPair], params: BoostParams,
-                           threshold: float = 0.5,
-                           name_offset: int = 1,
-                           prefix: BoostedModel | None = None,
-                           stats: TrainStats | None = None) -> Metrics:
-    """Append each pattern's column pair to both splits, retrain, evaluate on test.
-
-    `prefix`, the baseline model of train_ds, warm-starts the retrain;
-    `stats` receives its work counts.
-    """
-    aug_train, aug_test = train_ds, test_ds
-    for i, (train_col, test_col) in enumerate(columns):
-        name = f"HAFCP_{name_offset + i}"
-        aug_train = append_numeric_column(aug_train, name, train_col)
-        aug_test = append_numeric_column(aug_test, name, test_col)
-    model = train(aug_train, params, stats, prefix)
-    probs = predict_proba(model, aug_test)
-    return evaluate(aug_test.label, probs, threshold=threshold)
-
-
 @dataclass(frozen=True)
 class ComparisonReport:
     baseline: Metrics
@@ -140,15 +119,18 @@ _JOB: tuple | None = None
 
 
 def _retrain(i: int) -> tuple[Metrics, int]:
-    """The top-i evaluation of the current job, and the trees it reused."""
+    """The top-i evaluation of the current job, and the trees it reused,
+    with columns HAFCP_1..HAFCP_i (cumulative mode) or HAFCP_i appended."""
     train_ds, test_ds, columns, params, cumulative, threshold, prefix = _JOB
-    chosen = columns[:i] if cumulative else [columns[i - 1]]
+    for j in range(1, i + 1) if cumulative else [i]:
+        train_col, test_col = columns[j - 1]
+        train_ds = append_numeric_column(train_ds, f"HAFCP_{j}", train_col)
+        test_ds = append_numeric_column(test_ds, f"HAFCP_{j}", test_col)
     stats = TrainStats()
-    metrics = evaluate_with_patterns(train_ds, test_ds, chosen, params,
-                                     threshold=threshold,
-                                     name_offset=1 if cumulative else i,
-                                     prefix=prefix, stats=stats)
-    return metrics, stats.reused_trees
+    model = train(train_ds, params, stats, prefix)
+    probs = predict_proba(model, test_ds)
+    return (evaluate(test_ds.label, probs, threshold=threshold),
+            stats.reused_trees)
 
 
 def _retrain_all(k: int, workers: int) -> list[tuple[Metrics, int]]:

@@ -460,7 +460,7 @@ def cmd_mine(cfg: PipelineConfig, splits: Splits) -> None:
                  "max_length": cfg.mining.max_length,
                  "n_patterns": len(patterns),
                  "n_items": len(db.items),
-                 "n_transactions": len(db.transactions),
+                 "n_transactions": len(db.present),
                  **stats.to_dict(),
                  "lineage": {"config": cfg_fp,
                              "train_split": train_ds.fingerprint(),

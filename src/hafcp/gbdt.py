@@ -34,9 +34,10 @@ A fit can start from a model fitted with the same params on the leading
 columns (train's `prefix`, the baseline before pattern columns were
 appended). While the appended columns have changed no tree, the level walk
 replays the prefix's tree: each node searches only the prefix's split
-feature there and the appended columns. Below a node where an appended
-column wins, every column is searched, and later trees grow from scratch;
-the ensemble is the cold fit's, bit for bit.
+feature there and the appended columns. The changed tree keeps its replayed
+levels down to the one where an appended column first wins; every level
+below is searched over every column, and later trees grow from scratch. The
+ensemble is the cold fit's, bit for bit.
 
 Feature importance comes in two flavors: "gain" (per-feature sum of split
 gains) and "path_attribution" (mean absolute Saabas contribution over the
@@ -356,7 +357,7 @@ def _node_order(node: np.ndarray, rank: np.ndarray,
 
     A stable sort of the keys node·n_rank + rank over the positions in
     order gives it; while the keys fit 16 bits, numpy sorts them by radix.
-    Otherwise the position is packed into a unique int64 key, which any
+    Otherwise the position is packed into a unique int64 key, which every
     sort orders alike.
     """
     N = node.shape[-1]
@@ -557,33 +558,32 @@ def _grow_tree(Xt, ranks, n_ranks, root, gh, params: BoostParams,
     preorder (node, left subtree, right subtree).
 
     `old` is a prefix model's tree over Xt's first n_old features, given the
-    gradients it was grown from. Each node carries its node in `old`, or -1.
-    A fresh node (-1) is searched over every feature. A replayed node is
-    searched over column 0, which holds the x ranks of old's split feature
-    at that node (one constant at a leaf of old), then the appended
+    gradients it was grown from. The tree replays `old` level by level while
+    no appended column has won a split: each node carries its node in `old`
+    and is searched over column 0, which holds the x ranks of old's split
+    feature at that node (one constant at a leaf of old), then the appended
     features Xt[n_old:]. Old's split was the first maximum over the prefix
     features, so it is column 0's too, and a tie goes to it, the lower
-    index, as in a cold fit. Where column 0 wins, the children replay old's;
-    where an appended feature wins, they are fresh. The tree replays `old`
-    when every node was replayed. Once the tree is grown, _check_replay
-    holds every replayed node to `old`.
+    index, as in a cold fit. The changed tree keeps its replayed levels
+    down to the one where an appended column first wins; every level below
+    is searched over every column, as in a cold fit, and its nodes carry -1.
+    Once the tree is grown, _check_replay holds every replayed node to
+    `old`.
     """
     n = gh.shape[1]
     lam = params.lambda_l2
     lr = params.learning_rate
-    searchers = [(ranks, n_ranks, root)]
     if old is not None:
         ranks_r = np.concatenate((np.zeros((1, n), dtype=ranks.dtype),
                                   ranks[n_old:]))
         # column 0's ranks come from any prefix feature
         n_ranks_r = np.concatenate(([n_ranks[:n_old].max(initial=1)],
                                     n_ranks[n_old:]))
-        searchers.append((ranks_r, n_ranks_r, None))
 
     # one entry per level, nodes in level order: feature, leaf weight,
-    # gain, cover, whether the node splits, its node in `old`, its left
-    # child's cover and whether column 0 won at a replayed node; then, per
-    # split node, the two rows on either side of its winning cut
+    # gain, cover, whether the node splits, its node in `old` and its left
+    # child's cover; then, per split node, the two rows on either side of
+    # its winning cut
     levels = []
     step = np.empty(n)
     rows = np.arange(n)
@@ -607,28 +607,19 @@ def _grow_tree(Xt, ranks, n_ranks, root, gh, params: BoostParams,
         n_left = np.zeros(k, dtype=np.int64)
         order = rows
         if depth < params.max_depth and len(Xt):
-            replay = olds >= 0
-            if old is not None:
-                replay &= old.feature[olds] < n_old
-                feat = old.feature[olds[replay]].repeat(sizes[replay])
-                at = rows[replay.repeat(sizes)]
+            if reused:
                 # a leaf of old (feature -1) gives column 0 one value
-                ranks_r[0, at] = np.where(feat >= 0,
-                                          ranks.take(feat * n + at), 0)
-            for which, (ranks_, n_ranks_, root_) in zip(
-                    (olds < 0, replay), searchers):
-                if which.all():
-                    gain, feature, n_left, order = _search_level(
-                        ranks_, n_ranks_, gh, rows, sizes, totals, lam,
-                        params.min_child_weight, stats,
-                        root_() if root_ and depth == 0 else None)
-                elif which.any():  # a level of fresh and replayed nodes
-                    at = which.repeat(sizes)
-                    order = order.copy()
-                    (gain[which], feature[which], n_left[which],
-                     order[at]) = _search_level(
-                        ranks_, n_ranks_, gh, rows[at], sizes[which],
-                        totals[:, which], lam, params.min_child_weight, stats)
+                feat = old.feature[olds].repeat(sizes)
+                ranks_r[0, rows] = np.where(feat >= 0,
+                                            ranks.take(feat * n + rows), 0)
+                gain, feature, n_left, order = _search_level(
+                    ranks_r, n_ranks_r, gh, rows, sizes, totals, lam,
+                    params.min_child_weight, stats)
+            else:
+                gain, feature, n_left, order = _search_level(
+                    ranks, n_ranks, gh, rows, sizes, totals, lam,
+                    params.min_child_weight, stats,
+                    root() if depth == 0 else None)
 
         split = gain > 0
         leaf = ~split
@@ -637,33 +628,30 @@ def _grow_tree(Xt, ranks, n_ranks, root, gh, params: BoostParams,
         # a split node's rows are overwritten by its leaves further down
         step[rows] = weight.repeat(sizes)
         gain[leaf] = 0.0
-        col0 = split & (olds >= 0)
-        if old is not None:
-            # a replayed node's column 0 is old's feature there; the
-            # appended features follow it
-            appended = col0 & (feature > 0)
-            col0 &= feature == 0
-            reused &= not appended.any()
-            feature[appended] += n_old - 1
-            feature[col0] = old.feature[olds[col0]]
+        if reused:
+            # column 0 is old's feature at each node; the appended features
+            # follow it
+            reused = not (feature[split] > 0).any()
+            feature = np.where(feature > 0, feature + n_old - 1,
+                               old.feature[olds])
         feature[leaf] = -1
         last_left = (sizes.cumsum() - sizes + n_left - 1)[split]
         levels.append((feature, weight, gain, sizes, split, olds, n_left,
-                       col0, order.take(last_left[:, None] + (0, 1))))
+                       order.take(last_left[:, None] + (0, 1))))
         if not split.any():
             break
         # the next level: each split node's left child, then its right
         rows = order[split.repeat(sizes)]
         n_left = n_left[split]
         sizes = np.ravel((n_left, sizes[split] - n_left), order="F")
-        if old is None:
-            olds = np.full(len(sizes), -1)
+        if reused:
+            olds = np.ravel((old.left[olds[split]], old.right[olds[split]]),
+                            order="F")
         else:
-            olds = np.where(col0, (old.left[olds], old.right[olds]),
-                            -1)[:, split].ravel(order="F")
+            olds = np.full(len(sizes), -1)
         depth += 1
 
-    (feature, weight, gain, cover, split, olds, n_left, col0, cut_rows) = (
+    (feature, weight, gain, cover, split, olds, n_left, cut_rows) = (
         np.concatenate(arrays) for arrays in zip(*levels))
     # a split's threshold is the midpoint of its winning cut's two x values,
     # halved first so that it cannot overflow
@@ -673,8 +661,10 @@ def _grow_tree(Xt, ranks, n_ranks, root, gh, params: BoostParams,
     # adjacent floats: keep the partition honest
     threshold[split] = np.where(thr > lo, thr, hi)
     if old is not None:
-        _check_replay(old, reused, olds, cover, split, col0, weight,
-                      threshold, gain, n_left)
+        # a replayed node that splits on a prefix feature won by column 0
+        _check_replay(old, reused, olds, cover, split,
+                      split & (feature < n_old), weight, threshold, gain,
+                      n_left)
     # level order: the children of the s-th split node are nodes 2s+1, 2s+2
     first_child = np.full(len(split), -1)
     first_child[split] = np.arange(1, 2 * np.count_nonzero(split), 2)
@@ -697,15 +687,23 @@ def _grow_tree(Xt, ranks, n_ranks, root, gh, params: BoostParams,
 
 def _check_prefix(prefix: BoostedModel, names: list[str], params: BoostParams,
                   base_score: float) -> None:
-    """PrefixMismatch unless prefix was fitted with params on names' head."""
+    """PrefixMismatch unless prefix was fitted with params on names' head
+    and splits on its own features only."""
+    n_old = len(prefix.feature_names)
     for what, have, want in (
             ("params", asdict(prefix.params), asdict(params)),
-            ("feature names", prefix.feature_names,
-             names[:len(prefix.feature_names)]),
+            ("feature names", prefix.feature_names, names[:n_old]),
             ("tree count", len(prefix.trees), params.n_estimators),
             ("base score", repr(prefix.base_score), repr(base_score))):
         if have != want:
             raise PrefixMismatch(f"model {what} {have} != this fit's {want}")
+    for t, tree in enumerate(prefix.trees):
+        beyond = tree.feature >= n_old
+        if beyond.any():
+            i = int(beyond.argmax())
+            raise PrefixMismatch(
+                f"model tree {t} node {i} splits on feature "
+                f"{tree.feature[i]}, beyond its {n_old} feature names")
 
 
 def train(train_ds: ColumnarDataset, params: BoostParams,

@@ -134,7 +134,8 @@ class TransactionDB:
 
     @property
     def transactions(self) -> np.ndarray:
-        """The presence matrix: one row per transaction."""
+        """`present`, kept only for bench/trace_pipeline._build_counts until
+        ROADMAP item 2 deletes that; the library reads `present`."""
         return self.present
 
 
@@ -373,7 +374,7 @@ def mine_topk(db: TransactionDB, pt: dict[str, float], cfg: MiningConfig,
     if cfg.mode != db.mode:
         raise ConfigError(
             f"config mode {cfg.mode!r} != database mode {db.mode!r}")
-    if len(db.transactions) == 0 or not db.items:
+    if len(db.present) == 0 or not db.items:
         raise EmptyDatabase("transaction database is empty")
     if stats is None:
         stats = SearchStats()

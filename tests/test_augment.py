@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from hafcp import augment, cli, dataset, fuzzify, gbdt
 from hafcp.augment import (
     build_report,
-    evaluate_with_patterns,
     match_rows,
     report_to_markdown,
     run_comparison,
@@ -183,8 +182,9 @@ class TestEvaluateWithPatterns:
                       utility=0.0, support=0)
         columns = pattern_columns(train_ds, test_ds, [pat])
         assert [c.sum() for c in columns[0]] == [0, 0]
-        with_pat = evaluate_with_patterns(train_ds, test_ds, columns, params)
-        assert with_pat == baseline
+        report = run_comparison(train_ds, test_ds, [pat], columns, params,
+                                baseline, prefix=model)
+        assert report.per_pattern[1] == baseline
 
     def test_engineered_column_appended_after_features(self, tiny_csv):
         train_ds, test_ds = tiny_splits(tiny_csv)

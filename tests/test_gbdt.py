@@ -677,6 +677,18 @@ class TestWarmStart:
         with pytest.raises(PrefixMismatch):
             gbdt.train(ds, UNIT, prefix=prefix)
 
+    @pytest.mark.parametrize("beyond", [0, 3])
+    def test_split_beyond_prefix_features_rejected(self, beyond):
+        # an in-memory prefix whose root splits on the appended column, or
+        # on no column of the fit at all
+        base = random_labeled(60, 2, seed=3)
+        X, _ = base.feature_matrix()
+        prefix = gbdt.train(base, UNIT)
+        prefix.trees[0].feature[0] = 2 + beyond
+        ds = make_ds(np.column_stack([X, X[:, 0]]), base.label)
+        with pytest.raises(PrefixMismatch, match="node 0"):
+            gbdt.train(ds, UNIT, prefix=prefix)
+
     def test_edited_gain_or_threshold_rejected(self):
         ds = random_labeled(60, 2, seed=3)
         prefix = gbdt.train(ds, UNIT)
@@ -888,6 +900,37 @@ def test_replay_column_zero_carries_uint16_ranks(monkeypatch):
                        (np.dtype(np.uint16), False)}
     assert (json.dumps(warm.to_dict())
             == json.dumps(gbdt.train(ds, UNIT).to_dict()))
+
+
+def test_replay_ends_at_the_level_an_appended_column_wins(monkeypatch):
+    # the appended column wins at the root's left child, a leaf of the
+    # prefix; that level keeps its replay search, and the next level is
+    # searched fresh over all three columns in one call
+    X = np.array([[3, 0], [3, 3], [0, 0], [0, 1], [1, 0], [3, 1], [3, 3],
+                  [0, 2], [3, 0], [0, 1], [0, 1]], dtype=np.float64)
+    appended = np.array([0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0])
+    y = np.array([0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 1])
+    params = BoostParams(max_depth=3, learning_rate=1.0, n_estimators=1,
+                         min_child_weight=0.0, lambda_l2=1.0)
+    prefix = gbdt.train(make_ds(X, y), params)
+    ds = make_ds(np.column_stack([X, appended]), y)
+    cold_stats = gbdt.TrainStats()
+    cold = gbdt.train(ds, params, cold_stats)
+    orders = []
+    node_order = gbdt._node_order
+
+    def spy(node, rank, n_rank):
+        orders.append((int(node[-1]) + 1, len(rank)))
+        return node_order(node, rank, n_rank)
+
+    monkeypatch.setattr(gbdt, "_node_order", spy)
+    stats = gbdt.TrainStats()
+    warm = gbdt.train(ds, params, stats, prefix=prefix)
+    assert json.dumps(warm.to_dict()) == json.dumps(cold.to_dict())
+    # (nodes, feature rows) per searched level
+    assert orders == [(1, 2), (2, 2), (4, 3)]
+    assert stats.reused_trees == 0
+    assert (stats.split_candidates, cold_stats.split_candidates) == (10, 16)
 
 
 def test_lambda_zero_scores_the_grid_without_warnings():
