@@ -12,14 +12,15 @@ from ``model.json`` and prints how many baseline trees each one reused. No
 encoded frame is written: a ``frame.json`` left in the output directory by
 an older version is ignored and can be deleted.
 
-Every artifact embeds the config fingerprint and the content fingerprints of
-its inputs; a subcommand refuses every artifact it reads whose lineage does
-not name the current config and train split (``_check_lineage``), whose
-specs were fitted on another split (``_read_specs``), or, for
-``patterns.jsonl``, whose bytes lack the sha256 that ``patterns.meta.json``
-records (``_read_patterns``). All writes are atomic
-and all randomness flows from config seeds, so rerunning any subcommand with
-unchanged inputs reproduces byte-identical files.
+The run manifest, ``effective_config.json``, holds the effective config,
+its fingerprint, the fingerprints of the train and test splits and the
+sha256 of every artifact written for them. A subcommand keeps the
+manifest's digests only when it names this config and both splits, reads
+each artifact once through ``_read_text``, which refuses bytes whose sha256
+the manifest does not record, and writes the manifest after its outputs.
+``_read_specs`` also refuses specs fitted on another split. All writes are
+atomic and all randomness flows from config seeds, so rerunning any
+subcommand with unchanged inputs reproduces byte-identical files.
 
 When this module is the first of its process to load numpy, numpy's
 OpenBLAS runs on one thread (see the comment above the numpy import); a
@@ -38,6 +39,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from pathlib import Path
 from types import UnionType
 
 # One OpenBLAS thread for the CLI. The search's matrix products are small
@@ -58,6 +60,8 @@ if "numpy" not in sys.modules:
         else:
             os.environ["OPENBLAS_NUM_THREADS"] = _blas_threads
 
+import numpy as np
+
 from . import augment, fuzzify, gbdt, miner, rng
 from ._util import atomic_write_text, fingerprint_of, json_field, text_file
 from .dataset import ColumnarDataset, SplitSpec, drop_columns, load_csv, split
@@ -66,8 +70,8 @@ from .errors import (ConfigError, HafcpError, LineageError, MissingArtifact,
 
 CONFIG_VERSION = 1
 
-# (whole dataset, train split, test split), loaded once per invocation
-Splits = tuple[ColumnarDataset, ColumnarDataset, ColumnarDataset]
+# (train split, test split), loaded once per invocation
+Splits = tuple[ColumnarDataset, ColumnarDataset]
 
 ARTIFACTS = {
     "config": "effective_config.json",
@@ -220,93 +224,96 @@ def _load_splits(cfg: PipelineConfig) -> Splits:
     if cfg.drop_columns:
         ds = drop_columns(ds, cfg.drop_columns)
     fuzzify.check_categories(ds.schema)
-    train_ds, test_ds = split(ds, cfg.split)
-    return ds, train_ds, test_ds
+    return split(ds, cfg.split)
 
 
 def _write_json(path: str, doc: dict) -> None:
     atomic_write_text(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
-def _check_lineage(cfg: PipelineConfig, train_ds: ColumnarDataset, path: str,
-                   lineage) -> None:
-    """Fail unless an artifact's lineage names this config and train split."""
-    if not isinstance(lineage, dict):
-        raise LineageError(f"{path} carries no lineage object")
-    for key, expected in (("config", cfg.fingerprint()),
-                          ("train_split", train_ds.fingerprint())):
-        found = str(lineage.get(key))
-        if found != expected:
-            raise LineageError(
-                f"{path} {key} lineage mismatch: artifact carries "
-                f"{found[:12]}..., current run expects {expected[:12]}...")
+def _run_keys(cfg: PipelineConfig, splits: Splits) -> dict[str, str]:
+    """The manifest keys that name a run: the config and split fingerprints."""
+    train_ds, test_ds = splits
+    return {"fingerprint": cfg.fingerprint(),
+            "train_split": train_ds.fingerprint(),
+            "test_split": test_ds.fingerprint()}
 
 
-def _read_artifact(cfg: PipelineConfig, train_ds: ColumnarDataset, name: str,
-                   what: str, parse=None):
-    """A JSON artifact of this output directory, checked by _check_lineage.
+def _start(cfg: PipelineConfig, splits: Splits) -> dict[str, str]:
+    """Make the output directory; return the artifact digests of its run
+    manifest if that names this run, else none."""
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"output_dir {cfg.output_dir} is not a directory"
+                          ) from None
+    try:
+        with text_file(cfg.artifact("config")) as f:
+            doc = json.load(f)
+    except (FileNotFoundError, json.JSONDecodeError):
+        return {}
+    keys = _run_keys(cfg, splits)
+    if (not isinstance(doc, dict) or not isinstance(doc.get("artifacts"), dict)
+            or any(doc.get(key) != value for key, value in keys.items())):
+        return {}
+    return doc["artifacts"]
 
-    `parse`, if given, turns the document into the value returned; its
-    ParseError becomes one that names the file.
-    """
+
+def _finish(cfg: PipelineConfig, splits: Splits, digests: dict[str, str],
+            *written: str) -> None:
+    """Record the sha256 of the artifacts just written, then write the run
+    manifest: the effective config, the run's keys and the digests."""
+    for name in written:
+        digests[ARTIFACTS[name]] = hashlib.sha256(
+            Path(cfg.artifact(name)).read_bytes()).hexdigest()
+    _write_json(cfg.artifact("config"),
+                {**cfg.effective_dict(), **_run_keys(cfg, splits),
+                 "artifacts": digests})
+
+
+def _read_text(cfg: PipelineConfig, digests: dict[str, str], name: str,
+               what: str) -> str:
+    """An artifact's text, read once; LineageError unless the run manifest
+    records the sha256 of its bytes (an edited or foreign file)."""
     path = cfg.artifact(name)
     try:
+        # line ends untranslated: the text encodes back to the file's bytes
         with text_file(path) as f:
-            doc = json.load(f)
+            text = f.read()
     except FileNotFoundError:
         raise MissingArtifact(f"{what} artifact not found: {path}") from None
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    recorded = digests.get(ARTIFACTS[name])
+    if digest != recorded:
+        recorded = ("not recorded" if recorded is None
+                    else f"not the {str(recorded)[:12]}... recorded")
+        raise LineageError(f"{path} has sha256 {digest[:12]}..., {recorded} "
+                           f"for this run in {cfg.artifact('config')}")
+    return text
+
+
+def _read_artifact(cfg: PipelineConfig, digests: dict[str, str], name: str,
+                   what: str, parse):
+    """parse(doc) of a JSON artifact read by _read_text; a ParseError names
+    the file."""
+    path = cfg.artifact(name)
+    try:
+        doc = json.loads(_read_text(cfg, digests, name, what))
     except json.JSONDecodeError as e:
         raise ParseError(f"{what} artifact {path} is corrupt: {e}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{what} artifact {path} is corrupt: "
                          f"its root is not a JSON object")
-    _check_lineage(cfg, train_ds, path, doc.get("lineage"))
-    if parse is None:
-        return doc
     try:
         return parse(doc)
     except ParseError as e:
         raise ParseError(f"{what} artifact {path} is corrupt: {e}") from None
 
 
-def _read_patterns(cfg: PipelineConfig, meta: dict) -> list[miner.Pattern]:
-    """patterns.jsonl, read once; its bytes must have the sha256 that
-    patterns.meta.json's lineage records, else LineageError naming both."""
-    path = cfg.artifact("patterns")
-    try:
-        # line ends untranslated: the text encodes back to the file's bytes
-        with text_file(path) as f:
-            text = f.read()
-    except FileNotFoundError:
-        raise MissingArtifact(f"patterns artifact not found: {path}") from None
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    recorded = str(meta["lineage"].get("patterns_sha256"))
-    if digest != recorded:
-        raise LineageError(
-            f"{path} has sha256 {digest[:12]}..., but "
-            f"{cfg.artifact('patterns_meta')} records {recorded[:12]}...")
-    return miner.parse_patterns(text, path)
-
-
-def _make_output_dir(cfg: PipelineConfig) -> None:
-    try:
-        os.makedirs(cfg.output_dir, exist_ok=True)
-    except (FileExistsError, NotADirectoryError):
-        raise ConfigError(f"output_dir {cfg.output_dir} is not a directory"
-                          ) from None
-
-
-def _write_effective_config(cfg: PipelineConfig) -> None:
-    doc = cfg.effective_dict()
-    doc["fingerprint"] = cfg.fingerprint()
-    _write_json(cfg.artifact("config"), doc)
-
-
 def cmd_train(cfg: PipelineConfig, splits: Splits) -> None:
     """Train the baseline model, evaluate it, export importance."""
-    _make_output_dir(cfg)
-    cfg_fp = cfg.fingerprint()
-    ds, train_ds, test_ds = splits
+    digests = _start(cfg, splits)
+    train_ds, test_ds = splits
     external = cfg.importance["method"] == "external"
     if external:  # read before the fit, so a bad table fails at once
         try:
@@ -318,22 +325,25 @@ def cmd_train(cfg: PipelineConfig, splits: Splits) -> None:
         _check_scores_every_feature(table, train_ds)
     stats = gbdt.TrainStats()
     model = gbdt.train(train_ds, cfg.boost, stats)
+    for t, tree in enumerate(model.trees):
+        finite = np.isfinite([tree.threshold, tree.weight, tree.gain]).all(0)
+        if not finite.all():
+            raise ConfigError(
+                f"tree {t} node {finite.argmin()} of the fit is not finite "
+                f"(hessians that sum to 0 over boost.lambda_l2 = 0); set "
+                f"boost.lambda_l2 above 0")
     probs = gbdt.predict_proba(model, test_ds)
     threshold = cfg.report["threshold"]
     metrics = gbdt.evaluate(test_ds.label, probs, threshold=threshold)
     if not external:
         table = gbdt.importance(model, train_ds, cfg.importance["method"])
 
-    lineage = {"config": cfg_fp, "dataset": ds.fingerprint(),
-               "train_split": train_ds.fingerprint(),
-               "test_split": test_ds.fingerprint()}
-    gbdt.save_model(model, cfg.artifact("model"), lineage=lineage)
-    gbdt.write_importance(table, cfg.artifact("importance"),
-                          lineage=dict(lineage, method=table.method))
+    gbdt.save_model(model, cfg.artifact("model"))
+    gbdt.write_importance(table, cfg.artifact("importance"))
     _write_json(cfg.artifact("baseline"),
                 {"metrics": metrics.as_dict(), "threshold": threshold,
-                 **stats.to_dict(), "lineage": lineage})
-    _write_effective_config(cfg)
+                 **stats.to_dict()})
+    _finish(cfg, splits, digests, "model", "importance", "baseline")
     print(f"wrote {cfg.artifact('model')}")
     print(f"wrote {cfg.artifact('importance')}")
     print(f"wrote {cfg.artifact('baseline')}")
@@ -347,24 +357,22 @@ def _check_scores_every_feature(table: gbdt.ImportanceTable,
             raise MissingImportance(name)
 
 
-def _read_importance(cfg: PipelineConfig,
+def _read_importance(cfg: PipelineConfig, digests: dict[str, str],
                      train_ds: ColumnarDataset) -> gbdt.ImportanceTable:
-    """importance.csv, checked against the config and the train split."""
-    path = cfg.artifact("importance")
-    try:
-        table = gbdt.load_importance(path)
-    except FileNotFoundError:
-        raise MissingArtifact(f"importance artifact not found: {path}") from None
-    _check_lineage(cfg, train_ds, path, table.lineage)
+    """importance.csv, scoring every feature of the train split."""
+    table = gbdt.parse_importance(
+        _read_text(cfg, digests, "importance", "importance"),
+        cfg.artifact("importance"))
     _check_scores_every_feature(table, train_ds)
     return table
 
 
-def _read_specs(cfg: PipelineConfig, train_ds: ColumnarDataset
+def _read_specs(cfg: PipelineConfig, digests: dict[str, str],
+                train_ds: ColumnarDataset
                 ) -> tuple[list[fuzzify.MembershipSpec], list[str]]:
-    """Specs and skipped columns, checked against the config and train split:
-    each spec was fitted on the train split, each numeric column has one spec
-    or is skipped, and no other is named."""
+    """Specs and skipped columns, checked against the train split: each spec
+    was fitted on it, each numeric column has one spec or is skipped, and no
+    other is named."""
     def parse(doc):
         skipped = json_field(doc, "skipped_zero_importance", list, "its body")
         if not all(isinstance(name, str) for name in skipped):
@@ -391,8 +399,7 @@ def _read_specs(cfg: PipelineConfig, train_ds: ColumnarDataset
                     f"specs and skipped_zero_importance, not 1")
         return specs, skipped
 
-    return _read_artifact(cfg, train_ds, "specs", "membership specs",
-                          parse=parse)
+    return _read_artifact(cfg, digests, "specs", "membership specs", parse)
 
 
 def _encode(ds: ColumnarDataset, specs: list[fuzzify.MembershipSpec],
@@ -408,10 +415,9 @@ def _encode(ds: ColumnarDataset, specs: list[fuzzify.MembershipSpec],
 
 def cmd_fuzzify(cfg: PipelineConfig, splits: Splits) -> None:
     """Fit membership specs on the train split and check its item names."""
-    _make_output_dir(cfg)
-    cfg_fp = cfg.fingerprint()
-    ds, train_ds, _ = splits
-    table = _read_importance(cfg, train_ds)
+    digests = _start(cfg, splits)
+    train_ds, _ = splits
+    table = _read_importance(cfg, digests, train_ds)
     skipped = [name for name in train_ds.numeric_columns()
                if table.scores[name] == 0.0]
 
@@ -424,24 +430,20 @@ def cmd_fuzzify(cfg: PipelineConfig, splits: Splits) -> None:
     # duplicate item names fail here, before anything is written
     fuzzify.frame_items(drop_columns(train_ds, skipped).schema, specs)
 
-    lineage = {"config": cfg_fp, "dataset": ds.fingerprint(),
-               "train_split": train_ds.fingerprint()}
     _write_json(cfg.artifact("specs"),
                 {"specs": [s.to_dict() for s in specs],
                  "normality_log": normality_log,
-                 "skipped_zero_importance": skipped,
-                 "lineage": lineage})
-    _write_effective_config(cfg)
+                 "skipped_zero_importance": skipped})
+    _finish(cfg, splits, digests, "specs")
     print(f"wrote {cfg.artifact('specs')} ({len(specs)} specs)")
 
 
 def cmd_mine(cfg: PipelineConfig, splits: Splits) -> None:
     """Encode the train split with the fitted specs and mine top-k patterns."""
-    _make_output_dir(cfg)
-    cfg_fp = cfg.fingerprint()
-    _, train_ds, _ = splits
-    table = _read_importance(cfg, train_ds)
-    specs, skipped = _read_specs(cfg, train_ds)
+    digests = _start(cfg, splits)
+    train_ds, _ = splits
+    table = _read_importance(cfg, digests, train_ds)
+    specs, skipped = _read_specs(cfg, digests, train_ds)
     frame = _encode(train_ds, specs, skipped)
 
     db, profits = miner.build_transactions(frame, train_ds.label, table,
@@ -449,10 +451,10 @@ def cmd_mine(cfg: PipelineConfig, splits: Splits) -> None:
     stats = miner.SearchStats()
     patterns = miner.mine_topk(db, profits, cfg.mining, stats)
 
-    patterns_sha256 = miner.write_patterns(patterns, cfg.artifact("patterns"))
+    miner.write_patterns(patterns, cfg.artifact("patterns"))
     table_txt = miner.render_patterns_table(patterns)
     atomic_write_text(cfg.artifact("patterns_txt"),
-                      table_txt + f"\nconfig: {cfg_fp}\n")
+                      table_txt + f"\nconfig: {cfg.fingerprint()}\n")
     _write_json(cfg.artifact("patterns_meta"),
                 {"k": cfg.mining.k, "mode": cfg.mining.mode,
                  "algorithm": cfg.mining.algorithm,
@@ -461,32 +463,28 @@ def cmd_mine(cfg: PipelineConfig, splits: Splits) -> None:
                  "n_patterns": len(patterns),
                  "n_items": len(db.items),
                  "n_transactions": len(db.present),
-                 **stats.to_dict(),
-                 "lineage": {"config": cfg_fp,
-                             "train_split": train_ds.fingerprint(),
-                             "patterns_sha256": patterns_sha256}})
-    _write_effective_config(cfg)
+                 **stats.to_dict()})
+    _finish(cfg, splits, digests, "patterns", "patterns_txt", "patterns_meta")
     print(f"wrote {cfg.artifact('patterns')} ({len(patterns)} patterns)")
     print(f"wrote {cfg.artifact('patterns_txt')}")
 
 
 def cmd_report(cfg: PipelineConfig, splits: Splits) -> None:
     """Retrain with top-1..top-k pattern features and write the comparison."""
-    _make_output_dir(cfg)
-    cfg_fp = cfg.fingerprint()
-    _, train_ds, test_ds = splits
+    digests = _start(cfg, splits)
+    train_ds, test_ds = splits
 
-    meta = _read_artifact(cfg, train_ds, "patterns_meta",
-                          "patterns metadata")
-    patterns = _read_patterns(cfg, meta)
-    specs, skipped = _read_specs(cfg, train_ds)
+    patterns = miner.parse_patterns(
+        _read_text(cfg, digests, "patterns", "patterns"),
+        cfg.artifact("patterns"))
+    specs, skipped = _read_specs(cfg, digests, train_ds)
     baseline = _read_artifact(
-        cfg, train_ds, "baseline", "baseline metrics",
-        parse=lambda doc: gbdt.Metrics.from_dict(
+        cfg, digests, "baseline", "baseline metrics",
+        lambda doc: gbdt.Metrics.from_dict(
             json_field(doc, "metrics", dict, "its body")))
     model_path = cfg.artifact("model")
-    model = _read_artifact(cfg, train_ds, "model", "model",
-                           parse=gbdt.BoostedModel.from_dict)
+    model = _read_artifact(cfg, digests, "model", "model",
+                           gbdt.BoostedModel.from_dict)
     if model.feature_names != train_ds.feature_names():
         raise PrefixMismatch(
             f"model artifact {model_path} has features "
@@ -505,20 +503,15 @@ def cmd_report(cfg: PipelineConfig, splits: Splits) -> None:
             train_ds, test_ds, patterns, columns, cfg.boost, baseline,
             cumulative=cfg.report["cumulative"],
             threshold=cfg.report["threshold"],
-            config_fingerprint=cfg_fp, prefix=model)
+            config_fingerprint=cfg.fingerprint(), prefix=model)
     except PrefixMismatch as e:
         raise PrefixMismatch(f"model artifact {model_path} does not match "
                              f"this run's baseline fit: {e}") from None
 
-    doc = report.to_dict()
-    doc["lineage"] = {"config": cfg_fp,
-                      "train_split": train_ds.fingerprint(),
-                      "test_split": test_ds.fingerprint(),
-                      "patterns": meta["lineage"]}
-    _write_json(cfg.artifact("report"), doc)
+    _write_json(cfg.artifact("report"), report.to_dict())
     atomic_write_text(cfg.artifact("report_md"),
                       augment.report_to_markdown(report))
-    _write_effective_config(cfg)
+    _finish(cfg, splits, digests, "report", "report_md")
     print(f"wrote {cfg.artifact('report')}")
     print(f"wrote {cfg.artifact('report_md')}")
     print("baseline trees reused: " + ", ".join(

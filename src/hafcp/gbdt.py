@@ -55,8 +55,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from ._util import (atomic_write_text, canonical_json, json_field,
-                    json_floats, text_file)
+from ._util import atomic_write_text, json_field, json_floats, text_file
 from .dataset import ColumnarDataset
 from .errors import (
     ConfigError,
@@ -73,7 +72,6 @@ from .errors import (
 
 MODEL_FORMAT = "hafcp-gbdt"
 MODEL_VERSION = 1
-LINEAGE_COMMENT = "# lineage "
 
 
 @dataclass(frozen=True)
@@ -126,7 +124,6 @@ class Metrics:
 class ImportanceTable:
     method: str  # gain | path_attribution | external
     scores: dict[str, float]
-    lineage: dict | None = None  # read back from write_importance's comment
 
 
 # A Tree's parallel arrays, in to_dict's order, with their JSON value types.
@@ -210,17 +207,18 @@ class Tree:
     def from_dict(cls, d: dict) -> "Tree":
         """to_dict's output back; ParseError unless the arrays make a tree.
 
-        The arrays must share one nonzero length; a split node's children
+        The arrays hold integers, or finite numbers where to_dict writes
+        floats, and share one nonzero length; a split node's children
         must come after it (so a walk from the root ends), a leaf has none,
         and every node but the root is the child of exactly one split node.
         """
         arrays = []
         for key, kind in TREE_ARRAYS.items():
             values = json_field(d, key, list, "tree")
-            if not all(type(v) is kind or (kind is float and type(v) is int)
+            if not all(type(v) is int or (type(v) is kind and math.isfinite(v))
                        for v in values):
-                raise ParseError(f"tree array {key!r} must hold only "
-                                 f"{kind.__name__} values")
+                what = "finite numbers" if kind is float else "integers"
+                raise ParseError(f"tree array {key!r} must hold only {what}")
             arrays.append(values)
         lengths = {len(a) for a in arrays}
         if len(lengths) != 1 or not arrays[0]:
@@ -893,23 +891,14 @@ def importance(model: BoostedModel, train_ds: ColumnarDataset, method: str) -> I
                                    zip(model.feature_names, scores)})
 
 
-def load_importance(path: str) -> ImportanceTable:
-    """Read a two-column CSV (feature,score) as an external importance table.
+def parse_importance(text: str, path: str) -> ImportanceTable:
+    """A two-column CSV text (feature,score) as an importance table; errors
+    name `path`.
 
     A first row of exactly feature,score is treated as a header; lines
-    starting with '#' are ignored, except that the JSON of a lineage comment
-    as write_importance appends it becomes the table's lineage.
+    starting with '#' are ignored.
     """
-    with text_file(path) as f:
-        lines = list(f)
-    lineage = None
-    for line in lines:
-        if line.startswith(LINEAGE_COMMENT):
-            try:
-                lineage = json.loads(line[len(LINEAGE_COMMENT):])
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}: lineage comment: {e}") from None
-    rows = [r for r in csv.reader(lines)
+    rows = [r for r in csv.reader(io.StringIO(text, newline=""))
             if r and not r[0].lstrip().startswith("#")]
     if rows and [c.strip().lower() for c in rows[0]] == ["feature", "score"]:
         rows = rows[1:]
@@ -933,23 +922,24 @@ def load_importance(path: str) -> ImportanceTable:
         scores[name] = value
     if not any(v > 0 for v in scores.values()):
         raise ParseError(f"{path}: all importance scores are zero")
-    return ImportanceTable(method="external", scores=scores, lineage=lineage)
+    return ImportanceTable(method="external", scores=scores)
 
 
-def write_importance(table: ImportanceTable, path: str, lineage: dict | None = None) -> None:
+def load_importance(path: str) -> ImportanceTable:
+    """An external importance file, read by parse_importance."""
+    with text_file(path) as f:
+        return parse_importance(f.read(), path)
+
+
+def write_importance(table: ImportanceTable, path: str) -> None:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["feature", "score"])
     for name, score in table.scores.items():
         w.writerow([name, repr(float(score))])
-    text = buf.getvalue()
-    if lineage is not None:
-        text += LINEAGE_COMMENT + canonical_json(lineage) + "\n"
-    atomic_write_text(path, text)
+    atomic_write_text(path, buf.getvalue())
 
 
-def save_model(model: BoostedModel, path: str, lineage: dict | None = None) -> None:
-    doc = model.to_dict()
-    if lineage is not None:
-        doc["lineage"] = lineage
-    atomic_write_text(path, json.dumps(doc, separators=(",", ":")) + "\n")
+def save_model(model: BoostedModel, path: str) -> None:
+    atomic_write_text(path, json.dumps(model.to_dict(), separators=(",", ":"))
+                      + "\n")

@@ -50,7 +50,6 @@ what is pruned, so their summation order does not reach the output.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 from bisect import insort
@@ -504,13 +503,11 @@ def _beam_topk(db: TransactionDB, pt: dict[str, float], cfg: MiningConfig,
     return pool.result()
 
 
-def write_patterns(patterns: list[Pattern], path: str) -> str:
+def write_patterns(patterns: list[Pattern], path: str) -> None:
     """JSON lines, one pattern per line: {"items": [...], "utility": u,
-    "support": s}. Returns the sha256 of the bytes written."""
+    "support": s}."""
     lines = [json.dumps(p.to_dict(), ensure_ascii=False) for p in patterns]
-    text = "\n".join(lines) + ("\n" if lines else "")
-    atomic_write_text(path, text)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def parse_patterns(text: str, path: str) -> list[Pattern]:

@@ -293,8 +293,8 @@ def test_criterion_10_determinism(planted_run):
 # sha256 of the planted pipeline's artifacts; their trees are those of the
 # recursive per-node grower that tests/gbdt_reference.py keeps as the oracle
 PLANTED_SHA256 = {
-    "model": "828932cd5a0bfe6c59d26f4802bb736c87ccd14147a52a87d1b51f811101f0af",
-    "report": "5179408620b0fedcf25541198b8fa8926bb5d3eafd9ccdcd493742d5011bc803",
+    "model": "cf96555340cc4fa822f0752a94757a1c260f06c4f1d1b38658614e37a92b105d",
+    "report": "9bbb35bec3fe2017b287765e49e66fc62663ae2cc67d451394020254bdecc6c4",
 }
 
 

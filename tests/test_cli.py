@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import hafcp
-from hafcp import augment, cli, fuzzify
+from hafcp import augment, cli, fuzzify, rng
 from hafcp.errors import SingleClassTraining
 from hafcp.gbdt import BoostedModel
 
@@ -58,40 +59,31 @@ def artifact(out_dir, name):
     return os.path.join(out_dir, cli.ARTIFACTS[name])
 
 
+def read_text(out_dir, name):
+    return Path(artifact(out_dir, name)).read_text(encoding="utf-8")
+
+
+def read_json(out_dir, name):
+    return json.loads(read_text(out_dir, name))
+
+
 def read_model(out_dir):
-    with open(artifact(out_dir, "model"), encoding="utf-8") as f:
-        return BoostedModel.from_dict(json.load(f))
+    return BoostedModel.from_dict(read_json(out_dir, "model"))
 
 
-def without_lineage(text):
-    doc = json.loads(text)
-    del doc["lineage"]
-    return json.dumps(doc)
+def sha256_of(out_dir, name):
+    return hashlib.sha256(Path(artifact(out_dir, name)).read_bytes()
+                          ).hexdigest()
 
 
-def with_test_split_as_train_split(text):
-    doc = json.loads(text)
-    doc["lineage"]["train_split"] = doc["lineage"]["test_split"]
-    return json.dumps(doc)
-
-
-def without_lineage_comment(text):
-    return "".join(line for line in text.splitlines(keepends=True)
-                   if not line.startswith("# lineage"))
-
-
-# (artifact, the step that reads it, the edit that leaves it without this
-# run's config and train-split lineage)
-FOREIGN_ARTIFACTS = [
-    pytest.param("specs", "mine", without_lineage, id="specs-no-lineage"),
-    pytest.param("specs", "mine", lambda text: "[]", id="specs-list-root"),
-    pytest.param("patterns_meta", "report", without_lineage,
-                 id="patterns-meta-no-lineage"),
-    pytest.param("importance", "fuzzify", without_lineage_comment,
-                 id="importance-no-comment"),
-    pytest.param("baseline", "report", with_test_split_as_train_split,
-                 id="baseline-other-train-split"),
-]
+def without_digest(name):
+    """A text edit of effective_config.json that drops the sha256 it
+    records for artifact `name`."""
+    def edit(text):
+        doc = json.loads(text)
+        del doc["artifacts"][cli.ARTIFACTS[name]]
+        return json.dumps(doc)
+    return edit
 
 
 def without_key(dotted):
@@ -126,11 +118,9 @@ ARTIFACTS_MISSING_A_KEY = [
 
 def edit_json(path, edit):
     """Apply edit(doc) to a JSON artifact in place."""
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
     edit(doc)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f)
+    Path(path).write_text(json.dumps(doc), encoding="utf-8")
 
 
 def set_key(dotted, value):
@@ -149,13 +139,13 @@ def set_key(dotted, value):
     return edit
 
 
-def record_patterns_sha256(out_dir):
-    """Record an edited patterns.jsonl's sha256 in patterns.meta.json, as
-    mine does, so that report reads the edit."""
-    data = Path(artifact(out_dir, "patterns")).read_bytes()
-    edit_json(artifact(out_dir, "patterns_meta"),
-              set_key("lineage.patterns_sha256",
-                      hashlib.sha256(data).hexdigest()))
+def record_sha256(out_dir, name):
+    """Record an edited artifact's sha256 in effective_config.json, as the
+    step that writes it does, so that the step that reads it parses the
+    edit."""
+    digest = sha256_of(out_dir, name)
+    edit_json(artifact(out_dir, "config"), lambda doc: doc["artifacts"]
+              .update({cli.ARTIFACTS[name]: digest}))
 
 
 def with_key(dotted, value):
@@ -187,13 +177,29 @@ def with_extra_spec(column):
     return edit
 
 
+# (artifact, the step that reads it, the edit that leaves it without this
+# run's lineage, the artifact the error names besides effective_config.json):
+# an edit whose sha256 the run manifest does not record, or a manifest that
+# names another train or test split
+FOREIGN_ARTIFACTS = [
+    pytest.param("config", "mine", without_digest("specs"), "specs",
+                 id="specs-no-lineage"),
+    pytest.param("specs", "mine", lambda text: "[]", "specs",
+                 id="specs-list-root"),
+    pytest.param("config", "mine", with_key("train_split", "0" * 64),
+                 "importance", id="manifest-other-train-split"),
+    pytest.param("config", "report", with_key("test_split", "0" * 64),
+                 "patterns", id="manifest-other-test-split"),
+]
+
+
 def corrupt(name, cmd, edit, detail, id, error="ParseError"):
     return pytest.param(name, cmd, edit, error, detail, id=id)
 
 
 # (artifact, the step that reads it, the edit of its text, the error's class,
-# text the error must hold besides the file): corrupt bodies, under lineage
-# that names this run where the body still has a lineage
+# text the error must hold besides the file): corrupt bodies whose sha256
+# the run manifest records
 CORRUPT_BODIES = [
     corrupt("specs", "mine", with_key("specs.0.alpha", ...), "",
             id="spec-no-alpha"),
@@ -255,12 +261,15 @@ CORRUPT_BODIES = [
             id="tree-cover-text"),
     corrupt("model", "report", with_key("params.max_depth", 0),
             "max_depth must be >= 1", id="model-max-depth-0"),
+    corrupt("model", "report", with_key("trees.0.weight.0", math.nan),
+            "tree array 'weight' must hold only finite numbers",
+            id="tree-weight-nan"),
     corrupt("specs", "mine", with_spec(source_fingerprint="0" * 64),
             "column 'Age'", error="LineageError", id="spec-foreign-source"),
 ]
 
 # (the key of model.json edited, its new value): a model that is not this
-# run's baseline fit, under lineage that names this run
+# run's baseline fit, whose sha256 the run manifest records
 FOREIGN_MODELS = [
     pytest.param("trees.0.weight.0", 0.125, id="leaf-weight"),
     pytest.param("trees.0.cover.0", 7, id="cover"),
@@ -296,8 +305,9 @@ def assert_exits_2_naming(argv, path, capsys):
 def encoded_train_split(cfg_path):
     """The frame mine encodes: membership_specs.json over the train split."""
     cfg = cli.load_config(cfg_path)
-    _, train_ds, _ = cli._load_splits(cfg)
-    specs, skipped = cli._read_specs(cfg, train_ds)
+    splits = cli._load_splits(cfg)
+    train_ds = splits[0]
+    specs, skipped = cli._read_specs(cfg, cli._start(cfg, splits), train_ds)
     return cli._encode(train_ds, specs, skipped)
 
 
@@ -372,8 +382,7 @@ class TestConfigHandling:
         cfg_path, out = make_project(tmp_path)
         assert cli.main(["train", "--config", cfg_path,
                          "--split.seed", "7"]) == 0
-        doc = json.load(open(artifact(out, "config")))
-        assert doc["split"]["seed"] == 7
+        assert read_json(out, "config")["split"]["seed"] == 7
 
     def test_override_equals_syntax(self, tmp_path):
         cfg_path, _ = make_project(tmp_path)
@@ -381,8 +390,7 @@ class TestConfigHandling:
         for cmd in ("train", "fuzzify", "mine"):
             assert cli.main([cmd, "--config", cfg_path, "--mining.k=3",
                              "--output_dir", out2]) == 0
-        lines = open(os.path.join(out2, "patterns.jsonl")).read() \
-            .strip().splitlines()
+        lines = read_text(out2, "patterns").strip().splitlines()
         assert len(lines) == 3
 
     def test_value_missing_for_override(self, tmp_path, capsys):
@@ -421,32 +429,38 @@ class TestTrain:
         assert cli.main(["train", "--config", cfg_path]) == 0
         model = read_model(out)
         assert model.feature_names == ["Shop Location", "Age", "Spending"]
-        imp = open(artifact(out, "importance")).read()
-        assert imp.startswith("feature,score\n")
-        assert "# lineage" in imp
-        baseline = json.load(open(artifact(out, "baseline")))
+        imp = read_text(out, "importance")
+        assert imp.startswith("feature,score\n") and "#" not in imp
+        baseline = read_json(out, "baseline")
         assert set(baseline["metrics"]) == {"auc", "accuracy", "recall",
                                             "precision", "f1"}
-        assert "config" in baseline["lineage"]
+        assert "lineage" not in baseline
+        assert read_json(out, "config")["artifacts"] == {
+            cli.ARTIFACTS[n]: sha256_of(out, n)
+            for n in ("model", "importance", "baseline")}
 
     def test_effective_config_records_everything(self, tmp_path):
         cfg_path, out = make_project(tmp_path)
         assert cli.main(["train", "--config", cfg_path]) == 0
-        doc = json.load(open(artifact(out, "config")))
+        doc = read_json(out, "config")
         assert doc["config_version"] == 1
         assert "splitmix64" in doc["shuffle_algorithm"]
         assert doc["boost"]["n_estimators"] == 5
         assert doc["mining"]["k"] == 5
-        assert len(doc["fingerprint"]) == 64
+        cfg = cli.load_config(cfg_path)
+        train_ds, test_ds = cli._load_splits(cfg)
+        assert doc["fingerprint"] == cfg.fingerprint()
+        assert doc["train_split"] == train_ds.fingerprint()
+        assert doc["test_split"] == test_ds.fingerprint()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_path, out = make_project(tmp_path)
         assert cli.main(["train", "--config", cfg_path]) == 0
-        first = {n: open(artifact(out, n), "rb").read()
+        first = {n: Path(artifact(out, n)).read_bytes()
                  for n in ("model", "importance", "baseline", "config")}
         assert cli.main(["train", "--config", cfg_path]) == 0
         for name, blob in first.items():
-            assert open(artifact(out, name), "rb").read() == blob, name
+            assert Path(artifact(out, name)).read_bytes() == blob, name
 
     def test_missing_external_importance(self, tmp_path, capsys):
         cfg_path, _ = make_project(tmp_path)
@@ -493,8 +507,21 @@ class TestTrain:
             tmp_path, {"importance": {"method": "gain", "path": None},
                        "boost": {"min_child_weight": 0.0}})
         assert cli.main(["train", "--config", cfg_path]) == 0
-        body = open(artifact(out, "importance")).read()
-        assert body.startswith("feature,score\n")
+        assert read_text(out, "importance").startswith("feature,score\n")
+
+    def test_non_finite_fit_writes_nothing(self, tmp_path, capsys):
+        # with lambda_l2 0, pure-leaf rounds saturate p to 0 or 1 and some
+        # hessian sums to 0; tree 71 is the first whose gains are infinite
+        cfg_path, out = make_project(
+            tmp_path, {"importance": {"method": "gain", "path": None},
+                       "boost": {"n_estimators": 100, "lambda_l2": 0.0,
+                                 "min_child_weight": 0.0,
+                                 "learning_rate": 1.0}})
+        assert cli.main(["train", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[ConfigError]"), err
+        assert "tree 71 node 0" in err and "boost.lambda_l2" in err
+        assert os.listdir(out) == []
 
 
 class TestFuzzify:
@@ -502,7 +529,7 @@ class TestFuzzify:
         cfg_path, out = make_project(tmp_path)
         assert cli.main(["train", "--config", cfg_path]) == 0
         assert cli.main(["fuzzify", "--config", cfg_path]) == 0
-        specs_doc = json.load(open(artifact(out, "specs")))
+        specs_doc = read_json(out, "specs")
         assert [s["column"] for s in specs_doc["specs"]] == ["Age", "Spending"]
         assert [e["column"] for e in specs_doc["normality_log"]] == \
             ["Age", "Spending"]
@@ -525,7 +552,7 @@ class TestFuzzify:
         assert cli.main(["fuzzify", "--config", cfg_path]) == 0
         err = capsys.readouterr().err
         assert "warning" in err
-        specs_doc = json.load(open(artifact(out, "specs")))
+        specs_doc = read_json(out, "specs")
         assert specs_doc["specs"] == []
         assert sorted(specs_doc["skipped_zero_importance"]) == \
             ["Age", "Spending"]
@@ -541,6 +568,7 @@ class TestFuzzify:
         path.write_text("".join(
             line for line in path.read_text().splitlines(True)
             if not line.startswith("Age,")))
+        record_sha256(out, "importance")
         capsys.readouterr()
         assert cli.main(["fuzzify", "--config", cfg_path]) == 2
         assert "MissingImportance" in capsys.readouterr().err
@@ -596,12 +624,12 @@ class TestMineAndReport:
     def test_mine_writes_patterns(self, tmp_path):
         cfg_path, out = make_project(tmp_path)
         self.run_through(cfg_path, "train", "fuzzify", "mine")
-        lines = open(artifact(out, "patterns")).read().strip().splitlines()
-        meta = json.load(open(artifact(out, "patterns_meta")))
+        lines = read_text(out, "patterns").strip().splitlines()
+        meta = read_json(out, "patterns_meta")
         assert len(lines) == meta["n_patterns"] == 5
         first = json.loads(lines[0])
         assert set(first) == {"items", "utility", "support"}
-        txt = open(artifact(out, "patterns_txt")).read()
+        txt = read_text(out, "patterns_txt")
         assert txt.startswith("Top-5 patterns by utility")
         assert "config: " in txt
 
@@ -609,15 +637,15 @@ class TestMineAndReport:
         cfg_path, out = make_project(tmp_path)
         self.run_through(cfg_path, "train", "fuzzify", "mine")
         utilities = [json.loads(l)["utility"] for l in
-                     open(artifact(out, "patterns")).read().strip().splitlines()]
+                     read_text(out, "patterns").strip().splitlines()]
         assert utilities == sorted(utilities, reverse=True)
 
     def test_meta_counters_byte_identical_on_rerun(self, tmp_path):
         cfg_path, out = make_project(tmp_path)
         self.run_through(cfg_path, "train", "fuzzify", "mine")
-        first = open(artifact(out, "patterns_meta"), "rb").read()
+        first = Path(artifact(out, "patterns_meta")).read_bytes()
         self.run_through(cfg_path, "mine")
-        assert open(artifact(out, "patterns_meta"), "rb").read() == first
+        assert Path(artifact(out, "patterns_meta")).read_bytes() == first
         meta = json.loads(first)
         assert meta["nodes_expanded"] > 0
         assert meta["pool_offers"] >= meta["n_patterns"]
@@ -637,17 +665,17 @@ class TestMineAndReport:
         cfg_path, out = make_project(tmp_path,
                                      {"mining": {"mode": "membership"}})
         self.run_through(cfg_path, "train", "fuzzify", "mine")
-        meta = json.load(open(artifact(out, "patterns_meta")))
-        assert meta["mode"] == "membership"
+        assert read_json(out, "patterns_meta")["mode"] == "membership"
 
     def test_report_artifacts(self, tmp_path):
         cfg_path, out = make_project(tmp_path)
         self.run_through(cfg_path, "train", "fuzzify", "mine", "report")
-        doc = json.load(open(artifact(out, "report")))
+        doc = read_json(out, "report")
         assert set(doc) >= {"baseline", "per_pattern", "average", "flags",
-                            "average_flags", "lineage"}
+                            "average_flags", "config_fingerprint"}
+        assert "lineage" not in doc
         assert sorted(doc["per_pattern"]) == ["1", "2", "3", "4", "5"]
-        md = open(artifact(out, "report_md")).read()
+        md = read_text(out, "report_md")
         assert "| Metric | Baseline | Top-1 | Top-2 | Top-3 | Top-4 | Top-5 | AVG |" in md
         for metric in ("AUC", "Accuracy", "Recall", "Precision", "F1"):
             assert f"| {metric} |" in md
@@ -665,31 +693,74 @@ class TestMineAndReport:
         assert cli.main(["mine", "--config", cfg_path]) == 3
         assert "membership specs" in capsys.readouterr().err
 
+    def copy_from_another_config(self, tmp_path, out, name, config_extra,
+                                 *cmds):
+        """Replace artifact `name` in out by that of a run of another
+        config."""
+        (tmp_path / "other").mkdir()
+        other_cfg, other_out = make_project(tmp_path / "other", config_extra)
+        self.run_through(other_cfg, *cmds)
+        Path(artifact(out, name)).write_bytes(
+            Path(artifact(other_out, name)).read_bytes())
+
+    def assert_lineage_error(self, cmd, cfg_path, out, name, capsys):
+        capsys.readouterr()
+        assert cli.main([cmd, "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[LineageError]"), err
+        assert artifact(out, name) in err and artifact(out, "config") in err
+        assert not os.path.exists(artifact(out, "report"))
+
     def test_mine_rejects_specs_of_another_config(self, tmp_path, capsys):
         cfg_path, out = make_project(tmp_path)
         self.run_through(cfg_path, "train", "fuzzify")
-        with open(artifact(out, "specs"), encoding="utf-8") as f:
-            doc = json.load(f)
-        doc["lineage"]["config"] = "0" * 64
-        with open(artifact(out, "specs"), "w", encoding="utf-8") as f:
-            json.dump(doc, f)
-        capsys.readouterr()
-        assert cli.main(["mine", "--config", cfg_path]) == 2
-        assert "lineage" in capsys.readouterr().err.lower()
+        self.copy_from_another_config(tmp_path, out, "specs",
+                                      {"split": {"seed": 3}},
+                                      "train", "fuzzify")
+        self.assert_lineage_error("mine", cfg_path, out, "specs", capsys)
 
-    @pytest.mark.parametrize("name, cmd, edit", FOREIGN_ARTIFACTS)
+    @pytest.mark.parametrize("name, cmd, edit, named", FOREIGN_ARTIFACTS)
     def test_artifact_without_this_runs_lineage_exits_2(self, tmp_path, capsys,
-                                                         name, cmd, edit):
+                                                         name, cmd, edit,
+                                                         named):
         cfg_path, out = make_project(tmp_path)
         self.run_through(cfg_path, "train", "fuzzify", "mine")
-        path = artifact(out, name)
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(edit(text))
-        capsys.readouterr()
-        assert cli.main([cmd, "--config", cfg_path]) == 2
-        assert cli.ARTIFACTS[name] in capsys.readouterr().err
+        path = Path(artifact(out, name))
+        path.write_text(edit(path.read_text(encoding="utf-8")),
+                        encoding="utf-8")
+        self.assert_lineage_error(cmd, cfg_path, out, named, capsys)
+
+    @pytest.mark.parametrize("name, cmd", [
+        ("importance", "fuzzify"), ("model", "report"),
+        ("baseline", "report"), ("specs", "mine")])
+    def test_one_byte_edit_of_an_artifact_exits_2(self, tmp_path, capsys,
+                                                  name, cmd):
+        # a digit after the first decimal point changes: the file still
+        # parses, with another number
+        cfg_path, out = make_project(tmp_path)
+        self.run_through(cfg_path, "train", "fuzzify", "mine")
+        path = Path(artifact(out, name))
+        data = bytearray(path.read_bytes())
+        at = data.index(b".") + 1
+        data[at] = ord(str((int(chr(data[at])) + 1) % 10))
+        path.write_bytes(bytes(data))
+        self.assert_lineage_error(cmd, cfg_path, out, name, capsys)
+
+    def test_changed_test_split_exits_2(self, tmp_path, capsys):
+        # the labels of the test rows flip and the train rows stay: the
+        # baseline metrics and the manifest were taken on another test split.
+        # Split seed 3 keeps rows A and B, whose labels give the order of the
+        # label's values, in the train split.
+        cfg_path, out = make_project(tmp_path, {"split": {"seed": 3}})
+        self.run_through(cfg_path, "pipeline")
+        cfg = cli.load_config(cfg_path)
+        header, *rows = Path(cfg.input).read_text().splitlines(True)
+        perm = rng.shuffled_indices(len(rows), cfg.split.seed)
+        for i in perm[int(cfg.split.fraction * len(rows)):]:
+            rows[i] = rows[i][:-2] + str(1 - int(rows[i][-2])) + "\n"
+        Path(cfg.input).write_text(header + "".join(rows))
+        os.remove(artifact(out, "report"))
+        self.assert_lineage_error("report", cfg_path, out, "patterns", capsys)
 
     @pytest.mark.parametrize("name, cmd, key, message",
                              ARTIFACTS_MISSING_A_KEY)
@@ -697,11 +768,10 @@ class TestMineAndReport:
                                             key, message):
         cfg_path, out = make_project(tmp_path)
         self.run_through(cfg_path, "train", "fuzzify", "mine")
-        path = artifact(out, name)
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(without_key(key)(text))
+        path = Path(artifact(out, name))
+        path.write_text(without_key(key)(path.read_text(encoding="utf-8")),
+                        encoding="utf-8")
+        record_sha256(out, name)
         capsys.readouterr()
         assert cli.main([cmd, "--config", cfg_path]) == 2
         err = capsys.readouterr().err
@@ -715,6 +785,7 @@ class TestMineAndReport:
         path = Path(artifact(out, name))
         path.write_text(edit(path.read_text(encoding="utf-8")),
                         encoding="utf-8")
+        record_sha256(out, name)
         capsys.readouterr()
         assert cli.main([cmd, "--config", cfg_path]) == 2
         err = capsys.readouterr().err
@@ -725,8 +796,7 @@ class TestMineAndReport:
     @pytest.mark.parametrize("how", UNREADABLE)
     @pytest.mark.parametrize("name, cmd", [
         ("importance", "fuzzify"), ("specs", "mine"), ("patterns", "report"),
-        ("patterns_meta", "report"), ("baseline", "report"),
-        ("model", "report")])
+        ("config", "report"), ("baseline", "report"), ("model", "report")])
     def test_unreadable_artifact_exits_2(self, tmp_path, capsys, name, cmd,
                                          how):
         cfg_path, out = make_project(tmp_path)
@@ -742,6 +812,7 @@ class TestMineAndReport:
         cfg_path, out = make_project(tmp_path)
         self.run_through(cfg_path, "train", "fuzzify", "mine")
         edit_json(artifact(out, "model"), set_key(key, value))
+        record_sha256(out, "model")
         capsys.readouterr()
         assert cli.main(["report", "--config", cfg_path]) == 2
         err = capsys.readouterr().err
@@ -751,12 +822,9 @@ class TestMineAndReport:
     def test_model_of_another_config_exits_2(self, tmp_path, capsys):
         cfg_path, out = make_project(tmp_path)
         self.run_through(cfg_path, "train", "fuzzify", "mine")
-        edit_json(artifact(out, "model"),
-                  set_key("lineage.config", "0" * 64))
-        capsys.readouterr()
-        assert cli.main(["report", "--config", cfg_path]) == 2
-        err = capsys.readouterr().err
-        assert "LineageError" in err and cli.ARTIFACTS["model"] in err
+        self.copy_from_another_config(tmp_path, out, "model",
+                                      {"boost": {"lambda_l2": 2.0}}, "train")
+        self.assert_lineage_error("report", cfg_path, out, "model", capsys)
 
     def test_report_without_model_exits_3(self, tmp_path, capsys):
         cfg_path, out = make_project(tmp_path)
@@ -775,7 +843,7 @@ class TestMineAndReport:
         assert ("baseline trees reused: top-1 5/5, top-2 5/5, top-3 5/5, "
                 "top-4 5/5, top-5 5/5\n") in capsys.readouterr().out
         for name in ("report", "report_md"):
-            assert "reused" not in open(artifact(out, name)).read()
+            assert "reused" not in read_text(out, name)
 
     def test_mine_with_no_specs(self, tmp_path):
         # every numeric column has zero importance: the frame is one-hot only
@@ -783,19 +851,19 @@ class TestMineAndReport:
             tmp_path,
             importance_text="feature,score\nShop Location,1.0\nAge,0\nSpending,0\n")
         self.run_through(cfg_path, "train", "fuzzify", "mine")
-        meta = json.load(open(artifact(out, "patterns_meta")))
-        assert set(meta["lineage"]) == {"config", "train_split",
-                                        "patterns_sha256"}
-        assert meta["n_items"] > 0
+        assert read_json(out, "config")["artifacts"] == {
+            cli.ARTIFACTS[n]: sha256_of(out, n)
+            for n in ("model", "importance", "baseline", "specs", "patterns",
+                      "patterns_txt", "patterns_meta")}
+        assert read_json(out, "patterns_meta")["n_items"] > 0
 
     def test_stale_frame_json_ignored(self, tmp_path):
         cfg_path, out = make_project(tmp_path)
         self.run_through(cfg_path, "train", "fuzzify", "mine")
-        first = open(artifact(out, "patterns"), "rb").read()
-        with open(os.path.join(out, "frame.json"), "w") as f:
-            f.write("not json")
+        first = Path(artifact(out, "patterns")).read_bytes()
+        Path(out, "frame.json").write_text("not json")
         self.run_through(cfg_path, "mine")
-        assert open(artifact(out, "patterns"), "rb").read() == first
+        assert Path(artifact(out, "patterns")).read_bytes() == first
 
     def test_stale_lineage_rejected(self, tmp_path, capsys):
         cfg_path, _ = make_project(tmp_path)
@@ -813,10 +881,10 @@ class TestMineAndReport:
             importance_text="feature,score\nShop Location,1.0\nAge,0\n"
                             "Spending,0.5\n")
         self.run_through(cfg_path, "train", "fuzzify", "mine")
-        with open(artifact(out, "patterns"), "w", encoding="utf-8") as f:
-            f.write(json.dumps({"items": ["Age_L", "Spending_M"],
-                                "utility": 1.0, "support": 2}) + "\n")
-        record_patterns_sha256(out)
+        Path(artifact(out, "patterns")).write_text(
+            json.dumps({"items": ["Age_L", "Spending_M"], "utility": 1.0,
+                        "support": 2}) + "\n", encoding="utf-8")
+        record_sha256(out, "patterns")
         capsys.readouterr()
         assert cli.main(["report", "--config", cfg_path]) == 2
         err = capsys.readouterr().err
@@ -834,8 +902,8 @@ class TestMineAndReport:
         self.run_through(cfg_path, "train", "fuzzify", "mine")
         with open(artifact(out, "patterns"), "a", encoding="utf-8") as f:
             f.write(json.dumps(line) + "\n")
-        record_patterns_sha256(out)
-        n_lines = len(open(artifact(out, "patterns")).read().splitlines())
+        record_sha256(out, "patterns")
+        n_lines = len(read_text(out, "patterns").splitlines())
         capsys.readouterr()
         assert cli.main(["report", "--config", cfg_path]) == 2
         err = capsys.readouterr().err
@@ -843,27 +911,15 @@ class TestMineAndReport:
         assert f"patterns.jsonl:{n_lines}:" in err
         assert not os.path.exists(artifact(out, "report"))
 
-    def assert_patterns_lineage_error(self, cfg_path, out, capsys):
-        capsys.readouterr()
-        assert cli.main(["report", "--config", cfg_path]) == 2
-        err = capsys.readouterr().err
-        assert "error[LineageError]" in err
-        assert artifact(out, "patterns") in err
-        assert artifact(out, "patterns_meta") in err
-        assert not os.path.exists(artifact(out, "report"))
-
     def test_patterns_of_another_config_exit_2(self, tmp_path, capsys):
         # a k=3 run's patterns copied over this run's: this run's
-        # patterns.meta.json records other bytes
+        # effective_config.json records other bytes
         cfg_path, out = make_project(tmp_path)
         self.run_through(cfg_path, "train", "fuzzify", "mine")
-        (tmp_path / "other").mkdir()
-        other_cfg, other_out = make_project(tmp_path / "other",
-                                            {"mining": {"k": 3}})
-        self.run_through(other_cfg, "train", "fuzzify", "mine")
-        Path(artifact(out, "patterns")).write_bytes(
-            Path(artifact(other_out, "patterns")).read_bytes())
-        self.assert_patterns_lineage_error(cfg_path, out, capsys)
+        self.copy_from_another_config(tmp_path, out, "patterns",
+                                      {"mining": {"k": 3}},
+                                      "train", "fuzzify", "mine")
+        self.assert_lineage_error("report", cfg_path, out, "patterns", capsys)
 
     def test_one_byte_edit_of_patterns_exits_2(self, tmp_path, capsys):
         # a first support of s becomes s+1 (or 0): still valid patterns
@@ -874,14 +930,13 @@ class TestMineAndReport:
         at = data.index(b'"support": ') + len(b'"support": ')
         data[at] = ord(str((int(chr(data[at])) + 1) % 10))
         path.write_bytes(bytes(data))
-        self.assert_patterns_lineage_error(cfg_path, out, capsys)
+        self.assert_lineage_error("report", cfg_path, out, "patterns", capsys)
 
     def test_cumulative_report(self, tmp_path):
         cfg_path, out = make_project(tmp_path,
                                      {"report": {"cumulative": True}})
         self.run_through(cfg_path, "train", "fuzzify", "mine", "report")
-        doc = json.load(open(artifact(out, "report")))
-        assert len(doc["per_pattern"]) == 5
+        assert len(read_json(out, "report")["per_pattern"]) == 5
 
 
 class TestPipelineCommand:
@@ -927,8 +982,7 @@ class TestPipelineCommand:
     def test_baseline_carries_training_counters(self, tmp_path):
         cfg_path, out = make_project(tmp_path)
         assert cli.main(["train", "--config", cfg_path]) == 0
-        with open(artifact(out, "baseline"), encoding="utf-8") as f:
-            doc = json.load(f)
+        doc = read_json(out, "baseline")
         model = read_model(out)
         assert doc["trees"] == len(model.trees) == 5
         assert doc["nodes"] == sum(t.n_nodes for t in model.trees)
@@ -944,13 +998,13 @@ class TestPipelineCommand:
         import shutil
         cfg_path, out = make_project(tmp_path)
         assert cli.main(["pipeline", "--config", cfg_path]) == 0
-        combined = {n: open(artifact(out, n), "rb").read()
+        combined = {n: Path(artifact(out, n)).read_bytes()
                     for n in cli.ARTIFACTS}
         shutil.rmtree(out)
         for cmd in ("train", "fuzzify", "mine", "report"):
             assert cli.main([cmd, "--config", cfg_path]) == 0
         for name, blob in combined.items():
-            assert open(artifact(out, name), "rb").read() == blob, name
+            assert Path(artifact(out, name)).read_bytes() == blob, name
 
     def test_failed_retrain_exits_2_and_leaves_no_worker(self, tmp_path,
                                                          monkeypatch, capsys):

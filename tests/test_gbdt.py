@@ -301,11 +301,10 @@ class TestImportanceCsv:
     def test_roundtrip(self, tmp_path):
         path = str(tmp_path / "imp.csv")
         table = ImportanceTable("gain", {"Age": 0.5, "Spending": 0.3})
-        gbdt.write_importance(table, path, lineage={"config": "abc"})
+        gbdt.write_importance(table, path)
         loaded = gbdt.load_importance(path)
         assert loaded.scores == table.scores
         assert loaded.method == "external"
-        assert loaded.lineage == {"config": "abc"}
 
     def test_header_optional(self, tmp_path):
         p = tmp_path / "imp.csv"
@@ -336,7 +335,6 @@ class TestImportanceCsv:
         "feature,score\nAge,0.0\n",       # all-zero table
         "feature,score\n",                # empty
         "feature,score\nAge,0.5,extra\n",  # wrong arity
-        "feature,score\nAge,0.5\n# lineage {\"config\n",  # corrupt lineage
     ])
     def test_parse_errors(self, tmp_path, body):
         p = tmp_path / "imp.csv"
@@ -350,21 +348,13 @@ class TestModelIo:
         ds = random_labeled(120, 3, seed=9)
         model = gbdt.train(ds, BoostParams(n_estimators=7))
         path = str(tmp_path / "model.json")
-        gbdt.save_model(model, path, lineage={"dataset": "fp"})
+        gbdt.save_model(model, path)
         with open(path, encoding="utf-8") as f:
             loaded = BoostedModel.from_dict(json.load(f))
         assert np.array_equal(gbdt.predict_margin(model, ds),
                               gbdt.predict_margin(loaded, ds))
         assert loaded.to_dict() == model.to_dict()
         assert loaded.params == model.params
-
-    def test_lineage_embedded(self, tmp_path):
-        ds = make_ds([[1.0], [2.0], [3.0], [4.0]], [0, 0, 1, 1])
-        model = gbdt.train(ds, STUMP)
-        path = str(tmp_path / "model.json")
-        gbdt.save_model(model, path, lineage={"dataset": "fp123"})
-        doc = json.loads(open(path).read())
-        assert doc["lineage"] == {"dataset": "fp123"}
 
     def test_wrong_format_rejected(self):
         with pytest.raises(ParseError):

@@ -1,5 +1,6 @@
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -412,7 +413,7 @@ class TestPatternIo:
         path = str(tmp_path / "patterns.jsonl")
         write_patterns(patterns, path)
         assert read_back(path) == patterns
-        lines = open(path).read().strip().split("\n")
+        lines = Path(path).read_text(encoding="utf-8").strip().split("\n")
         assert len(lines) == 5
         assert json.loads(lines[0])["items"] == ["Age_L", "Spend_M"]
 
