@@ -16,6 +16,14 @@ reaches the caller with its type, message and attributes. Given the
 baseline model, each retrain is warm-started from it (`gbdt.train`'s
 `prefix`): it takes the baseline's trees for as long as the appended columns
 would not change them, and its model stays bit-identical to a cold fit.
+
+Before any retrain, one warm replay of the baseline runs with every rank's
+columns appended (`gbdt.replay`); it stops at the first tree where an
+appended column wins a split. A column's gains do not depend on which other
+columns share the fit, so if this replay keeps every baseline tree, so does
+each rank's retrain, whose columns are a subset of these. Then no rank is
+retrained and no process is started: every rank gets the metrics of the
+replayed model's test predictions, which are the baseline's, computed once.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from .dataset import ColumnarDataset, append_numeric_column
 from .errors import UnresolvableItem
 from .fuzzify import BinaryFrame
 from .gbdt import (BoostedModel, BoostParams, Metrics, TrainStats, evaluate,
-                   predict_proba, train)
+                   predict_proba, replay, train)
 from .miner import Pattern
 
 METRIC_NAMES = ("auc", "accuracy", "recall", "precision", "f1")
@@ -118,14 +126,23 @@ def build_report(baseline: Metrics, augmented: list[tuple[int, Metrics]],
 _JOB: tuple | None = None
 
 
+def _appended(train_ds: ColumnarDataset, test_ds: ColumnarDataset,
+              columns: list[ColumnPair], ranks
+              ) -> tuple[ColumnarDataset, ColumnarDataset]:
+    """Both splits with column HAFCP_j appended for each rank j in ranks."""
+    for j in ranks:
+        train_col, test_col = columns[j - 1]
+        train_ds = append_numeric_column(train_ds, f"HAFCP_{j}", train_col)
+        test_ds = append_numeric_column(test_ds, f"HAFCP_{j}", test_col)
+    return train_ds, test_ds
+
+
 def _retrain(i: int) -> tuple[Metrics, int]:
     """The top-i evaluation of the current job, and the trees it reused,
     with columns HAFCP_1..HAFCP_i (cumulative mode) or HAFCP_i appended."""
     train_ds, test_ds, columns, params, cumulative, threshold, prefix = _JOB
-    for j in range(1, i + 1) if cumulative else [i]:
-        train_col, test_col = columns[j - 1]
-        train_ds = append_numeric_column(train_ds, f"HAFCP_{j}", train_col)
-        test_ds = append_numeric_column(test_ds, f"HAFCP_{j}", test_col)
+    train_ds, test_ds = _appended(train_ds, test_ds, columns,
+                                  range(1, i + 1) if cumulative else [i])
     stats = TrainStats()
     model = train(train_ds, params, stats, prefix)
     probs = predict_proba(model, test_ds)
@@ -168,16 +185,32 @@ def run_comparison(train_ds: ColumnarDataset, test_ds: ColumnarDataset,
     every retrain. The retrains run in min(k, usable CPUs) forked workers,
     or serially where that is one or the platform cannot fork. A worker's
     error reaches the caller with its type, message and attributes.
+
+    Given `prefix`, one replay with every rank's columns appended comes
+    first (`gbdt.replay`). If it keeps every tree of prefix, so does each
+    rank's retrain, whose columns are a subset of these; then no rank is
+    retrained, and each gets the metrics of that model's test predictions.
     """
     global _JOB
     k = len(patterns)
-    workers = (min(k, len(os.sched_getaffinity(0)))
-               if hasattr(os, "sched_getaffinity") else 1)
-    _JOB = (train_ds, test_ds, columns, params, cumulative, threshold, prefix)
-    try:
-        results = _retrain_all(k, workers)
-    finally:
-        _JOB = None
+    model = None
+    if prefix is not None:
+        all_train, all_test = _appended(train_ds, test_ds, columns,
+                                        range(1, k + 1))
+        model = replay(all_train, params, prefix)
+    if model is not None:
+        metrics = evaluate(test_ds.label, predict_proba(model, all_test),
+                           threshold=threshold)
+        results = [(metrics, params.n_estimators)] * k
+    else:
+        workers = (min(k, len(os.sched_getaffinity(0)))
+                   if hasattr(os, "sched_getaffinity") else 1)
+        _JOB = (train_ds, test_ds, columns, params, cumulative, threshold,
+                prefix)
+        try:
+            results = _retrain_all(k, workers)
+        finally:
+            _JOB = None
     return build_report(baseline,
                         [(i, m) for i, (m, _) in enumerate(results, start=1)],
                         patterns=patterns,

@@ -18,9 +18,11 @@ sha256 of every artifact written for them. A subcommand keeps the
 manifest's digests only when it names this config and both splits, reads
 each artifact once through ``_read_text``, which refuses bytes whose sha256
 the manifest does not record, and writes the manifest after its outputs.
-``_read_specs`` also refuses specs fitted on another split. All writes are
-atomic and all randomness flows from config seeds, so rerunning any
-subcommand with unchanged inputs reproduces byte-identical files.
+Where an output's bytes are not those recorded, the digests of every later
+subcommand's outputs are dropped. ``_read_specs`` also refuses specs fitted
+on another split. All writes are atomic and all randomness flows from
+config seeds, so rerunning any subcommand with unchanged inputs reproduces
+byte-identical files.
 
 When this module is the first of its process to load numpy, numpy's
 OpenBLAS runs on one thread (see the comment above the numpy import); a
@@ -73,6 +75,7 @@ CONFIG_VERSION = 1
 # (train split, test split), loaded once per invocation
 Splits = tuple[ColumnarDataset, ColumnarDataset]
 
+# Each stage's outputs, listed after those of every stage before it.
 ARTIFACTS = {
     "config": "effective_config.json",
     "model": "model.json",
@@ -262,10 +265,21 @@ def _start(cfg: PipelineConfig, splits: Splits) -> dict[str, str]:
 def _finish(cfg: PipelineConfig, splits: Splits, digests: dict[str, str],
             *written: str) -> None:
     """Record the sha256 of the artifacts just written, then write the run
-    manifest: the effective config, the run's keys and the digests."""
+    manifest: the effective config, the run's keys and the digests.
+
+    If an artifact's sha256 is not the one recorded, the digests of every
+    later stage's artifacts are dropped, so that those stages must run
+    again before their outputs can be read."""
+    changed = False
     for name in written:
-        digests[ARTIFACTS[name]] = hashlib.sha256(
-            Path(cfg.artifact(name)).read_bytes()).hexdigest()
+        digest = hashlib.sha256(Path(cfg.artifact(name)).read_bytes()
+                                ).hexdigest()
+        changed |= digests.get(ARTIFACTS[name]) != digest
+        digests[ARTIFACTS[name]] = digest
+    if changed:
+        names = list(ARTIFACTS)
+        for name in names[names.index(written[-1]) + 1:]:
+            digests.pop(ARTIFACTS[name], None)
     _write_json(cfg.artifact("config"),
                 {**cfg.effective_dict(), **_run_keys(cfg, splits),
                  "artifacts": digests})

@@ -37,7 +37,8 @@ replays the prefix's tree: each node searches only the prefix's split
 feature there and the appended columns. The changed tree keeps its replayed
 levels down to the one where an appended column first wins; every level
 below is searched over every column, and later trees grow from scratch. The
-ensemble is the cold fit's, bit for bit.
+ensemble is the cold fit's, bit for bit. `replay` is the same fit, ended at
+the first tree that differs from the prefix's.
 
 Feature importance comes in two flavors: "gain" (per-feature sum of split
 gains) and "path_attribution" (mean absolute Saabas contribution over the
@@ -721,6 +722,28 @@ def train(train_ds: ColumnarDataset, params: BoostParams,
     scratch. The model equals the cold fit's bit for bit. A prefix that
     does not fit these inputs raises PrefixMismatch.
     """
+    return _boost(train_ds, params,
+                  TrainStats() if stats is None else stats, prefix)
+
+
+def replay(train_ds: ColumnarDataset, params: BoostParams,
+           prefix: BoostedModel) -> BoostedModel | None:
+    """train(train_ds, params, prefix=prefix) if that keeps every tree of
+    prefix, else None, found at the first tree it changes.
+
+    The fit runs train's checks, PrefixMismatch included. A node keeps
+    prefix's split when no appended column's gain beats it, and each
+    column's gains do not depend on which columns share the fit; so where
+    this fit keeps every tree, so does one over any subset of the appended
+    columns.
+    """
+    return _boost(train_ds, params, TrainStats(), prefix, whole=True)
+
+
+def _boost(train_ds: ColumnarDataset, params: BoostParams, stats: TrainStats,
+           prefix: BoostedModel | None, whole: bool = False
+           ) -> BoostedModel | None:
+    """train's fit; with `whole`, None once a tree differs from prefix's."""
     names = train_ds.feature_names()
     y = train_ds.label.astype(np.float64)
     n = len(y)
@@ -734,8 +757,6 @@ def train(train_ds: ColumnarDataset, params: BoostParams,
     if n_pos == 0 or n_pos == n:
         raise SingleClassTraining(
             f"training labels contain a single class ({n_pos}/{n} positive)")
-    if stats is None:
-        stats = TrainStats()
 
     # x and its dense ranks, one row per feature, computed once for every
     # tree; a cut is where the rank rises, which NaN (one rank, but unequal
@@ -773,6 +794,8 @@ def train(train_ds: ColumnarDataset, params: BoostParams,
         tree, reusing, step = _grow_tree(
             Xt, ranks, n_ranks, root, gh, params, stats,
             prefix.trees[t] if reusing else None, n_old)
+        if whole and not reusing:
+            return None
         stats.reused_trees += reusing
         trees.append(tree)
         stats.trees += 1

@@ -1,6 +1,9 @@
 import concurrent.futures
+import json
 import multiprocessing
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,11 +20,13 @@ from hafcp.augment import (
 from hafcp.dataset import (CATEGORICAL, LABEL, NUMERIC, ColumnarDataset,
                            ColumnSchema, SplitSpec, load_csv)
 from hafcp.errors import SingleClassTraining, UnparseableCell, UnresolvableItem
-from hafcp.gbdt import BoostParams, Metrics
+from hafcp.gbdt import BoostParams, Metrics, TrainStats
 from hafcp.miner import Pattern
 
 from conftest import build_tiny_frame
 from fuzzify_reference import assign_term
+from synthdata import planted_csv_text
+from test_cli import PLANTED_CONFIG, _src_env, make_project
 
 IDENTITY = Metrics(auc=0.8, accuracy=0.8, recall=0.8, precision=0.8, f1=0.8)
 
@@ -367,3 +372,176 @@ class TestRetrainPool:
                             lambda: ["spawn"])
         usable_cpus(monkeypatch, 2)
         run_comparison(*setup)
+
+
+def numeric_ds(columns: dict, label) -> ColumnarDataset:
+    """A dataset of numeric columns (name -> values) and a 0/1 label."""
+    label = np.asarray(label, dtype=np.int64)
+    schema = [ColumnSchema(name, NUMERIC) for name in columns]
+    schema.append(ColumnSchema("y", LABEL, ("0", "1")))
+    arrays = {name: np.asarray(v, dtype=np.float64)
+              for name, v in columns.items()}
+    return ColumnarDataset(schema, {**arrays, "y": label}, label)
+
+
+def replay_verdict(train_ds, test_ds, columns, params, cumulative):
+    """Whether gbdt.replay keeps the baseline over all k appended columns,
+    each rank's reused trees from its own warm train, and the report that
+    per-rank train calls give; run_comparison's report must be that one."""
+    prefix = gbdt.train(train_ds, params)
+    baseline = gbdt.evaluate(test_ds.label,
+                             gbdt.predict_proba(prefix, test_ds))
+    k = len(columns)
+    all_train, _ = augment._appended(train_ds, test_ds, columns,
+                                     range(1, k + 1))
+    kept = gbdt.replay(all_train, params, prefix) is not None
+    reused, rows = [], []
+    for i in range(1, k + 1):
+        tr, te = augment._appended(train_ds, test_ds, columns,
+                                   range(1, i + 1) if cumulative else [i])
+        stats = TrainStats()
+        model = gbdt.train(tr, params, stats, prefix)
+        reused.append(stats.reused_trees)
+        rows.append((i, gbdt.evaluate(te.label,
+                                      gbdt.predict_proba(model, te))))
+    patterns = [Pattern((f"p{i}",), 1.0, 1) for i in range(1, k + 1)]
+    want = build_report(baseline, rows, patterns=patterns,
+                        reused_trees=tuple(reused))
+    with pytest.MonkeyPatch.context() as mp:
+        usable_cpus(mp, 1)
+        got = run_comparison(train_ds, test_ds, patterns, columns, params,
+                             baseline, cumulative=cumulative, prefix=prefix)
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+    assert got.reused_trees == want.reused_trees
+    assert kept == all(r == params.n_estimators for r in reused)
+    return kept, reused, prefix
+
+
+# a binary column x, the label, and z: 1 only on rows where x = 0 and the
+# label is 1. x wins the root; its x = 0 child is a leaf of the baseline,
+# which z splits
+X_COL = [0.0] * 8 + [1.0] * 8
+Y_COL = [0, 1] * 4 + [1] * 8
+Z_COL = [0.0, 1.0] * 4 + [0.0] * 8
+TEST_X = [0.0, 0.0, 1.0, 1.0]
+TEST_Y = [0, 1, 1, 0]
+TEST_Z = [0.0, 1.0, 0.0, 0.0]
+LEAF_PARAMS = BoostParams(n_estimators=3, max_depth=2, min_child_weight=0.0)
+
+
+def const(n, value=0.0):
+    return [value] * n
+
+
+@st.composite
+def replay_cases(draw):
+    """Small tables of 1-3 base columns, 1-3 appended 0/1 columns (random,
+    a copy of a binary base column, or constant), params and a mode."""
+    n = draw(st.integers(8, 30))
+    m = draw(st.integers(4, 8))
+    base = {}
+    for j in range(draw(st.integers(1, 3))):
+        values = draw(st.sampled_from([(0.0, 1.0), (0.0, 1.0, 2.0, 3.0)]))
+        base[f"x{j}"] = draw(st.lists(st.sampled_from(values),
+                                      min_size=n + m, max_size=n + m))
+    label = [0, 1] + draw(st.lists(st.integers(0, 1), min_size=n - 2,
+                                   max_size=n - 2))
+    label += [0, 1] + draw(st.lists(st.integers(0, 1), min_size=m - 2,
+                                    max_size=m - 2))
+    binary = [v for v in base.values() if set(v) <= {0.0, 1.0}]
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["random", "copy", "constant"]))
+        if kind == "copy" and binary:
+            col = draw(st.sampled_from(binary))
+        elif kind == "constant":
+            col = const(n + m, draw(st.sampled_from([0.0, 1.0])))
+        else:
+            col = draw(st.lists(st.sampled_from([0.0, 1.0]),
+                                min_size=n + m, max_size=n + m))
+        columns.append((np.array(col[:n]), np.array(col[n:])))
+    train_ds = numeric_ds({c: v[:n] for c, v in base.items()}, label[:n])
+    test_ds = numeric_ds({c: v[n:] for c, v in base.items()}, label[n:])
+    params = BoostParams(n_estimators=draw(st.integers(1, 4)),
+                         max_depth=draw(st.integers(1, 3)),
+                         learning_rate=draw(st.sampled_from([0.3, 1.0])),
+                         min_child_weight=draw(st.sampled_from([0.0, 0.5])))
+    return train_ds, test_ds, columns, params, draw(st.booleans())
+
+
+class TestReplayCheck:
+    """run_comparison's one replay over every rank's columns keeps the
+    baseline exactly when every rank's own warm fit does."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(replay_cases())
+    def test_verdict_matches_every_ranks_own_fit(self, case):
+        replay_verdict(*case)
+
+    @pytest.mark.parametrize("cumulative", [False, True])
+    def test_a_tie_keeps_the_baseline_feature(self, cumulative):
+        # a copy of x scores x's gains bit for bit at every node
+        train_ds = numeric_ds({"x": X_COL}, Y_COL)
+        test_ds = numeric_ds({"x": TEST_X}, TEST_Y)
+        columns = [(np.array(X_COL), np.array(TEST_X))]
+        kept, reused, prefix = replay_verdict(train_ds, test_ds, columns,
+                                              LEAF_PARAMS, cumulative)
+        copy = gbdt.train(numeric_ds({"copy": X_COL}, Y_COL), LEAF_PARAMS)
+        assert copy.trees[0].gain.tobytes() == prefix.trees[0].gain.tobytes()
+        assert kept and reused == [3]
+
+    @pytest.mark.parametrize("cumulative", [False, True])
+    def test_a_split_at_a_baseline_leaf_changes_the_tree(self, cumulative):
+        train_ds = numeric_ds({"x": X_COL}, Y_COL)
+        test_ds = numeric_ds({"x": TEST_X}, TEST_Y)
+        columns = [(np.array(const(16)), np.array(const(4))),
+                   (np.array(Z_COL), np.array(TEST_Z)),
+                   (np.array(X_COL), np.array(TEST_X))]
+        kept, reused, prefix = replay_verdict(train_ds, test_ds, columns,
+                                              LEAF_PARAMS, cumulative)
+        root = prefix.trees[0]
+        assert root.feature[0] == 0 and root.feature[root.left[0]] == -1
+        assert not kept
+        assert reused == ([3, 0, 0] if cumulative else [3, 0, 3])
+
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_a_constant_column_keeps_the_baseline(self, value):
+        train_ds = numeric_ds({"x": X_COL}, Y_COL)
+        test_ds = numeric_ds({"x": TEST_X}, TEST_Y)
+        columns = [(np.array(const(16, value)), np.array(const(4, value)))]
+        kept, reused, _ = replay_verdict(train_ds, test_ds, columns,
+                                         LEAF_PARAMS, False)
+        assert kept and reused == [3]
+
+    def test_kept_baseline_starts_no_retrain(self, setup, monkeypatch):
+        train_ds, test_ds, patterns, columns, params, baseline = setup
+        zero = (np.zeros(train_ds.n_rows), np.zeros(test_ds.n_rows))
+        monkeypatch.setattr(augment, "train", None)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        usable_cpus(monkeypatch, 2)
+        report = run_comparison(train_ds, test_ds, patterns, [zero] * 3,
+                                params, baseline,
+                                prefix=gbdt.train(train_ds, params))
+        assert report.reused_trees == (params.n_estimators,) * 3
+
+    @pytest.mark.parametrize("table, pool", [("tiny", False),
+                                             ("planted", True)])
+    def test_pool_module_is_loaded_only_for_retrains(self, tmp_path, table,
+                                                     pool):
+        # every rank of the tiny table keeps the baseline; the planted
+        # table's top-1 pattern wins a split, so its ranks are retrained
+        if table == "tiny":
+            cfg_path, _ = make_project(tmp_path)
+        else:
+            cfg_path, _ = make_project(tmp_path, PLANTED_CONFIG,
+                                       csv_text=planted_csv_text(200))
+        code = ("import json, os, sys; import hafcp.cli as cli; "
+                "os.sched_getaffinity = lambda pid: {0, 1}; "
+                "rc = cli.main(['pipeline', '--config', sys.argv[1]]); "
+                "print(json.dumps([rc, 'concurrent.futures.process' "
+                "in sys.modules]))")
+        proc = subprocess.run([sys.executable, "-c", code, cfg_path],
+                              capture_output=True, text=True, env=_src_env())
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, pool]

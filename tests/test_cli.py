@@ -15,6 +15,7 @@ from hafcp.errors import SingleClassTraining
 from hafcp.gbdt import BoostedModel
 
 from conftest import TINY_CSV
+from synthdata import planted_csv_text
 
 EXTERNAL_IMPORTANCE = "feature,score\nShop Location,0.2\nAge,0.5\nSpending,0.3\n"
 
@@ -24,6 +25,10 @@ DUPLICATE_ITEMS_CSV = "ID,a,a=b,Churn\n" + "\n".join(
     f"{i},{'b=c' if i % 2 else 'x'},{'c' if i % 3 else 'y'},{i % 2}"
     for i in range(10)) + "\n"
 DUPLICATE_ITEMS_IMPORTANCE = "feature,score\na,0.5\na=b,0.5\n"
+
+# make_project's config over planted_csv_text's table: gain importance
+PLANTED_CONFIG = {"positive_label": "yes", "drop_columns": [],
+                  "importance": {"method": "gain", "path": None}}
 
 
 def make_project(tmp_path, config_extra=None, csv_text=TINY_CSV,
@@ -762,6 +767,31 @@ class TestMineAndReport:
         os.remove(artifact(out, "report"))
         self.assert_lineage_error("report", cfg_path, out, "patterns", capsys)
 
+    def test_changed_importance_unrecords_the_later_stages(self, tmp_path,
+                                                           capsys):
+        # the external table's content is in no fingerprint: once train
+        # writes another importance.csv, the specs fitted with the old one
+        # (Age's among them) can no longer be read
+        cfg_path, out = make_project(tmp_path)
+        self.run_through(cfg_path, "train", "fuzzify")
+        Path(tmp_path, "ext_importance.csv").write_text(
+            EXTERNAL_IMPORTANCE.replace("Age,0.5", "Age,0"), encoding="utf-8")
+        self.run_through(cfg_path, "train")
+        assert sorted(read_json(out, "config")["artifacts"]) == sorted(
+            cli.ARTIFACTS[n] for n in ("model", "importance", "baseline"))
+        self.assert_lineage_error("mine", cfg_path, out, "specs", capsys)
+        self.run_through(cfg_path, "fuzzify", "mine")
+        assert read_json(out, "specs")["skipped_zero_importance"] == ["Age"]
+
+    def test_unchanged_rerun_keeps_the_later_stages(self, tmp_path):
+        cfg_path, out = make_project(tmp_path)
+        self.run_through(cfg_path, "pipeline")
+        manifest = read_text(out, "config")
+        self.run_through(cfg_path, "train", "report")
+        assert read_text(out, "config") == manifest
+        assert len(read_json(out, "config")["artifacts"]) == len(
+            cli.ARTIFACTS) - 1
+
     @pytest.mark.parametrize("name, cmd, key, message",
                              ARTIFACTS_MISSING_A_KEY)
     def test_artifact_missing_a_key_exits_2(self, tmp_path, capsys, name, cmd,
@@ -1008,9 +1038,14 @@ class TestPipelineCommand:
 
     def test_failed_retrain_exits_2_and_leaves_no_worker(self, tmp_path,
                                                          monkeypatch, capsys):
-        cfg_path, _ = make_project(tmp_path)
+        # the top-1 pattern of a 200-row planted table wins a split of the
+        # first tree, so the report retrains every rank, on two workers
+        cfg_path, _ = make_project(tmp_path, PLANTED_CONFIG,
+                                   csv_text=planted_csv_text(200))
         assert cli.main(["pipeline", "--config", cfg_path]) == 0
+        assert "top-1 0/5" in capsys.readouterr().out
         assert multiprocessing.active_children() == []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
         def failing_train(ds, params, stats=None, prefix=None):
             raise SingleClassTraining("every retrain fails here")
