@@ -18,12 +18,13 @@ baseline model, each retrain is warm-started from it (`gbdt.train`'s
 would not change them, and its model stays bit-identical to a cold fit.
 
 Before any retrain, one warm replay of the baseline runs with every rank's
-columns appended (`gbdt.replay`); it stops at the first tree where an
-appended column wins a split. A column's gains do not depend on which other
-columns share the fit, so if this replay keeps every baseline tree, so does
-each rank's retrain, whose columns are a subset of these. Then no rank is
-retrained and no process is started: every rank gets the metrics of the
-replayed model's test predictions, which are the baseline's, computed once.
+columns appended (`gbdt.replay`); it finds the ranks whose columns change
+no tree. A column's gains do not depend on which other columns share the
+fit, so one replay serves every rank. Only the other ranks are retrained,
+forked only when more than one is; a rank that keeps every tree gets the
+metrics of the baseline's test predictions, computed once. The replay stops
+once more than half of the ranks change a tree: the retrains then take
+most of the report's time, and its ranks still unknown are retrained.
 """
 
 from __future__ import annotations
@@ -150,9 +151,9 @@ def _retrain(i: int) -> tuple[Metrics, int]:
             stats.reused_trees)
 
 
-def _retrain_all(k: int, workers: int) -> list[tuple[Metrics, int]]:
-    """_retrain for ranks 1..k in rank order, forked when workers > 1."""
-    ranks = range(1, k + 1)
+def _retrain_all(ranks: list[int], workers: int
+                 ) -> list[tuple[Metrics, int]]:
+    """_retrain for each of ranks in order, forked when workers > 1."""
     if workers > 1:
         # imported here: the CLI imports this module, and set-up time counts
         import multiprocessing
@@ -182,35 +183,38 @@ def run_comparison(train_ds: ColumnarDataset, test_ds: ColumnarDataset,
     splits, as `match_rows` builds them. Default is one engineered column per
     evaluation (top-i alone); cumulative mode stacks columns for patterns
     1..i instead. `prefix`, the baseline model of train_ds, warm-starts
-    every retrain. The retrains run in min(k, usable CPUs) forked workers,
-    or serially where that is one or the platform cannot fork. A worker's
-    error reaches the caller with its type, message and attributes.
+    every retrain. The retrains run in min(retrains, usable CPUs) forked
+    workers, or serially where that is one or the platform cannot fork. A
+    worker's error reaches the caller with its type, message and
+    attributes.
 
     Given `prefix`, one replay with every rank's columns appended comes
-    first (`gbdt.replay`). If it keeps every tree of prefix, so does each
-    rank's retrain, whose columns are a subset of these; then no rank is
-    retrained, and each gets the metrics of that model's test predictions.
+    first (`gbdt.replay`). A rank that it finds to change no tree of prefix
+    is not retrained: its model would be prefix's, so it gets the metrics
+    of prefix's test predictions.
     """
     global _JOB
     k = len(patterns)
-    model = None
+    ranks = list(range(1, k + 1))
+    results: dict[int, tuple[Metrics, int]] = {}
     if prefix is not None:
-        all_train, all_test = _appended(train_ds, test_ds, columns,
-                                        range(1, k + 1))
-        model = replay(all_train, params, prefix)
-    if model is not None:
-        metrics = evaluate(test_ds.label, predict_proba(model, all_test),
-                           threshold=threshold)
-        results = [(metrics, params.n_estimators)] * k
-    else:
-        workers = (min(k, len(os.sched_getaffinity(0)))
-                   if hasattr(os, "sched_getaffinity") else 1)
-        _JOB = (train_ds, test_ds, columns, params, cumulative, threshold,
-                prefix)
-        try:
-            results = _retrain_all(k, workers)
-        finally:
-            _JOB = None
+        all_train, _ = _appended(train_ds, test_ds, columns, ranks)
+        firsts = replay(all_train, params, prefix,
+                        [range(i) if cumulative else [i - 1] for i in ranks])
+        kept = [i for i in ranks if firsts[i - 1] == params.n_estimators]
+        if kept:
+            metrics = evaluate(test_ds.label, predict_proba(prefix, test_ds),
+                               threshold=threshold)
+            results = {i: (metrics, params.n_estimators) for i in kept}
+        ranks = [i for i in ranks if i not in results]
+    workers = (min(len(ranks), len(os.sched_getaffinity(0)))
+               if hasattr(os, "sched_getaffinity") else 1)
+    _JOB = (train_ds, test_ds, columns, params, cumulative, threshold, prefix)
+    try:
+        results.update(zip(ranks, _retrain_all(ranks, workers)))
+    finally:
+        _JOB = None
+    results = [results[i] for i in range(1, k + 1)]
     return build_report(baseline,
                         [(i, m) for i, (m, _) in enumerate(results, start=1)],
                         patterns=patterns,

@@ -37,8 +37,9 @@ replays the prefix's tree: each node searches only the prefix's split
 feature there and the appended columns. The changed tree keeps its replayed
 levels down to the one where an appended column first wins; every level
 below is searched over every column, and later trees grow from scratch. The
-ensemble is the cold fit's, bit for bit. `replay` is the same fit, ended at
-the first tree that differs from the prefix's.
+ensemble is the cold fit's, bit for bit. `replay` is the same fit held to
+the prefix's trees: it finds, for each group of appended columns, the first
+tree that a fit over that group alone would change.
 
 Feature importance comes in two flavors: "gain" (per-feature sum of split
 gains) and "path_attribution" (mean absolute Saabas contribution over the
@@ -420,7 +421,8 @@ def _gains(gl, hl, g_node, h_node, parent, lam, min_child_weight,
 
 
 def _search_level(ranks, n_ranks, gh, rows, sizes, totals, lam,
-                  min_child_weight, stats: TrainStats, sorted_level=None):
+                  min_child_weight, stats: TrainStats, sorted_level=None,
+                  wins=None):
     """Exact greedy split search for all nodes of one level at once.
 
     rows holds the level's rows node by node, each node's in node-position
@@ -429,7 +431,9 @@ def _search_level(ranks, n_ranks, gh, rows, sizes, totals, lam,
     Returns, per node, the best gain (-inf if no cut is admissible), its
     feature and, where the gain is positive, its number of left rows; and
     the level's rows with each node's in the order of its best feature,
-    left rows first.
+    left rows first. Given `wins`, one flag per feature after the first,
+    the winner is held to feature 0, and wins[j] is set where feature j + 1
+    would have beaten it at some node of the level.
 
     The arithmetic is that of a per-node search (one stable argsort and two
     cumsums per feature): within a node, equal x values keep node-position
@@ -478,6 +482,10 @@ def _search_level(ranks, n_ranks, gh, rows, sizes, totals, lam,
 
     # first maximum per node in (feature, cut) order
     row_best[np.isnan(row_best)] = -np.inf
+    if wins is not None:
+        # a later feature wins only with a positive gain above feature 0's
+        wins |= (row_best[1:] > np.maximum(row_best[0], 0.0)).any(axis=1)
+        row_best = row_best[:1]
     best = row_best.max(axis=0)
     f_best = (row_best == best).argmax(axis=0)
     at = (f_best * N).repeat(sizes) + np.arange(N)
@@ -547,7 +555,8 @@ def _check_replay(old: Tree, reused: bool, olds, cover, split, col0,
 
 
 def _grow_tree(Xt, ranks, n_ranks, root, gh, params: BoostParams,
-               stats: TrainStats, old: Tree | None = None, n_old: int = 0
+               stats: TrainStats, old: Tree | None = None, n_old: int = 0,
+               wins: np.ndarray | None = None
                ) -> tuple[Tree, bool, np.ndarray]:
     """Grow one tree level by level from the gradients and hessians gh.
 
@@ -567,7 +576,9 @@ def _grow_tree(Xt, ranks, n_ranks, root, gh, params: BoostParams,
     down to the one where an appended column first wins; every level below
     is searched over every column, as in a cold fit, and its nodes carry -1.
     Once the tree is grown, _check_replay holds every replayed node to
-    `old`.
+    `old`. Given `wins`, one flag per appended feature, every node keeps
+    column 0 and the tree replays `old` whole; wins[j] is set where
+    appended feature j would have won a split (_search_level).
     """
     n = gh.shape[1]
     lam = params.lambda_l2
@@ -613,7 +624,7 @@ def _grow_tree(Xt, ranks, n_ranks, root, gh, params: BoostParams,
                                             ranks.take(feat * n + rows), 0)
                 gain, feature, n_left, order = _search_level(
                     ranks_r, n_ranks_r, gh, rows, sizes, totals, lam,
-                    params.min_child_weight, stats)
+                    params.min_child_weight, stats, wins=wins)
             else:
                 gain, feature, n_left, order = _search_level(
                     ranks, n_ranks, gh, rows, sizes, totals, lam,
@@ -727,23 +738,37 @@ def train(train_ds: ColumnarDataset, params: BoostParams,
 
 
 def replay(train_ds: ColumnarDataset, params: BoostParams,
-           prefix: BoostedModel) -> BoostedModel | None:
-    """train(train_ds, params, prefix=prefix) if that keeps every tree of
-    prefix, else None, found at the first tree it changes.
+           prefix: BoostedModel, groups: list) -> list[int | None]:
+    """For each group of the columns of train_ds beyond prefix's (indices
+    from 0, the first appended column), the first tree that train over
+    prefix's columns and that group's, with prefix=prefix, changes:
+    params.n_estimators where it keeps every tree, and None where the
+    replay stopped before that was known.
 
-    The fit runs train's checks, PrefixMismatch included. A node keeps
-    prefix's split when no appended column's gain beats it, and each
-    column's gains do not depend on which columns share the fit; so where
-    this fit keeps every tree, so does one over any subset of the appended
-    columns.
+    The fit runs train's checks, PrefixMismatch included, and grows
+    prefix's trees whole. A node keeps prefix's split unless an appended
+    column's gain beats it, and each column's gains do not depend on which
+    columns share the fit; so a group's fit first changes the first tree
+    where one of its columns would win a split. The replay stops once more
+    than half of the groups have changed a tree.
     """
-    return _boost(train_ds, params, TrainStats(), prefix, whole=True)
+    member = np.zeros((len(groups), len(train_ds.feature_names())
+                       - len(prefix.feature_names)), dtype=bool)
+    for g, columns in enumerate(groups):
+        member[g, list(columns)] = True
+    firsts = np.full(len(groups), params.n_estimators)
+    model = _boost(train_ds, params, TrainStats(), prefix, member, firsts)
+    stopped = len(model.trees) < params.n_estimators
+    return [None if stopped and f == params.n_estimators else int(f)
+            for f in firsts]
 
 
 def _boost(train_ds: ColumnarDataset, params: BoostParams, stats: TrainStats,
-           prefix: BoostedModel | None, whole: bool = False
-           ) -> BoostedModel | None:
-    """train's fit; with `whole`, None once a tree differs from prefix's."""
+           prefix: BoostedModel | None, member: np.ndarray | None = None,
+           firsts: np.ndarray | None = None) -> BoostedModel:
+    """train's fit; given replay's `member` matrix (group x appended
+    column), every tree is prefix's and firsts[g] becomes the first tree
+    where a column of group g wins a split."""
     names = train_ds.feature_names()
     y = train_ds.label.astype(np.float64)
     n = len(y)
@@ -788,14 +813,13 @@ def _boost(train_ds: ColumnarDataset, params: BoostParams, stats: TrainStats,
     root = functools.cache(lambda: _sort_level(ranks, n_ranks, np.arange(n),
                                                np.array([n])))
     gh = np.empty((2, n))
+    wins = None if member is None else np.zeros(member.shape[1], dtype=bool)
     for t in range(params.n_estimators):
         np.subtract(p, y, out=gh[0])
         np.multiply(p, 1.0 - p, out=gh[1])
         tree, reusing, step = _grow_tree(
             Xt, ranks, n_ranks, root, gh, params, stats,
-            prefix.trees[t] if reusing else None, n_old)
-        if whole and not reusing:
-            return None
+            prefix.trees[t] if reusing else None, n_old, wins)
         stats.reused_trees += reusing
         trees.append(tree)
         stats.trees += 1
@@ -803,6 +827,11 @@ def _boost(train_ds: ColumnarDataset, params: BoostParams, stats: TrainStats,
         margin += step
         p = _sigmoid(margin)
         losses.append(_log_loss(y, p))
+        if wins is not None:
+            changed = (member & wins).any(axis=1)
+            firsts[changed & (firsts > t)] = t
+            if 2 * np.count_nonzero(changed) > len(changed):
+                break
 
     return BoostedModel(trees, base_score, names, params, losses)
 

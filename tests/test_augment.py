@@ -26,7 +26,7 @@ from hafcp.miner import Pattern
 from conftest import build_tiny_frame
 from fuzzify_reference import assign_term
 from synthdata import planted_csv_text
-from test_cli import PLANTED_CONFIG, _src_env, make_project
+from test_cli import RETRAINED_CONFIG, _src_env, make_project
 
 IDENTITY = Metrics(auc=0.8, accuracy=0.8, recall=0.8, precision=0.8, f1=0.8)
 
@@ -385,16 +385,19 @@ def numeric_ds(columns: dict, label) -> ColumnarDataset:
 
 
 def replay_verdict(train_ds, test_ds, columns, params, cumulative):
-    """Whether gbdt.replay keeps the baseline over all k appended columns,
-    each rank's reused trees from its own warm train, and the report that
-    per-rank train calls give; run_comparison's report must be that one."""
+    """Whether every rank keeps the baseline, each rank's reused trees from
+    its own warm train, which gbdt.replay over all k appended columns must
+    give where it knows them, and the report that per-rank train calls
+    give; run_comparison's report must be that one."""
     prefix = gbdt.train(train_ds, params)
     baseline = gbdt.evaluate(test_ds.label,
                              gbdt.predict_proba(prefix, test_ds))
     k = len(columns)
     all_train, _ = augment._appended(train_ds, test_ds, columns,
                                      range(1, k + 1))
-    kept = gbdt.replay(all_train, params, prefix) is not None
+    firsts = gbdt.replay(all_train, params, prefix,
+                         [range(i) if cumulative else [i - 1]
+                          for i in range(1, k + 1)])
     reused, rows = [], []
     for i in range(1, k + 1):
         tr, te = augment._appended(train_ds, test_ds, columns,
@@ -413,8 +416,11 @@ def replay_verdict(train_ds, test_ds, columns, params, cumulative):
                              baseline, cumulative=cumulative, prefix=prefix)
     assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
     assert got.reused_trees == want.reused_trees
-    assert kept == all(r == params.n_estimators for r in reused)
-    return kept, reused, prefix
+    # a rank is unknown only where most ranks change a tree
+    assert all(f in (r, None) for f, r in zip(firsts, reused))
+    if None in firsts:
+        assert 2 * sum(r < params.n_estimators for r in reused) > k
+    return all(r == params.n_estimators for r in reused), reused, prefix
 
 
 # a binary column x, the label, and z: 1 only on rows where x = 0 and the
@@ -514,6 +520,50 @@ class TestReplayCheck:
                                          LEAF_PARAMS, False)
         assert kept and reused == [3]
 
+    def test_only_ranks_that_change_a_tree_are_retrained(self, monkeypatch):
+        train_ds = numeric_ds({"x": X_COL}, Y_COL)
+        test_ds = numeric_ds({"x": TEST_X}, TEST_Y)
+        columns = [(np.array(const(16)), np.array(const(4))),
+                   (np.array(Z_COL), np.array(TEST_Z)),
+                   (np.array(X_COL), np.array(TEST_X))]
+        prefix = gbdt.train(train_ds, LEAF_PARAMS)
+        retrained = []
+
+        def counted(ds, *args):
+            retrained.append(ds.feature_names()[1:])
+            return gbdt.train(ds, *args)
+
+        monkeypatch.setattr(augment, "train", counted)
+        # one retrain runs in this process, whatever the CPU count
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        usable_cpus(monkeypatch, 2)
+        patterns = [Pattern((f"p{i}",), 1.0, 1) for i in (1, 2, 3)]
+        report = run_comparison(train_ds, test_ds, patterns, columns,
+                                LEAF_PARAMS, IDENTITY, prefix=prefix)
+        assert retrained == [["HAFCP_2"]]
+        assert report.reused_trees == (3, 0, 3)
+
+    @pytest.mark.parametrize("names, firsts, trees", [
+        (["zero", "z", "x"], [3, 0, 3], 3),
+        # two of three groups change tree 0: the third is left unknown
+        (["z", "z", "zero"], [0, 0, None], 1)])
+    def test_replay_stops_once_most_groups_changed_a_tree(
+            self, monkeypatch, names, firsts, trees):
+        train_ds = numeric_ds({"x": X_COL}, Y_COL)
+        prefix = gbdt.train(train_ds, LEAF_PARAMS)
+        grown = []
+        grow = gbdt._grow_tree
+        monkeypatch.setattr(gbdt, "_grow_tree",
+                            lambda *a: grown.append(1) or grow(*a))
+        values = {"zero": const(16), "z": Z_COL, "x": X_COL}
+        all_train = train_ds
+        for j, name in enumerate(names):
+            all_train = augment.append_numeric_column(
+                all_train, f"c{j}", np.array(values[name]))
+        assert gbdt.replay(all_train, LEAF_PARAMS, prefix,
+                           [[0], [1], [2]]) == firsts
+        assert len(grown) == trees
+
     def test_kept_baseline_starts_no_retrain(self, setup, monkeypatch):
         train_ds, test_ds, patterns, columns, params, baseline = setup
         zero = (np.zeros(train_ds.n_rows), np.zeros(test_ds.n_rows))
@@ -529,12 +579,12 @@ class TestReplayCheck:
                                              ("planted", True)])
     def test_pool_module_is_loaded_only_for_retrains(self, tmp_path, table,
                                                      pool):
-        # every rank of the tiny table keeps the baseline; the planted
-        # table's top-1 pattern wins a split, so its ranks are retrained
+        # every rank of the tiny table keeps the baseline; every rank of
+        # the planted one is retrained
         if table == "tiny":
             cfg_path, _ = make_project(tmp_path)
         else:
-            cfg_path, _ = make_project(tmp_path, PLANTED_CONFIG,
+            cfg_path, _ = make_project(tmp_path, RETRAINED_CONFIG,
                                        csv_text=planted_csv_text(200))
         code = ("import json, os, sys; import hafcp.cli as cli; "
                 "os.sched_getaffinity = lambda pid: {0, 1}; "

@@ -29,6 +29,10 @@ DUPLICATE_ITEMS_IMPORTANCE = "feature,score\na,0.5\na=b,0.5\n"
 # make_project's config over planted_csv_text's table: gain importance
 PLANTED_CONFIG = {"positive_label": "yes", "drop_columns": [],
                   "importance": {"method": "gain", "path": None}}
+# on a 200-row planted table the top-1 pattern wins a split of the first
+# tree; in cumulative mode every rank holds its column, so every rank is
+# retrained
+RETRAINED_CONFIG = {**PLANTED_CONFIG, "report": {"cumulative": True}}
 
 
 def make_project(tmp_path, config_extra=None, csv_text=TINY_CSV,
@@ -1038,9 +1042,8 @@ class TestPipelineCommand:
 
     def test_failed_retrain_exits_2_and_leaves_no_worker(self, tmp_path,
                                                          monkeypatch, capsys):
-        # the top-1 pattern of a 200-row planted table wins a split of the
-        # first tree, so the report retrains every rank, on two workers
-        cfg_path, _ = make_project(tmp_path, PLANTED_CONFIG,
+        # the report retrains every rank, on two workers
+        cfg_path, _ = make_project(tmp_path, RETRAINED_CONFIG,
                                    csv_text=planted_csv_text(200))
         assert cli.main(["pipeline", "--config", cfg_path]) == 0
         assert "top-1 0/5" in capsys.readouterr().out
