@@ -12,19 +12,19 @@ The k retrains are independent. `run_comparison` runs them in a fork-based
 process pool of min(k, usable CPUs) workers, or serially when that is one
 or the platform cannot fork; results are gathered in rank order, so the
 report's bytes do not depend on the worker count, and a worker's error
-reaches the caller with its type, message and attributes. Given the
-baseline model, each retrain is warm-started from it (`gbdt.train`'s
-`prefix`): it takes the baseline's trees for as long as the appended columns
-would not change them, and its model stays bit-identical to a cold fit.
+reaches the caller with its type, message and attributes.
 
-Before any retrain, one warm replay of the baseline runs with every rank's
-columns appended (`gbdt.replay`); it finds the ranks whose columns change
-no tree. A column's gains do not depend on which other columns share the
-fit, so one replay serves every rank. Only the other ranks are retrained,
-forked only when more than one is; a rank that keeps every tree gets the
-metrics of the baseline's test predictions, computed once. The replay stops
-once more than half of the ranks change a tree: the retrains then take
-most of the report's time, and its ranks still unknown are retrained.
+Given the baseline model, one replay of it runs first, with every rank's
+columns appended (`gbdt.replay`). A column's gains do not depend on which
+other columns share the fit, so one replay finds, for every rank, how many
+leading baseline trees its retrain keeps. A rank that keeps every tree is
+not retrained: it gets the metrics of the baseline's test predictions,
+computed once. Every other rank continues its kept trees (`gbdt.train`'s
+`prefix`) and grows the rest, forked only when more than one rank is
+retrained; its model is bit-identical to a cold fit. The replay stops once
+more than half of the ranks change a tree, since the retrains then take
+most of the report's time; a rank it has not decided keeps the trees
+replayed so far.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 from .dataset import ColumnarDataset, append_numeric_column
 from .errors import UnresolvableItem
 from .fuzzify import BinaryFrame
-from .gbdt import (BoostedModel, BoostParams, Metrics, TrainStats, evaluate,
+from .gbdt import (BoostedModel, BoostParams, Metrics, evaluate,
                    predict_proba, replay, train)
 from .miner import Pattern
 
@@ -68,8 +68,8 @@ class ComparisonReport:
     average_flags: dict[str, str]
     config_fingerprint: str
     patterns: tuple[Pattern, ...] = ()
-    # baseline trees each rank's retrain reused, in rank order; a work
-    # count, so not part of to_dict
+    # baseline trees each rank's model kept, in rank order; a work count,
+    # so not part of to_dict
     reused_trees: tuple[int, ...] = ()
 
     def to_dict(self) -> dict:
@@ -138,21 +138,24 @@ def _appended(train_ds: ColumnarDataset, test_ds: ColumnarDataset,
     return train_ds, test_ds
 
 
-def _retrain(i: int) -> tuple[Metrics, int]:
-    """The top-i evaluation of the current job, and the trees it reused,
-    with columns HAFCP_1..HAFCP_i (cumulative mode) or HAFCP_i appended."""
+def _retrain(i: int, kept: int) -> Metrics:
+    """The top-i evaluation of the current job, with columns
+    HAFCP_1..HAFCP_i (cumulative mode) or HAFCP_i appended, continuing the
+    first `kept` trees of its prefix."""
     train_ds, test_ds, columns, params, cumulative, threshold, prefix = _JOB
     train_ds, test_ds = _appended(train_ds, test_ds, columns,
                                   range(1, i + 1) if cumulative else [i])
-    stats = TrainStats()
-    model = train(train_ds, params, stats, prefix)
+    if prefix is not None:
+        prefix = BoostedModel(prefix.trees[:kept], prefix.base_score,
+                              prefix.feature_names, prefix.params,
+                              prefix.train_loss[:kept + 1])
+    model = train(train_ds, params, None, prefix)
     probs = predict_proba(model, test_ds)
-    return (evaluate(test_ds.label, probs, threshold=threshold),
-            stats.reused_trees)
+    return evaluate(test_ds.label, probs, threshold=threshold)
 
 
-def _retrain_all(ranks: list[int], workers: int
-                 ) -> list[tuple[Metrics, int]]:
+def _retrain_all(ranks: list[int], kept: list[int], workers: int
+                 ) -> list[Metrics]:
     """_retrain for each of ranks in order, forked when workers > 1."""
     if workers > 1:
         # imported here: the CLI imports this module, and set-up time counts
@@ -164,11 +167,11 @@ def _retrain_all(ranks: list[int], workers: int
             pool = ProcessPoolExecutor(workers,
                                        multiprocessing.get_context("fork"))
             try:
-                return list(pool.map(_retrain, ranks))
+                return list(pool.map(_retrain, ranks, kept))
             finally:
                 # joins every worker; after a failure, drops unstarted ranks
                 pool.shutdown(cancel_futures=True)
-    return [_retrain(i) for i in ranks]
+    return [_retrain(i, n) for i, n in zip(ranks, kept)]
 
 
 def run_comparison(train_ds: ColumnarDataset, test_ds: ColumnarDataset,
@@ -182,44 +185,44 @@ def run_comparison(train_ds: ColumnarDataset, test_ds: ColumnarDataset,
     `columns[i]` holds pattern i's indicator columns over the train and test
     splits, as `match_rows` builds them. Default is one engineered column per
     evaluation (top-i alone); cumulative mode stacks columns for patterns
-    1..i instead. `prefix`, the baseline model of train_ds, warm-starts
-    every retrain. The retrains run in min(retrains, usable CPUs) forked
+    1..i instead. The retrains run in min(retrains, usable CPUs) forked
     workers, or serially where that is one or the platform cannot fork. A
     worker's error reaches the caller with its type, message and
     attributes.
 
-    Given `prefix`, one replay with every rank's columns appended comes
-    first (`gbdt.replay`). A rank that it finds to change no tree of prefix
-    is not retrained: its model would be prefix's, so it gets the metrics
-    of prefix's test predictions.
+    Given `prefix`, the baseline model of train_ds, one replay with every
+    rank's columns appended comes first (`gbdt.replay`); it raises
+    PrefixMismatch where prefix is not the baseline fit. A rank that keeps
+    every tree of prefix is not retrained: its model would be prefix's, so
+    it gets the metrics of prefix's test predictions. Every other rank's
+    retrain continues the trees it keeps.
     """
     global _JOB
-    k = len(patterns)
-    ranks = list(range(1, k + 1))
-    results: dict[int, tuple[Metrics, int]] = {}
+    ranks = list(range(1, len(patterns) + 1))
+    kept = [0] * len(ranks)
     if prefix is not None:
-        all_train, _ = _appended(train_ds, test_ds, columns, ranks)
-        firsts = replay(all_train, params, prefix,
-                        [range(i) if cumulative else [i - 1] for i in ranks])
-        kept = [i for i in ranks if firsts[i - 1] == params.n_estimators]
-        if kept:
-            metrics = evaluate(test_ds.label, predict_proba(prefix, test_ds),
-                               threshold=threshold)
-            results = {i: (metrics, params.n_estimators) for i in kept}
-        ranks = [i for i in ranks if i not in results]
-    workers = (min(len(ranks), len(os.sched_getaffinity(0)))
+        kept = replay(_appended(train_ds, test_ds, columns, ranks)[0], params,
+                      prefix,
+                      [range(i) if cumulative else [i - 1] for i in ranks])
+    results: dict[int, Metrics] = {}
+    if params.n_estimators in kept:
+        metrics = evaluate(test_ds.label, predict_proba(prefix, test_ds),
+                           threshold=threshold)
+        results = {i: metrics for i, n in zip(ranks, kept)
+                   if n == params.n_estimators}
+    retrained = [i for i in ranks if i not in results]
+    workers = (min(len(retrained), len(os.sched_getaffinity(0)))
                if hasattr(os, "sched_getaffinity") else 1)
     _JOB = (train_ds, test_ds, columns, params, cumulative, threshold, prefix)
     try:
-        results.update(zip(ranks, _retrain_all(ranks, workers)))
+        results.update(zip(retrained, _retrain_all(
+            retrained, [kept[i - 1] for i in retrained], workers)))
     finally:
         _JOB = None
-    results = [results[i] for i in range(1, k + 1)]
-    return build_report(baseline,
-                        [(i, m) for i, (m, _) in enumerate(results, start=1)],
+    return build_report(baseline, [(i, results[i]) for i in ranks],
                         patterns=patterns,
                         config_fingerprint=config_fingerprint,
-                        reused_trees=tuple(r for _, r in results))
+                        reused_trees=tuple(kept))
 
 
 def report_to_markdown(report: ComparisonReport) -> str:

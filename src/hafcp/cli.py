@@ -7,8 +7,8 @@ writes artifacts into the config's output directory. ``fuzzify`` writes the
 fitted membership specs and the numeric columns it skipped for zero
 importance; ``mine`` (train split) and ``report`` (train and test splits)
 encode rows through one helper, ``_encode``, with those specs and that skip
-set from ``membership_specs.json``. ``report`` warm-starts its retrains
-from ``model.json`` and prints how many baseline trees each one reused. No
+set from ``membership_specs.json``. ``report`` continues each retrain from
+the trees of ``model.json`` it keeps and prints how many those are. No
 encoded frame is written: a ``frame.json`` left in the output directory by
 an older version is ignored and can be deleted.
 

@@ -83,7 +83,7 @@ class ParseError(HafcpError):
 
 
 class PrefixMismatch(HafcpError):
-    """A baseline model given to warm-start a fit does not fit its inputs."""
+    """A baseline model given to replay or train does not fit its inputs."""
 
 
 # --- fuzzify ---------------------------------------------------------------

@@ -30,16 +30,15 @@ margins move by each row's leaf weight in the fit's own partition. A
 threshold is the midpoint lo/2 + hi/2 of its cut's two x values, which
 cannot overflow, so prediction routes every row as the fit did.
 
-A fit can start from a model fitted with the same params on the leading
-columns (train's `prefix`, the baseline before pattern columns were
-appended). While the appended columns have changed no tree, the level walk
-replays the prefix's tree: each node searches only the prefix's split
-feature there and the appended columns. The changed tree keeps its replayed
-levels down to the one where an appended column first wins; every level
-below is searched over every column, and later trees grow from scratch. The
-ensemble is the cold fit's, bit for bit. `replay` is the same fit held to
-the prefix's trees: it finds, for each group of appended columns, the first
-tree that a fit over that group alone would change.
+A fit can continue a model fitted with the same params on the leading
+columns (train's `prefix`: the baseline trees that the columns appended
+since do not change). The prefix's trees are the fit's first trees, each
+moving the margins by its leaf weights over the train rows, and the
+remaining trees grow cold. `replay` is the only code that replays a
+baseline: it grows the baseline's trees with every node held to the
+baseline's split, checks each node against it, and finds, for each group of
+appended columns, how many leading trees a fit over that group keeps.
+Continuing from those trees gives the cold fit, bit for bit.
 
 Feature importance comes in two flavors: "gain" (per-feature sum of split
 gains) and "path_attribution" (mean absolute Saabas contribution over the
@@ -327,19 +326,15 @@ SPARSE_LEVELS = 0.3
 class TrainStats:
     """Work counts of one train(); deterministic for fixed inputs.
 
-    trees, nodes: size of the fitted ensemble. split_candidates: (node,
+    trees, nodes: size of the trees the fit grew; a fit that continues a
+    prefix does not count the prefix's trees. split_candidates: (node,
     feature, cut) positions whose gain was evaluated, a cut being a boundary
-    between two distinct adjacent x values of a node the search visited; a
-    warm-started fit counts its replay searches (the prefix's split feature
-    and the appended features at each replayed node).
+    between two distinct adjacent x values of a node the search visited.
     """
 
     trees: int = 0
     nodes: int = 0
     split_candidates: int = 0
-    # trees a warm-started fit took from its prefix model; printed by the
-    # report, not part of to_dict
-    reused_trees: int = 0
 
     def to_dict(self) -> dict:
         return {"trees": self.trees, "nodes": self.nodes,
@@ -510,75 +505,66 @@ def _same(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             | (np.isnan(a) & np.isnan(b)))
 
 
-def _check_replay(old: Tree, reused: bool, olds, cover, split, col0,
-                  weight, threshold, gain, n_left) -> None:
-    """PrefixMismatch unless a tree's replayed nodes agree with `old`.
+def _check_replay(old: Tree, olds, cover, split, weight, threshold, gain,
+                  n_left) -> None:
+    """PrefixMismatch unless a tree held to `old` grew `old`.
 
     The arrays hold the grown tree's nodes in level order: each node's node
-    in `old` (-1 where fresh), cover, whether it splits and whether column 0
-    won there, leaf weight, threshold, gain and left child's cover. A
-    replayed node must cover old's rows and split where old splits; a leaf
-    must have old's weight, and where column 0 won, threshold, gain and
-    left cover must be old's. The first node that fails is named. A tree
-    that replays `old` must reach every node of it.
+    in `old`, cover, whether it splits, leaf weight, threshold, gain and left
+    child's cover. A node must cover old's rows and split where old splits;
+    a leaf must have old's weight, and a split old's threshold, gain and
+    left cover. The first node that fails is named. The tree must reach
+    every node of `old`.
     """
-    r = (olds >= 0).nonzero()[0]
-    i = olds[r]
-    is_leaf = ~split[r]
-    col0 = col0[r]
+    is_leaf = ~split
     checks = (
-        (old.cover[i] != cover[r], lambda j:
-         f" covers {old.cover[i[j]]} rows, its replay {cover[r[j]]}"),
-        (is_leaf & (old.feature[i] >= 0), lambda j:
+        (old.cover[olds] != cover, lambda j:
+         f" covers {old.cover[olds[j]]} rows, its replay {cover[j]}"),
+        (is_leaf & (old.feature[olds] >= 0), lambda j:
          " splits where the fit cannot split"),
-        (is_leaf & ~_same(old.weight[i], weight[r]), lambda j:
-         f" has leaf weight {old.weight[i[j]]!r}, its replay "
-         f"{weight[r[j]]!r}"),
-        (col0 & ~(_same(old.threshold[i], threshold[r])
-                  & _same(old.gain[i], gain[r])), lambda j:
-         f" has threshold {old.threshold[i[j]]!r} and gain "
-         f"{old.gain[i[j]]!r}, its replay {float(threshold[r[j]])!r} and "
-         f"{float(gain[r[j]])!r}"),
-        (col0 & (old.cover[old.left[i]] != n_left[r]), lambda j:
-         f"'s left child covers {old.cover[old.left[i[j]]]} rows, its "
-         f"replay {n_left[r[j]]}"))
+        (is_leaf & ~_same(old.weight[olds], weight), lambda j:
+         f" has leaf weight {old.weight[olds[j]]!r}, its replay "
+         f"{weight[j]!r}"),
+        (split & ~(_same(old.threshold[olds], threshold)
+                   & _same(old.gain[olds], gain)), lambda j:
+         f" has threshold {old.threshold[olds[j]]!r} and gain "
+         f"{old.gain[olds[j]]!r}, its replay {float(threshold[j])!r} and "
+         f"{float(gain[j])!r}"),
+        (split & (old.cover[old.left[olds]] != n_left), lambda j:
+         f"'s left child covers {old.cover[old.left[olds[j]]]} rows, its "
+         f"replay {n_left[j]}"))
     failed = np.any([bad for bad, _ in checks], axis=0)
     if failed.any():
         j = int(failed.argmax())
-        raise PrefixMismatch(f"tree node {i[j]}" + next(
+        raise PrefixMismatch(f"tree node {olds[j]}" + next(
             what(j) for bad, what in checks if bad[j]))
     seen = np.zeros(old.n_nodes, dtype=bool)
-    seen[i] = True
-    if reused and not seen.all():
+    seen[olds] = True
+    if not seen.all():
         raise PrefixMismatch(f"tree node {int(seen.argmin())} is not "
                              f"reachable from its root")
 
 
 def _grow_tree(Xt, ranks, n_ranks, root, gh, params: BoostParams,
                stats: TrainStats, old: Tree | None = None, n_old: int = 0,
-               wins: np.ndarray | None = None
-               ) -> tuple[Tree, bool, np.ndarray]:
+               wins: np.ndarray | None = None) -> tuple[Tree, np.ndarray]:
     """Grow one tree level by level from the gradients and hessians gh.
 
     root() returns _sort_level's result for all rows, the same for every
-    tree. Returns the tree, whether it replays `old`, and each row's leaf
-    weight by the fit's own partition of the rows. Node ids come out in
-    preorder (node, left subtree, right subtree).
+    tree. Returns the tree and each row's leaf weight by the fit's own
+    partition of the rows. Node ids come out in preorder (node, left
+    subtree, right subtree).
 
-    `old` is a prefix model's tree over Xt's first n_old features, given the
-    gradients it was grown from. The tree replays `old` level by level while
-    no appended column has won a split: each node carries its node in `old`
-    and is searched over column 0, which holds the x ranks of old's split
-    feature at that node (one constant at a leaf of old), then the appended
-    features Xt[n_old:]. Old's split was the first maximum over the prefix
-    features, so it is column 0's too, and a tie goes to it, the lower
-    index, as in a cold fit. The changed tree keeps its replayed levels
-    down to the one where an appended column first wins; every level below
-    is searched over every column, as in a cold fit, and its nodes carry -1.
-    Once the tree is grown, _check_replay holds every replayed node to
-    `old`. Given `wins`, one flag per appended feature, every node keeps
-    column 0 and the tree replays `old` whole; wins[j] is set where
-    appended feature j would have won a split (_search_level).
+    Given `old`, a prefix model's tree over Xt's first n_old features grown
+    from these gradients, and `wins`, one flag per appended feature, the
+    tree is held to `old`: each node carries its node in `old` and is
+    searched over column 0, which holds the x ranks of old's split feature
+    at that node (one constant at a leaf of old), then the appended features
+    Xt[n_old:]. Every node keeps column 0, and wins[j] is set where appended
+    feature j would have won a split (_search_level). Old's split was the
+    first maximum over the prefix features, so it is column 0's too, and a
+    tie goes to it, the lower index, as in a cold fit. Once the tree is
+    grown, _check_replay holds every node to `old`.
     """
     n = gh.shape[1]
     lam = params.lambda_l2
@@ -591,15 +577,14 @@ def _grow_tree(Xt, ranks, n_ranks, root, gh, params: BoostParams,
                                     n_ranks[n_old:]))
 
     # one entry per level, nodes in level order: feature, leaf weight,
-    # gain, cover, whether the node splits, its node in `old` and its left
-    # child's cover; then, per split node, the two rows on either side of
-    # its winning cut
+    # gain, cover, whether the node splits and its left child's cover; then,
+    # per split node, the two rows on either side of its winning cut
     levels = []
+    # each held level's nodes in `old`
+    olds = [np.zeros(1, dtype=np.int64)]
     step = np.empty(n)
     rows = np.arange(n)
     sizes = np.array([n])
-    olds = np.array([-1 if old is None else 0])
-    reused = old is not None
     depth = 0
     while True:
         k = len(sizes)
@@ -617,9 +602,9 @@ def _grow_tree(Xt, ranks, n_ranks, root, gh, params: BoostParams,
         n_left = np.zeros(k, dtype=np.int64)
         order = rows
         if depth < params.max_depth and len(Xt):
-            if reused:
+            if old is not None:
                 # a leaf of old (feature -1) gives column 0 one value
-                feat = old.feature[olds].repeat(sizes)
+                feat = old.feature[olds[-1]].repeat(sizes)
                 ranks_r[0, rows] = np.where(feat >= 0,
                                             ranks.take(feat * n + rows), 0)
                 gain, feature, n_left, order = _search_level(
@@ -638,15 +623,12 @@ def _grow_tree(Xt, ranks, n_ranks, root, gh, params: BoostParams,
         # a split node's rows are overwritten by its leaves further down
         step[rows] = weight.repeat(sizes)
         gain[leaf] = 0.0
-        if reused:
-            # column 0 is old's feature at each node; the appended features
-            # follow it
-            reused = not (feature[split] > 0).any()
-            feature = np.where(feature > 0, feature + n_old - 1,
-                               old.feature[olds])
+        if old is not None:
+            # column 0 is old's feature at each node
+            feature = old.feature[olds[-1]]
         feature[leaf] = -1
         last_left = (sizes.cumsum() - sizes + n_left - 1)[split]
-        levels.append((feature, weight, gain, sizes, split, olds, n_left,
+        levels.append((feature, weight, gain, sizes, split, n_left,
                        order.take(last_left[:, None] + (0, 1))))
         if not split.any():
             break
@@ -654,14 +636,13 @@ def _grow_tree(Xt, ranks, n_ranks, root, gh, params: BoostParams,
         rows = order[split.repeat(sizes)]
         n_left = n_left[split]
         sizes = np.ravel((n_left, sizes[split] - n_left), order="F")
-        if reused:
-            olds = np.ravel((old.left[olds[split]], old.right[olds[split]]),
-                            order="F")
-        else:
-            olds = np.full(len(sizes), -1)
+        if old is not None:
+            parents = olds[-1][split]
+            olds.append(np.ravel((old.left[parents], old.right[parents]),
+                                 order="F"))
         depth += 1
 
-    (feature, weight, gain, cover, split, olds, n_left, cut_rows) = (
+    (feature, weight, gain, cover, split, n_left, cut_rows) = (
         np.concatenate(arrays) for arrays in zip(*levels))
     # a split's threshold is the midpoint of its winning cut's two x values,
     # halved first so that it cannot overflow
@@ -671,10 +652,8 @@ def _grow_tree(Xt, ranks, n_ranks, root, gh, params: BoostParams,
     # adjacent floats: keep the partition honest
     threshold[split] = np.where(thr > lo, thr, hi)
     if old is not None:
-        # a replayed node that splits on a prefix feature won by column 0
-        _check_replay(old, reused, olds, cover, split,
-                      split & (feature < n_old), weight, threshold, gain,
-                      n_left)
+        _check_replay(old, np.concatenate(olds), cover, split, weight,
+                      threshold, gain, n_left)
     # level order: the children of the s-th split node are nodes 2s+1, 2s+2
     first_child = np.full(len(split), -1)
     first_child[split] = np.arange(1, 2 * np.count_nonzero(split), 2)
@@ -692,21 +671,26 @@ def _grow_tree(Xt, ranks, n_ranks, root, gh, params: BoostParams,
     left = np.where(split, new_id[first_child], -1)[preorder]
     right = np.where(split, new_id[first_child + 1], -1)[preorder]
     return Tree(feature[preorder], threshold[preorder], left, right,
-                weight[preorder], gain[preorder], cover[preorder]), reused, step
+                weight[preorder], gain[preorder], cover[preorder]), step
 
 
 def _check_prefix(prefix: BoostedModel, names: list[str], params: BoostParams,
-                  base_score: float) -> None:
-    """PrefixMismatch unless prefix was fitted with params on names' head
-    and splits on its own features only."""
+                  base_score: float, whole: bool) -> None:
+    """PrefixMismatch unless prefix was fitted with params on names' head,
+    splits on its own features only and has at most params.n_estimators
+    trees, or exactly that many if whole."""
     n_old = len(prefix.feature_names)
     for what, have, want in (
             ("params", asdict(prefix.params), asdict(params)),
             ("feature names", prefix.feature_names, names[:n_old]),
-            ("tree count", len(prefix.trees), params.n_estimators),
             ("base score", repr(prefix.base_score), repr(base_score))):
         if have != want:
             raise PrefixMismatch(f"model {what} {have} != this fit's {want}")
+    n_trees = len(prefix.trees)
+    if n_trees > params.n_estimators or whole and n_trees < params.n_estimators:
+        raise PrefixMismatch(f"model tree count {n_trees} "
+                             f"{'!=' if whole else '>'} this fit's "
+                             f"{params.n_estimators}")
     for t, tree in enumerate(prefix.trees):
         beyond = tree.feature >= n_old
         if beyond.any():
@@ -723,34 +707,38 @@ def train(train_ds: ColumnarDataset, params: BoostParams,
 
     base_score is the log-odds of the training churn rate; train_loss records
     the training log-loss before boosting and after each round. Work counts
-    are added to stats when one is given.
+    of the trees grown are added to stats when one is given.
 
-    `prefix` warm-starts the fit from a model fitted with the same params on
-    the same rows and the leading columns of train_ds (a baseline before
-    columns were appended). While every earlier round replayed prefix's
-    tree whole, a round's walk replays prefix's tree (_grow_tree's `old`);
-    from the round after the first tree it changes, trees are grown from
-    scratch. The model equals the cold fit's bit for bit. A prefix that
-    does not fit these inputs raises PrefixMismatch.
+    `prefix` continues a model fitted with the same params on the same rows
+    and the leading columns of train_ds (baseline trees that the appended
+    columns do not change, as `replay` finds them): its trees are the fit's
+    first trees, and the others are grown. Where prefix holds the cold
+    fit's first trees, the model equals the cold fit's bit for bit; that is
+    not checked here. A prefix of other params, feature names, base score
+    or more than params.n_estimators trees, or that splits beyond its own
+    features, raises PrefixMismatch.
     """
     return _boost(train_ds, params,
                   TrainStats() if stats is None else stats, prefix)
 
 
 def replay(train_ds: ColumnarDataset, params: BoostParams,
-           prefix: BoostedModel, groups: list) -> list[int | None]:
+           prefix: BoostedModel, groups: list) -> list[int]:
     """For each group of the columns of train_ds beyond prefix's (indices
-    from 0, the first appended column), the first tree that train over
-    prefix's columns and that group's, with prefix=prefix, changes:
-    params.n_estimators where it keeps every tree, and None where the
-    replay stopped before that was known.
+    from 0, the first appended column), how many leading trees of prefix
+    train over prefix's columns and that group's keeps: its first changed
+    tree, params.n_estimators where it changes none, and the number of
+    trees replayed where the replay stopped first.
 
-    The fit runs train's checks, PrefixMismatch included, and grows
-    prefix's trees whole. A node keeps prefix's split unless an appended
-    column's gain beats it, and each column's gains do not depend on which
-    columns share the fit; so a group's fit first changes the first tree
-    where one of its columns would win a split. The replay stops once more
-    than half of the groups have changed a tree.
+    The replay grows prefix's trees with every node held to prefix's split
+    and checks each node against prefix's tree. Besides train's checks, it
+    raises PrefixMismatch unless prefix has exactly params.n_estimators
+    trees that this fit grows. A node keeps prefix's split unless an
+    appended column's gain beats it, and each column's gains do not depend
+    on which columns share the fit; so a group's fit first changes the
+    first tree where one of its columns would win a split, and train
+    continuing the trees before it gives the cold fit. The replay stops
+    once more than half of the groups have changed a tree.
     """
     member = np.zeros((len(groups), len(train_ds.feature_names())
                        - len(prefix.feature_names)), dtype=bool)
@@ -758,17 +746,16 @@ def replay(train_ds: ColumnarDataset, params: BoostParams,
         member[g, list(columns)] = True
     firsts = np.full(len(groups), params.n_estimators)
     model = _boost(train_ds, params, TrainStats(), prefix, member, firsts)
-    stopped = len(model.trees) < params.n_estimators
-    return [None if stopped and f == params.n_estimators else int(f)
-            for f in firsts]
+    return np.minimum(firsts, len(model.trees)).tolist()
 
 
 def _boost(train_ds: ColumnarDataset, params: BoostParams, stats: TrainStats,
            prefix: BoostedModel | None, member: np.ndarray | None = None,
            firsts: np.ndarray | None = None) -> BoostedModel:
-    """train's fit; given replay's `member` matrix (group x appended
-    column), every tree is prefix's and firsts[g] becomes the first tree
-    where a column of group g wins a split."""
+    """train's fit, continuing prefix's trees; given replay's `member`
+    matrix (group x appended column), every tree is instead grown held to
+    prefix's, and firsts[g] becomes the first tree where a column of group
+    g wins a split."""
     names = train_ds.feature_names()
     y = train_ds.label.astype(np.float64)
     n = len(y)
@@ -800,34 +787,38 @@ def _boost(train_ds: ColumnarDataset, params: BoostParams, stats: TrainStats,
 
     prior = n_pos / n
     base_score = math.log(prior / (1.0 - prior))
+    held = member is not None
     if prefix is not None:
-        _check_prefix(prefix, names, params, base_score)
+        _check_prefix(prefix, names, params, base_score, held)
     margin = np.full(n, base_score, dtype=np.float64)
     p = _sigmoid(margin)
     losses = [_log_loss(y, p)]
 
     trees: list[Tree] = []
-    reusing = prefix is not None
-    n_old = len(prefix.feature_names) if reusing else 0
+    kept = [] if prefix is None or held else prefix.trees
+    n_old = len(prefix.feature_names) if held else 0
     # the root's order, sorted once the first tree grows a fresh root
     root = functools.cache(lambda: _sort_level(ranks, n_ranks, np.arange(n),
                                                np.array([n])))
     gh = np.empty((2, n))
-    wins = None if member is None else np.zeros(member.shape[1], dtype=bool)
+    wins = np.zeros(member.shape[1], dtype=bool) if held else None
     for t in range(params.n_estimators):
-        np.subtract(p, y, out=gh[0])
-        np.multiply(p, 1.0 - p, out=gh[1])
-        tree, reusing, step = _grow_tree(
-            Xt, ranks, n_ranks, root, gh, params, stats,
-            prefix.trees[t] if reusing else None, n_old, wins)
-        stats.reused_trees += reusing
+        if t < len(kept):
+            tree = kept[t]
+            step = tree.predict_margin(Xt.T)
+        else:
+            np.subtract(p, y, out=gh[0])
+            np.multiply(p, 1.0 - p, out=gh[1])
+            tree, step = _grow_tree(Xt, ranks, n_ranks, root, gh, params,
+                                    stats, prefix.trees[t] if held else None,
+                                    n_old, wins)
+            stats.trees += 1
+            stats.nodes += tree.n_nodes
         trees.append(tree)
-        stats.trees += 1
-        stats.nodes += tree.n_nodes
         margin += step
         p = _sigmoid(margin)
         losses.append(_log_loss(y, p))
-        if wins is not None:
+        if held:
             changed = (member & wins).any(axis=1)
             firsts[changed & (firsts > t)] = t
             if 2 * np.count_nonzero(changed) > len(changed):

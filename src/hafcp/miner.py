@@ -461,6 +461,9 @@ def mine_topk(db: TransactionDB, pt: dict[str, float], cfg: MiningConfig,
     totals = stack.sum(axis=0)
     expand((), np.arange(n_txn), np.zeros(n_txn), totals[0], totals[1],
            totals[2])
+    # expand's closure holds expand; left alone, that cycle would keep stack
+    # and db alive until the next garbage collection
+    del expand
     return pool.result()
 
 

@@ -20,13 +20,14 @@ from hafcp.augment import (
 from hafcp.dataset import (CATEGORICAL, LABEL, NUMERIC, ColumnarDataset,
                            ColumnSchema, SplitSpec, load_csv)
 from hafcp.errors import SingleClassTraining, UnparseableCell, UnresolvableItem
-from hafcp.gbdt import BoostParams, Metrics, TrainStats
+from hafcp.gbdt import BoostParams, Metrics
 from hafcp.miner import Pattern
 
 from conftest import build_tiny_frame
 from fuzzify_reference import assign_term
 from synthdata import planted_csv_text
 from test_cli import RETRAINED_CONFIG, _src_env, make_project
+from test_gbdt import continued
 
 IDENTITY = Metrics(auc=0.8, accuracy=0.8, recall=0.8, precision=0.8, f1=0.8)
 
@@ -385,42 +386,47 @@ def numeric_ds(columns: dict, label) -> ColumnarDataset:
 
 
 def replay_verdict(train_ds, test_ds, columns, params, cumulative):
-    """Whether every rank keeps the baseline, each rank's reused trees from
-    its own warm train, which gbdt.replay over all k appended columns must
-    give where it knows them, and the report that per-rank train calls
-    give; run_comparison's report must be that one."""
+    """Whether every rank keeps the baseline, the trees that gbdt.replay
+    over all k appended columns finds each rank to keep, and the baseline.
+
+    Each rank's fit continuing its kept trees must be its cold fit, bit for
+    bit. A rank keeps the trees before its cold fit's first new one or,
+    where the replay stopped first, the trees replayed, which it does only
+    once most ranks changed an earlier tree. run_comparison's report must
+    be the one the cold fits give."""
     prefix = gbdt.train(train_ds, params)
     baseline = gbdt.evaluate(test_ds.label,
                              gbdt.predict_proba(prefix, test_ds))
     k = len(columns)
     all_train, _ = augment._appended(train_ds, test_ds, columns,
                                      range(1, k + 1))
-    firsts = gbdt.replay(all_train, params, prefix,
-                         [range(i) if cumulative else [i - 1]
-                          for i in range(1, k + 1)])
-    reused, rows = [], []
-    for i in range(1, k + 1):
+    kept = gbdt.replay(all_train, params, prefix,
+                       [range(i) if cumulative else [i - 1]
+                        for i in range(1, k + 1)])
+    firsts, rows = [], []
+    for i, n in enumerate(kept, start=1):
         tr, te = augment._appended(train_ds, test_ds, columns,
                                    range(1, i + 1) if cumulative else [i])
-        stats = TrainStats()
-        model = gbdt.train(tr, params, stats, prefix)
-        reused.append(stats.reused_trees)
+        cold = gbdt.train(tr, params)
+        assert (json.dumps(continued(tr, params, prefix, n).to_dict())
+                == json.dumps(cold.to_dict()))
+        same = [a.to_dict() == b.to_dict()
+                for a, b in zip(cold.trees, prefix.trees)] + [False]
+        firsts.append(same.index(False))
         rows.append((i, gbdt.evaluate(te.label,
-                                      gbdt.predict_proba(model, te))))
+                                      gbdt.predict_proba(cold, te))))
     patterns = [Pattern((f"p{i}",), 1.0, 1) for i in range(1, k + 1)]
     want = build_report(baseline, rows, patterns=patterns,
-                        reused_trees=tuple(reused))
+                        reused_trees=tuple(kept))
     with pytest.MonkeyPatch.context() as mp:
         usable_cpus(mp, 1)
         got = run_comparison(train_ds, test_ds, patterns, columns, params,
                              baseline, cumulative=cumulative, prefix=prefix)
     assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
     assert got.reused_trees == want.reused_trees
-    # a rank is unknown only where most ranks change a tree
-    assert all(f in (r, None) for f, r in zip(firsts, reused))
-    if None in firsts:
-        assert 2 * sum(r < params.n_estimators for r in reused) > k
-    return all(r == params.n_estimators for r in reused), reused, prefix
+    for n, first in zip(kept, firsts):
+        assert n == first or n < first and 2 * sum(f < n for f in firsts) > k
+    return all(n == params.n_estimators for n in kept), kept, prefix
 
 
 # a binary column x, the label, and z: 1 only on rows where x = 0 and the
@@ -475,9 +481,22 @@ def replay_cases(draw):
     return train_ds, test_ds, columns, params, draw(st.booleans())
 
 
+@st.composite
+def undecided_cases(draw):
+    """replay_cases with 1-3 copies of the label among the appended
+    columns. A label column wins a split wherever it can, so the replay
+    often stops before it has decided every rank."""
+    train_ds, test_ds, columns, params, cumulative = draw(replay_cases())
+    label = (train_ds.label.astype(np.float64),
+             test_ds.label.astype(np.float64))
+    for _ in range(draw(st.integers(1, 3))):
+        columns.insert(draw(st.integers(0, len(columns))), label)
+    return train_ds, test_ds, columns, params, cumulative
+
+
 class TestReplayCheck:
-    """run_comparison's one replay over every rank's columns keeps the
-    baseline exactly when every rank's own warm fit does."""
+    """run_comparison's one replay over every rank's columns finds the
+    baseline trees that every rank's own fit keeps."""
 
     @settings(max_examples=150, deadline=None, derandomize=True,
               database=None)
@@ -485,17 +504,46 @@ class TestReplayCheck:
     def test_verdict_matches_every_ranks_own_fit(self, case):
         replay_verdict(*case)
 
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(undecided_cases())
+    def test_an_undecided_rank_resumes_to_its_cold_fit(self, case):
+        replay_verdict(*case)
+
+    @pytest.mark.parametrize("cumulative", [False, True])
+    def test_an_undecided_rank_that_changes_a_later_tree(self, cumulative):
+        # w first wins a split in tree 1, and two copies of the label win in
+        # tree 0: the replay stops after tree 0 with w's rank undecided
+        x = [2.0, 1.0, 1.0, 3.0, 3.0, 3.0, 3.0, 0.0, 1.0, 2.0, 3.0, 1.0, 0.0]
+        y = [0, 1, 1, 0, 1, 0, 0, 1, 0, 0, 1, 1, 1]
+        w = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0,
+                      1.0, 0.0])
+        train_ds = numeric_ds({"x": x[:9]}, y[:9])
+        test_ds = numeric_ds({"x": x[9:]}, y[9:])
+        label = (train_ds.label.astype(np.float64),
+                 test_ds.label.astype(np.float64))
+        columns = [(w[:9], w[9:]), label, label]
+        params = BoostParams(n_estimators=3, max_depth=1, learning_rate=1.0,
+                             min_child_weight=0.0)
+        _, kept, prefix = replay_verdict(train_ds, test_ds, columns, params,
+                                         cumulative)
+        tr, _ = augment._appended(train_ds, test_ds, columns, [1])
+        cold = gbdt.train(tr, params)
+        assert kept == [1, 0, 0]
+        assert cold.trees[0].to_dict() == prefix.trees[0].to_dict()
+        assert cold.trees[1].to_dict() != prefix.trees[1].to_dict()
+
     @pytest.mark.parametrize("cumulative", [False, True])
     def test_a_tie_keeps_the_baseline_feature(self, cumulative):
         # a copy of x scores x's gains bit for bit at every node
         train_ds = numeric_ds({"x": X_COL}, Y_COL)
         test_ds = numeric_ds({"x": TEST_X}, TEST_Y)
         columns = [(np.array(X_COL), np.array(TEST_X))]
-        kept, reused, prefix = replay_verdict(train_ds, test_ds, columns,
-                                              LEAF_PARAMS, cumulative)
+        whole, kept, prefix = replay_verdict(train_ds, test_ds, columns,
+                                             LEAF_PARAMS, cumulative)
         copy = gbdt.train(numeric_ds({"copy": X_COL}, Y_COL), LEAF_PARAMS)
         assert copy.trees[0].gain.tobytes() == prefix.trees[0].gain.tobytes()
-        assert kept and reused == [3]
+        assert whole and kept == [3]
 
     @pytest.mark.parametrize("cumulative", [False, True])
     def test_a_split_at_a_baseline_leaf_changes_the_tree(self, cumulative):
@@ -504,21 +552,23 @@ class TestReplayCheck:
         columns = [(np.array(const(16)), np.array(const(4))),
                    (np.array(Z_COL), np.array(TEST_Z)),
                    (np.array(X_COL), np.array(TEST_X))]
-        kept, reused, prefix = replay_verdict(train_ds, test_ds, columns,
-                                              LEAF_PARAMS, cumulative)
+        whole, kept, prefix = replay_verdict(train_ds, test_ds, columns,
+                                             LEAF_PARAMS, cumulative)
         root = prefix.trees[0]
         assert root.feature[0] == 0 and root.feature[root.left[0]] == -1
-        assert not kept
-        assert reused == ([3, 0, 0] if cumulative else [3, 0, 3])
+        assert not whole
+        # in cumulative mode two of three ranks change tree 0, and the
+        # replay stops with top-1 undecided
+        assert kept == ([1, 0, 0] if cumulative else [3, 0, 3])
 
     @pytest.mark.parametrize("value", [0.0, 1.0])
     def test_a_constant_column_keeps_the_baseline(self, value):
         train_ds = numeric_ds({"x": X_COL}, Y_COL)
         test_ds = numeric_ds({"x": TEST_X}, TEST_Y)
         columns = [(np.array(const(16, value)), np.array(const(4, value)))]
-        kept, reused, _ = replay_verdict(train_ds, test_ds, columns,
-                                         LEAF_PARAMS, False)
-        assert kept and reused == [3]
+        whole, kept, _ = replay_verdict(train_ds, test_ds, columns,
+                                        LEAF_PARAMS, False)
+        assert whole and kept == [3]
 
     def test_only_ranks_that_change_a_tree_are_retrained(self, monkeypatch):
         train_ds = numeric_ds({"x": X_COL}, Y_COL)
@@ -545,8 +595,9 @@ class TestReplayCheck:
 
     @pytest.mark.parametrize("names, firsts, trees", [
         (["zero", "z", "x"], [3, 0, 3], 3),
-        # two of three groups change tree 0: the third is left unknown
-        (["z", "z", "zero"], [0, 0, None], 1)])
+        # two of three groups change tree 0: the third keeps the one tree
+        # replayed
+        (["z", "z", "zero"], [0, 0, 1], 1)])
     def test_replay_stops_once_most_groups_changed_a_tree(
             self, monkeypatch, names, firsts, trees):
         train_ds = numeric_ds({"x": X_COL}, Y_COL)

@@ -284,6 +284,7 @@ FOREIGN_MODELS = [
     pytest.param("trees.0.cover.0", 7, id="cover"),
     pytest.param("params.lambda_l2", 2.0, id="params"),
     pytest.param("params.n_estimators", 4, id="tree-count"),
+    pytest.param("trees.4", ..., id="last-tree-removed"),
     pytest.param("feature_names.0", "Region", id="feature-names"),
     pytest.param("base_score", 0.5, id="base-score"),
 ]
@@ -1058,6 +1059,19 @@ class TestPipelineCommand:
         assert cli.main(["report", "--config", cfg_path]) == 2
         assert "SingleClassTraining" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
+
+    def test_undecided_ranks_print_the_trees_replayed(self, tmp_path, capsys):
+        # on a 300-row planted table, top-1, top-2 and top-4 change trees 0,
+        # 6 and 8 of 10 (RETRAINED_CONFIG in single mode); the replay stops
+        # after tree 8, and top-3 and top-5, undecided, continue its 9 trees
+        config = {**RETRAINED_CONFIG, "report": {"cumulative": False},
+                  "boost": {"n_estimators": 10}}
+        cfg_path, _ = make_project(tmp_path, config,
+                                   csv_text=planted_csv_text(300))
+        capsys.readouterr()
+        assert cli.main(["pipeline", "--config", cfg_path]) == 0
+        assert ("baseline trees reused: top-1 0/10, top-2 6/10, top-3 9/10, "
+                "top-4 8/10, top-5 9/10\n") in capsys.readouterr().out
 
 
 def _src_env():

@@ -577,12 +577,29 @@ def corrupted_first_tree(model: BoostedModel, what: str) -> BoostedModel:
     return copy
 
 
+def continued(ds, params, prefix, kept, stats=None):
+    """The fit over ds that continues the first `kept` trees of prefix."""
+    head = BoostedModel(prefix.trees[:kept], prefix.base_score,
+                        prefix.feature_names, prefix.params,
+                        prefix.train_loss[:kept + 1])
+    return gbdt.train(ds, params, stats, head)
+
+
+def resumed(ds, params, prefix, stats=None):
+    """The fit over ds that continues the trees of prefix that gbdt.replay
+    keeps, with ds's columns beyond prefix's as one group, and that count."""
+    appended = len(ds.feature_names()) - len(prefix.feature_names)
+    kept, = gbdt.replay(ds, params, prefix, [range(appended)])
+    return continued(ds, params, prefix, kept, stats), kept
+
+
 UNIT = BoostParams(max_depth=2, learning_rate=1.0, n_estimators=3,
                    min_child_weight=0.0, lambda_l2=1.0)
 
 
 class TestWarmStart:
-    """train(prefix=baseline) must equal the cold fit, byte for byte."""
+    """train continuing the trees that replay keeps must equal the cold fit,
+    byte for byte."""
 
     @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)
@@ -606,6 +623,16 @@ class TestWarmStart:
               np.array([[0, 1, 1, 0, 1, 0], [1, 1, 1, 0, 0, 0],
                         [0, 1, 2, 0, 1, 2]], dtype=np.float64).T,
               np.array([0, 1, 1, 0, 1, 0]), UNIT))
+    # the appended column wins a split below the root, at the root's left
+    # child, a leaf of the prefix
+    @example((np.array([[3, 0], [3, 3], [0, 0], [0, 1], [1, 0], [3, 1],
+                        [3, 3], [0, 2], [3, 0], [0, 1], [0, 1]],
+                       dtype=np.float64),
+              np.array([[0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0]],
+                       dtype=np.float64).T,
+              np.array([0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 1]),
+              BoostParams(max_depth=3, learning_rate=1.0, n_estimators=1,
+                          min_child_weight=0.0, lambda_l2=1.0)))
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.filterwarnings("ignore:divide by zero encountered")
     def test_warm_equals_cold(self, problem):
@@ -613,39 +640,35 @@ class TestWarmStart:
         prefix = gbdt.train(make_ds(X, y), params)
         ds = make_ds(np.column_stack([X, appended]), y)
         stats = gbdt.TrainStats()
-        warm = gbdt.train(ds, params, stats, prefix=prefix)
+        warm, kept = resumed(ds, params, prefix, stats)
         cold_stats = gbdt.TrainStats()
         cold = gbdt.train(ds, params, cold_stats)
         assert json.dumps(warm.to_dict()) == json.dumps(cold.to_dict())
-        # a replayed node searches its prefix feature and the appended ones
+        # the continued fit grows only the trees after the kept ones
+        assert stats.trees == params.n_estimators - kept
         assert stats.split_candidates <= cold_stats.split_candidates
         # every tree the cold fit grows again, up to its first new one, is
-        # reused; a tied appended column leaves the tree to the prefix
+        # kept; a tied appended column leaves the tree to the prefix
         same = [a.to_dict() == b.to_dict()
                 for a, b in zip(cold.trees, prefix.trees)] + [False]
-        assert stats.reused_trees == same.index(False)
-        assert stats.trees == params.n_estimators
-        # a reused tree is checked node by node before it is taken
-        if stats.reused_trees:
-            for what in ("weight", "cover"):
-                with pytest.raises(PrefixMismatch, match="tree node"):
-                    gbdt.train(ds, params,
-                               prefix=corrupted_first_tree(prefix, what))
+        assert kept == same.index(False)
+        # the replay checks every node of a tree before it is kept
+        for what in ("weight", "cover"):
+            with pytest.raises(PrefixMismatch, match="tree node"):
+                resumed(ds, params, corrupted_first_tree(prefix, what))
 
     def test_overflowing_threshold_tree_is_reused(self):
         X = np.array([[1.0e308], [1.5e308], [1.6e308], [1.7e308]])
         y = np.array([0, 0, 1, 1])
         ds = make_ds(X, y)
         prefix = gbdt.train(ds, UNIT)
-        stats = gbdt.TrainStats()
-        gbdt.train(make_ds(np.column_stack([X, X]), y), UNIT, stats,
-                   prefix=prefix)
+        _, kept = resumed(make_ds(np.column_stack([X, X]), y), UNIT, prefix)
         assert prefix.trees[0].threshold[0] == 1.55e308
         json.dumps(prefix.to_dict(), allow_nan=False)
         p = gbdt.predict_proba(prefix, ds)
         assert gbdt._log_loss(y, p) == prefix.train_loss[-1]
         assert prefix.trees[0].n_nodes == 3
-        assert stats.reused_trees == UNIT.n_estimators
+        assert kept == UNIT.n_estimators
 
     @pytest.mark.parametrize("change", [{"lambda_l2": 2.0},
                                         {"n_estimators": 2}])
@@ -653,19 +676,19 @@ class TestWarmStart:
         ds = random_labeled(40, 2, seed=1)
         prefix = gbdt.train(ds, UNIT)
         with pytest.raises(PrefixMismatch, match="params"):
-            gbdt.train(ds, replace(UNIT, **change), prefix=prefix)
+            gbdt.replay(ds, replace(UNIT, **change), prefix, [])
 
     def test_other_features_rejected(self):
         ds = random_labeled(40, 2, seed=1)
         prefix = gbdt.train(drop_columns(ds, ["f0"]), UNIT)
         with pytest.raises(PrefixMismatch, match="feature names"):
-            gbdt.train(ds, UNIT, prefix=prefix)
+            gbdt.replay(ds, UNIT, prefix, [[0]])
 
     def test_other_rows_rejected(self):
         ds = random_labeled(40, 2, seed=1)
         prefix = gbdt.train(random_labeled(40, 2, seed=2), UNIT)
         with pytest.raises(PrefixMismatch):
-            gbdt.train(ds, UNIT, prefix=prefix)
+            gbdt.replay(ds, UNIT, prefix, [])
 
     @pytest.mark.parametrize("beyond", [0, 3])
     def test_split_beyond_prefix_features_rejected(self, beyond):
@@ -677,7 +700,7 @@ class TestWarmStart:
         prefix.trees[0].feature[0] = 2 + beyond
         ds = make_ds(np.column_stack([X, X[:, 0]]), base.label)
         with pytest.raises(PrefixMismatch, match="node 0"):
-            gbdt.train(ds, UNIT, prefix=prefix)
+            gbdt.replay(ds, UNIT, prefix, [[0]])
 
     def test_edited_gain_or_threshold_rejected(self):
         ds = random_labeled(60, 2, seed=3)
@@ -686,7 +709,23 @@ class TestWarmStart:
             copy = BoostedModel.from_dict(prefix.to_dict())
             getattr(copy.trees[0], key)[0] *= 2.0
             with pytest.raises(PrefixMismatch, match="node 0"):
-                gbdt.train(ds, UNIT, prefix=copy)
+                gbdt.replay(ds, UNIT, copy, [])
+
+    def test_tree_count_is_checked(self):
+        ds = random_labeled(40, 2, seed=1)
+        prefix = gbdt.train(ds, UNIT)
+        # replay holds every tree; train continues at most n_estimators
+        short = BoostedModel(prefix.trees[:-1], prefix.base_score,
+                             prefix.feature_names, UNIT, prefix.train_loss)
+        with pytest.raises(PrefixMismatch, match="tree count 2 != "):
+            gbdt.replay(ds, UNIT, short, [])
+        long = BoostedModel(prefix.trees + prefix.trees[:1],
+                            prefix.base_score, prefix.feature_names, UNIT,
+                            prefix.train_loss)
+        with pytest.raises(PrefixMismatch, match="tree count 4 > "):
+            gbdt.train(ds, UNIT, prefix=long)
+        assert (json.dumps(gbdt.train(ds, UNIT, prefix=short).to_dict())
+                == json.dumps(prefix.to_dict()))
 
 
 def split_below_max_depth(model: BoostedModel):
@@ -729,7 +768,7 @@ class TestReplayChecks:
         ds = random_labeled(60, 2, seed=3)
         prefix, node = corrupt(gbdt.train(ds, UNIT))
         with pytest.raises(PrefixMismatch, match=rf"tree node {node}\b"):
-            gbdt.train(ds, prefix.params, prefix=prefix)
+            gbdt.replay(ds, prefix.params, prefix, [])
 
 
 class TestTrainStats:
@@ -767,25 +806,27 @@ class TestTrainStats:
 
 
 def test_bank_churn_characterization():
-    # bits of a fit whose levels are mostly ties, cold and warm-started from
-    # it with one pattern column appended (which diverges at tree 4)
+    # bits of a fit whose levels are mostly ties, cold and continued from it
+    # with one pattern column appended (which diverges at tree 4)
     ds, pattern = bank_churn_dataset()
     X, names = ds.feature_matrix()
     params = BoostParams(n_estimators=10)
     wide = make_ds(np.column_stack([X, pattern]), ds.label,
                    names + ["Pattern"])
-    got = []
-    prefix = None
-    for data in (ds, wide):
-        stats = gbdt.TrainStats()
-        prefix = gbdt.train(data, params, stats, prefix=prefix)
-        got.append((hashlib.sha256(json.dumps(prefix.to_dict()).encode())
-                    .hexdigest(), stats.to_dict(), stats.reused_trees))
+    def sha256(model):
+        return hashlib.sha256(json.dumps(model.to_dict()).encode()).hexdigest()
+
+    stats = gbdt.TrainStats()
+    prefix = gbdt.train(ds, params, stats)
+    got = [(sha256(prefix), stats.to_dict(), 0)]
+    stats = gbdt.TrainStats()
+    warm, kept = resumed(wide, params, prefix, stats)
+    got.append((sha256(warm), stats.to_dict(), kept))
     assert got == [
         ("c13f3d2bc8351f1f8dfe636220472ea7bd16b2cdd4919735eceb89c85a47eee9",
          {"trees": 10, "nodes": 912, "split_candidates": 335903}, 0),
         ("a436799371b06da7549207fd0e5d992e407e99eb86203593a8b609ae85afb1b7",
-         {"trees": 10, "nodes": 892, "split_candidates": 182423}, 4)]
+         {"trees": 6, "nodes": 472, "split_candidates": 198295}, 4)]
 
 
 class TestRowLimit:
@@ -842,7 +883,7 @@ class TestSortPaths:
         cold = gbdt.train(ds, params)
         with patch.multiple(gbdt, **constants):
             prefix = gbdt.train(make_ds(X, y), params)
-            warm = gbdt.train(ds, params, prefix=prefix)
+            warm, _ = resumed(ds, params, prefix)
         assert json.dumps(warm.to_dict()) == json.dumps(cold.to_dict())
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -876,51 +917,19 @@ def test_replay_column_zero_carries_uint16_ranks(monkeypatch):
     base = random_labeled(40, 2, seed=1)  # 40 distinct values per column
     X, _ = base.feature_matrix()
     prefix = gbdt.train(base, UNIT)
-    # a copy of f0 never wins a split, so every tree is replayed
+    # a copy of f0 never wins a split, so every tree is kept
     ds = make_ds(np.column_stack([X, X[:, 0]]), base.label)
     orders.clear()
-    stats = gbdt.TrainStats()
-    warm = gbdt.train(ds, UNIT, stats, prefix=prefix)
-    assert stats.reused_trees == UNIT.n_estimators
-    # replay searches order column 0 and the one appended column; no tree
-    # grows a fresh root, so the three columns are never sorted
+    assert gbdt.replay(ds, UNIT, prefix, [[0]]) == [UNIT.n_estimators]
+    # replay searches order column 0 and the one appended column; the
+    # three columns are never sorted
     assert {rows for rows, _, _ in orders} == {2}
     replays = {(dtype, radix) for rows, dtype, radix in orders}
     assert replays == {(np.dtype(np.uint16), True),
                        (np.dtype(np.uint16), False)}
+    warm, _ = resumed(ds, UNIT, prefix)
     assert (json.dumps(warm.to_dict())
             == json.dumps(gbdt.train(ds, UNIT).to_dict()))
-
-
-def test_replay_ends_at_the_level_an_appended_column_wins(monkeypatch):
-    # the appended column wins at the root's left child, a leaf of the
-    # prefix; that level keeps its replay search, and the next level is
-    # searched fresh over all three columns in one call
-    X = np.array([[3, 0], [3, 3], [0, 0], [0, 1], [1, 0], [3, 1], [3, 3],
-                  [0, 2], [3, 0], [0, 1], [0, 1]], dtype=np.float64)
-    appended = np.array([0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0])
-    y = np.array([0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 1])
-    params = BoostParams(max_depth=3, learning_rate=1.0, n_estimators=1,
-                         min_child_weight=0.0, lambda_l2=1.0)
-    prefix = gbdt.train(make_ds(X, y), params)
-    ds = make_ds(np.column_stack([X, appended]), y)
-    cold_stats = gbdt.TrainStats()
-    cold = gbdt.train(ds, params, cold_stats)
-    orders = []
-    node_order = gbdt._node_order
-
-    def spy(node, rank, n_rank):
-        orders.append((int(node[-1]) + 1, len(rank)))
-        return node_order(node, rank, n_rank)
-
-    monkeypatch.setattr(gbdt, "_node_order", spy)
-    stats = gbdt.TrainStats()
-    warm = gbdt.train(ds, params, stats, prefix=prefix)
-    assert json.dumps(warm.to_dict()) == json.dumps(cold.to_dict())
-    # (nodes, feature rows) per searched level
-    assert orders == [(1, 2), (2, 2), (4, 3)]
-    assert stats.reused_trees == 0
-    assert (stats.split_candidates, cold_stats.split_candidates) == (10, 16)
 
 
 def test_lambda_zero_scores_the_grid_without_warnings():

@@ -1,3 +1,4 @@
+import gc
 import json
 import sys
 from pathlib import Path
@@ -184,6 +185,17 @@ class TestMineTopK:
         db, pt = tiny_db(mode=MEMBERSHIP)
         cfg = MiningConfig(k=5, mode=MEMBERSHIP)
         assert mine_topk(db, pt, cfg) == brute_force_topk(db, pt, cfg)
+
+    def test_search_tables_are_freed_on_return(self):
+        # no reference cycle is left to the garbage collector
+        db, pt = tiny_db()
+        gc.collect()
+        gc.disable()
+        try:
+            mine_topk(db, pt, MiningConfig(k=5))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_single_transaction(self):
         db = db_from_dicts(["a", "b"], [{0: 1.0, 1: 1.0}], BINARY)
