@@ -2,27 +2,31 @@
 
 Each invocation reads one JSON config (plus --dotted.key value overrides),
 then loads and splits the input CSV once; every subcommand takes those
-splits, so ``pipeline`` parses the CSV once for all four stages. Each stage
-writes artifacts into the config's output directory. ``fuzzify`` writes the
-fitted membership specs and the numeric columns it skipped for zero
-importance; ``mine`` (train split) and ``report`` (train and test splits)
-encode rows through one helper, ``_encode``, with those specs and that skip
-set from ``membership_specs.json``. ``report`` continues each retrain from
-the trees of ``model.json`` it keeps and prints how many those are. No
-encoded frame is written: a ``frame.json`` left in the output directory by
-an older version is ignored and can be deleted.
+splits, so ``pipeline`` parses the CSV once for all four stages.
 
-The run manifest, ``effective_config.json``, holds the effective config,
-its fingerprint, the fingerprints of the train and test splits and the
-sha256 of every artifact written for them. A subcommand keeps the
-manifest's digests only when it names this config and both splits, reads
-each artifact once through ``_read_text``, which refuses bytes whose sha256
-the manifest does not record, and writes the manifest after its outputs.
-Where an output's bytes are not those recorded, the digests of every later
-subcommand's outputs are dropped. ``_read_specs`` also refuses specs fitted
-on another split. All writes are atomic and all randomness flows from
-config seeds, so rerunning any subcommand with unchanged inputs reproduces
-byte-identical files.
+``STAGES`` lists the stages in pipeline order with the artifacts each one
+writes into the config's output directory. A stage is a body,
+``cmd_<stage>(cfg, splits, digests) -> (texts, summary)``, that reads
+earlier artifacts and writes nothing. The ``_stage`` runner registers it as
+a subcommand and, after the body returns, writes each output's text
+atomically, then the run manifest, ``effective_config.json``: the
+effective config, its fingerprint, the fingerprints of the train and test
+splits and the sha256 of every artifact's text. Where an output's sha256 is
+not the one recorded, the digests of every later stage's outputs are
+dropped. Last it prints one ``wrote <path>`` line per output, then the
+stage's summary, if any. ``pipeline`` runs the stages in ``STAGES`` order.
+
+A stage keeps the manifest's digests only when it names this config and
+both splits, and reads each artifact once through ``_read_text``, which
+refuses bytes whose sha256 the manifest does not record; ``_read_specs``
+also refuses specs fitted on another split. ``mine`` (train split) and
+``report`` (train and test splits) encode rows through one helper,
+``_encode``, with the specs and skipped columns of ``membership_specs.json``.
+``report`` continues each retrain from the trees of ``model.json`` it keeps,
+and its summary says how many those are. No encoded frame is written: a
+``frame.json`` left in the output directory by an older version is ignored.
+All randomness flows from config seeds, so rerunning any subcommand with
+unchanged inputs reproduces byte-identical files.
 
 When this module is the first of its process to load numpy, numpy's
 OpenBLAS runs on one thread (see the comment above the numpy import); a
@@ -35,13 +39,13 @@ lineage mismatches, and a file read that is a directory or not UTF-8),
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import os
 import sys
 from dataclasses import asdict
-from pathlib import Path
 from types import UnionType
 
 # One OpenBLAS thread for the CLI. The search's matrix products are small
@@ -75,19 +79,19 @@ CONFIG_VERSION = 1
 # (train split, test split), loaded once per invocation
 Splits = tuple[ColumnarDataset, ColumnarDataset]
 
-# Each stage's outputs, listed after those of every stage before it.
-ARTIFACTS = {
-    "config": "effective_config.json",
-    "model": "model.json",
-    "importance": "importance.csv",
-    "baseline": "metrics_baseline.json",
-    "specs": "membership_specs.json",
-    "patterns": "patterns.jsonl",
-    "patterns_txt": "patterns.txt",
-    "patterns_meta": "patterns.meta.json",
-    "report": "report.json",
-    "report_md": "report.md",
+# The pipeline's stages in order, each with its outputs: artifact name ->
+# file name. A stage reads only the outputs of the stages before it.
+STAGES = {
+    "train": {"model": "model.json", "importance": "importance.csv",
+              "baseline": "metrics_baseline.json"},
+    "fuzzify": {"specs": "membership_specs.json"},
+    "mine": {"patterns": "patterns.jsonl", "patterns_txt": "patterns.txt",
+             "patterns_meta": "patterns.meta.json"},
+    "report": {"report": "report.json", "report_md": "report.md"},
 }
+ARTIFACTS = {"config": "effective_config.json",
+             **{name: file for outputs in STAGES.values()
+                for name, file in outputs.items()}}
 
 
 # Every config key with its default; a nested object is a section, and the
@@ -192,12 +196,12 @@ def _apply_overrides(doc: dict, overrides: dict[str, str]) -> dict:
             value = raw_value
         node = doc
         parts = dotted.split(".")
-        for part in parts[:-1]:
-            nxt = node.get(part)
-            if not isinstance(nxt, dict):
-                nxt = {}
-                node[part] = nxt
-            node = nxt
+        for depth, part in enumerate(parts[:-1], start=1):
+            node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ConfigError(
+                    f"config key {'.'.join(parts[:depth])!r} is not an "
+                    f"object, so override {dotted!r} cannot be set")
         node[parts[-1]] = value
     return doc
 
@@ -230,8 +234,8 @@ def _load_splits(cfg: PipelineConfig) -> Splits:
     return split(ds, cfg.split)
 
 
-def _write_json(path: str, doc: dict) -> None:
-    atomic_write_text(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
 def _run_keys(cfg: PipelineConfig, splits: Splits) -> dict[str, str]:
@@ -262,27 +266,38 @@ def _start(cfg: PipelineConfig, splits: Splits) -> dict[str, str]:
     return doc["artifacts"]
 
 
-def _finish(cfg: PipelineConfig, splits: Splits, digests: dict[str, str],
-            *written: str) -> None:
-    """Record the sha256 of the artifacts just written, then write the run
-    manifest: the effective config, the run's keys and the digests.
+# subcommand name -> function of (cfg, splits); _stage registers the stages
+_COMMANDS = {}
 
-    If an artifact's sha256 is not the one recorded, the digests of every
-    later stage's artifacts are dropped, so that those stages must run
-    again before their outputs can be read."""
-    changed = False
-    for name in written:
-        digest = hashlib.sha256(Path(cfg.artifact(name)).read_bytes()
-                                ).hexdigest()
-        changed |= digests.get(ARTIFACTS[name]) != digest
-        digests[ARTIFACTS[name]] = digest
-    if changed:
-        names = list(ARTIFACTS)
-        for name in names[names.index(written[-1]) + 1:]:
-            digests.pop(ARTIFACTS[name], None)
-    _write_json(cfg.artifact("config"),
-                {**cfg.effective_dict(), **_run_keys(cfg, splits),
-                 "artifacts": digests})
+
+def _stage(body):
+    """Register body, cmd_<stage>(cfg, splits, digests) -> (texts, summary),
+    as the subcommand that runs its whole stage (see the module docstring)."""
+    stage = body.__name__.removeprefix("cmd_")
+    outputs = STAGES[stage]
+    later = [file for name in list(STAGES)[list(STAGES).index(stage) + 1:]
+             for file in STAGES[name].values()]
+
+    @functools.wraps(body)
+    def run(cfg: PipelineConfig, splits: Splits) -> None:
+        digests = _start(cfg, splits)
+        texts, summary = body(cfg, splits, digests)
+        written = {file: hashlib.sha256(texts[name].encode("utf-8")).hexdigest()
+                   for name, file in outputs.items()}
+        if any(digests.get(file) != digest for file, digest in written.items()):
+            digests = {f: d for f, d in digests.items() if f not in later}
+        texts["config"] = _json_text({**cfg.effective_dict(),
+                                      **_run_keys(cfg, splits),
+                                      "artifacts": {**digests, **written}})
+        for name in [*outputs, "config"]:
+            atomic_write_text(cfg.artifact(name), texts[name])
+        for name in outputs:
+            print(f"wrote {cfg.artifact(name)}")
+        if summary:
+            print(summary)
+
+    _COMMANDS[stage] = run
+    return run
 
 
 def _read_text(cfg: PipelineConfig, digests: dict[str, str], name: str,
@@ -324,9 +339,9 @@ def _read_artifact(cfg: PipelineConfig, digests: dict[str, str], name: str,
         raise ParseError(f"{what} artifact {path} is corrupt: {e}") from None
 
 
-def cmd_train(cfg: PipelineConfig, splits: Splits) -> None:
+@_stage
+def cmd_train(cfg: PipelineConfig, splits: Splits, digests: dict[str, str]):
     """Train the baseline model, evaluate it, export importance."""
-    digests = _start(cfg, splits)
     train_ds, test_ds = splits
     external = cfg.importance["method"] == "external"
     if external:  # read before the fit, so a bad table fails at once
@@ -352,15 +367,11 @@ def cmd_train(cfg: PipelineConfig, splits: Splits) -> None:
     if not external:
         table = gbdt.importance(model, train_ds, cfg.importance["method"])
 
-    gbdt.save_model(model, cfg.artifact("model"))
-    gbdt.write_importance(table, cfg.artifact("importance"))
-    _write_json(cfg.artifact("baseline"),
-                {"metrics": metrics.as_dict(), "threshold": threshold,
-                 **stats.to_dict()})
-    _finish(cfg, splits, digests, "model", "importance", "baseline")
-    print(f"wrote {cfg.artifact('model')}")
-    print(f"wrote {cfg.artifact('importance')}")
-    print(f"wrote {cfg.artifact('baseline')}")
+    return {"model": gbdt.model_text(model),
+            "importance": gbdt.importance_text(table),
+            "baseline": _json_text({"metrics": metrics.as_dict(),
+                                    "threshold": threshold,
+                                    **stats.to_dict()})}, None
 
 
 def _check_scores_every_feature(table: gbdt.ImportanceTable,
@@ -427,9 +438,9 @@ def _encode(ds: ColumnarDataset, specs: list[fuzzify.MembershipSpec],
         drop_columns(ds, skipped) if skipped else ds, specs)
 
 
-def cmd_fuzzify(cfg: PipelineConfig, splits: Splits) -> None:
+@_stage
+def cmd_fuzzify(cfg: PipelineConfig, splits: Splits, digests: dict[str, str]):
     """Fit membership specs on the train split and check its item names."""
-    digests = _start(cfg, splits)
     train_ds, _ = splits
     table = _read_importance(cfg, digests, train_ds)
     skipped = [name for name in train_ds.numeric_columns()
@@ -444,17 +455,15 @@ def cmd_fuzzify(cfg: PipelineConfig, splits: Splits) -> None:
     # duplicate item names fail here, before anything is written
     fuzzify.frame_items(drop_columns(train_ds, skipped).schema, specs)
 
-    _write_json(cfg.artifact("specs"),
-                {"specs": [s.to_dict() for s in specs],
-                 "normality_log": normality_log,
-                 "skipped_zero_importance": skipped})
-    _finish(cfg, splits, digests, "specs")
-    print(f"wrote {cfg.artifact('specs')} ({len(specs)} specs)")
+    return {"specs": _json_text({"specs": [s.to_dict() for s in specs],
+                                 "normality_log": normality_log,
+                                 "skipped_zero_importance": skipped})
+            }, f"{len(specs)} specs"
 
 
-def cmd_mine(cfg: PipelineConfig, splits: Splits) -> None:
+@_stage
+def cmd_mine(cfg: PipelineConfig, splits: Splits, digests: dict[str, str]):
     """Encode the train split with the fitted specs and mine top-k patterns."""
-    digests = _start(cfg, splits)
     train_ds, _ = splits
     table = _read_importance(cfg, digests, train_ds)
     specs, skipped = _read_specs(cfg, digests, train_ds)
@@ -465,11 +474,10 @@ def cmd_mine(cfg: PipelineConfig, splits: Splits) -> None:
     stats = miner.SearchStats()
     patterns = miner.mine_topk(db, profits, cfg.mining, stats)
 
-    miner.write_patterns(patterns, cfg.artifact("patterns"))
-    table_txt = miner.render_patterns_table(patterns)
-    atomic_write_text(cfg.artifact("patterns_txt"),
-                      table_txt + f"\nconfig: {cfg.fingerprint()}\n")
-    _write_json(cfg.artifact("patterns_meta"),
+    return {"patterns": miner.patterns_text(patterns),
+            "patterns_txt": miner.render_patterns_table(patterns)
+            + f"\nconfig: {cfg.fingerprint()}\n",
+            "patterns_meta": _json_text(
                 {"k": cfg.mining.k, "mode": cfg.mining.mode,
                  "algorithm": cfg.mining.algorithm,
                  "min_length": cfg.mining.min_length,
@@ -477,15 +485,12 @@ def cmd_mine(cfg: PipelineConfig, splits: Splits) -> None:
                  "n_patterns": len(patterns),
                  "n_items": len(db.items),
                  "n_transactions": len(db.present),
-                 **stats.to_dict()})
-    _finish(cfg, splits, digests, "patterns", "patterns_txt", "patterns_meta")
-    print(f"wrote {cfg.artifact('patterns')} ({len(patterns)} patterns)")
-    print(f"wrote {cfg.artifact('patterns_txt')}")
+                 **stats.to_dict()})}, f"{len(patterns)} patterns"
 
 
-def cmd_report(cfg: PipelineConfig, splits: Splits) -> None:
+@_stage
+def cmd_report(cfg: PipelineConfig, splits: Splits, digests: dict[str, str]):
     """Retrain with top-1..top-k pattern features and write the comparison."""
-    digests = _start(cfg, splits)
     train_ds, test_ds = splits
 
     patterns = miner.parse_patterns(
@@ -522,23 +527,20 @@ def cmd_report(cfg: PipelineConfig, splits: Splits) -> None:
         raise PrefixMismatch(f"model artifact {model_path} does not match "
                              f"this run's baseline fit: {e}") from None
 
-    _write_json(cfg.artifact("report"), report.to_dict())
-    atomic_write_text(cfg.artifact("report_md"),
-                      augment.report_to_markdown(report))
-    _finish(cfg, splits, digests, "report", "report_md")
-    print(f"wrote {cfg.artifact('report')}")
-    print(f"wrote {cfg.artifact('report_md')}")
-    print("baseline trees reused: " + ", ".join(
-        f"top-{i} {n}/{cfg.boost.n_estimators}"
-        for i, n in enumerate(report.reused_trees, start=1)))
+    return {"report": _json_text(report.to_dict()),
+            "report_md": augment.report_to_markdown(report)
+            }, "baseline trees reused: " + ", ".join(
+                f"top-{i} {n}/{cfg.boost.n_estimators}"
+                for i, n in enumerate(report.reused_trees, start=1))
 
 
 def cmd_pipeline(cfg: PipelineConfig, splits: Splits) -> None:
     """train -> fuzzify -> mine -> report, identical to running them separately."""
-    cmd_train(cfg, splits)
-    cmd_fuzzify(cfg, splits)
-    cmd_mine(cfg, splits)
-    cmd_report(cfg, splits)
+    for stage in STAGES:
+        _COMMANDS[stage](cfg, splits)
+
+
+_COMMANDS["pipeline"] = cmd_pipeline
 
 
 def _parse_overrides(tokens: list[str]) -> dict[str, str]:
@@ -559,17 +561,13 @@ def _parse_overrides(tokens: list[str]) -> dict[str, str]:
             i += 2
         if not key:
             raise ConfigError(f"malformed override {tok!r}")
+        for seen in out:  # no override quietly replaces another
+            if f"{seen}.".startswith(f"{key}.") or f"{key}.".startswith(
+                    f"{seen}."):
+                raise ConfigError(f"overrides {seen!r} and {key!r} both "
+                                  f"set config key {min(seen, key)!r}")
         out[key] = value
     return out
-
-
-_COMMANDS = {
-    "train": cmd_train,
-    "fuzzify": cmd_fuzzify,
-    "mine": cmd_mine,
-    "report": cmd_report,
-    "pipeline": cmd_pipeline,
-}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -56,7 +56,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from ._util import atomic_write_text, json_field, json_floats, text_file
+from ._util import json_field, json_floats, text_file
 from .dataset import ColumnarDataset
 from .errors import (
     ConfigError,
@@ -934,6 +934,21 @@ def importance(model: BoostedModel, train_ds: ColumnarDataset, method: str) -> I
                                    zip(model.feature_names, scores)})
 
 
+def importance_text(table: ImportanceTable) -> str:
+    """A feature,score header, then one row per feature (parse_importance)."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["feature", "score"])
+    for name, score in table.scores.items():
+        w.writerow([name, repr(float(score))])
+    return buf.getvalue()
+
+
+def model_text(model: BoostedModel) -> str:
+    """One line of compact JSON (BoostedModel.from_dict)."""
+    return json.dumps(model.to_dict(), separators=(",", ":")) + "\n"
+
+
 def parse_importance(text: str, path: str) -> ImportanceTable:
     """A two-column CSV text (feature,score) as an importance table; errors
     name `path`.
@@ -972,17 +987,3 @@ def load_importance(path: str) -> ImportanceTable:
     """An external importance file, read by parse_importance."""
     with text_file(path) as f:
         return parse_importance(f.read(), path)
-
-
-def write_importance(table: ImportanceTable, path: str) -> None:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["feature", "score"])
-    for name, score in table.scores.items():
-        w.writerow([name, repr(float(score))])
-    atomic_write_text(path, buf.getvalue())
-
-
-def save_model(model: BoostedModel, path: str) -> None:
-    atomic_write_text(path, json.dumps(model.to_dict(), separators=(",", ":"))
-                      + "\n")

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import atomic_write_text, json_field
+from ._util import json_field
 from .errors import (
     ConfigError,
     EmptyDatabase,
@@ -506,15 +506,15 @@ def _beam_topk(db: TransactionDB, pt: dict[str, float], cfg: MiningConfig,
     return pool.result()
 
 
-def write_patterns(patterns: list[Pattern], path: str) -> None:
+def patterns_text(patterns: list[Pattern]) -> str:
     """JSON lines, one pattern per line: {"items": [...], "utility": u,
     "support": s}."""
     lines = [json.dumps(p.to_dict(), ensure_ascii=False) for p in patterns]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def parse_patterns(text: str, path: str) -> list[Pattern]:
-    """The patterns of write_patterns' text; a ParseError names path:line."""
+    """The patterns of a patterns_text text; a ParseError names path:line."""
     patterns = []
     for lineno, line in enumerate(io.StringIO(text, newline="")):
         line = line.strip()

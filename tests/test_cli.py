@@ -422,6 +422,22 @@ class TestConfigHandling:
         assert cli.main(["train", "--config", cfg_path, f"--{key}", value]) == 2
         assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, overrides, keys", [
+        (None, ["--mining.k", "3", "--mining.k=5"], ["mining.k"]),
+        (None, ["--mining", "3", "--mining.k=5"], ["mining", "mining.k"]),
+        (None, ["--mining.k=5", "--mining", '{"k": 3}'],
+         ["mining.k", "mining"]),
+        ({"mining": 3}, ["--mining.k=5"], ["mining", "mining.k"]),
+    ])
+    def test_override_never_replaces_a_value(self, tmp_path, capsys, config,
+                                             overrides, keys):
+        cfg_path, _ = make_project(tmp_path, config)
+        assert cli.main(["train", "--config", cfg_path, *overrides]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[ConfigError]"), err
+        for key in keys:
+            assert repr(key) in err
+
     def test_readme_config_block_holds_the_defaults(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text(
             encoding="utf-8")
@@ -1029,17 +1045,47 @@ class TestPipelineCommand:
         for name in cli.ARTIFACTS:
             assert os.path.exists(artifact(out, name)), name
 
-    def test_matches_stepwise_run(self, tmp_path):
+    def test_matches_stepwise_run(self, tmp_path, capsys):
         import shutil
         cfg_path, out = make_project(tmp_path)
+        capsys.readouterr()
         assert cli.main(["pipeline", "--config", cfg_path]) == 0
+        combined_out = capsys.readouterr().out
         combined = {n: Path(artifact(out, n)).read_bytes()
                     for n in cli.ARTIFACTS}
         shutil.rmtree(out)
+        stepwise = {}
         for cmd in ("train", "fuzzify", "mine", "report"):
             assert cli.main([cmd, "--config", cfg_path]) == 0
+            stepwise[cmd] = capsys.readouterr().out
         for name, blob in combined.items():
             assert Path(artifact(out, name)).read_bytes() == blob, name
+
+        # stdout: each stage's `wrote` lines in STAGES order, then its summary
+        assert combined_out == "".join(stepwise.values())
+        assert [line for line in combined_out.splitlines()
+                if line.startswith("wrote ")] == [
+            f"wrote {artifact(out, name)}"
+            for outputs in cli.STAGES.values() for name in outputs]
+        n_specs = len(read_json(out, "specs")["specs"])
+        n_patterns = len(read_text(out, "patterns").splitlines())
+        summaries = {"train": [], "fuzzify": [f"{n_specs} specs"],
+                     "mine": [f"{n_patterns} patterns"],
+                     "report": ["baseline trees reused: " + ", ".join(
+                         f"top-{i} 5/5" for i in range(1, 6))]}
+        assert list(stepwise) == list(cli.STAGES)
+        for cmd, text in stepwise.items():
+            assert text.splitlines() == [
+                f"wrote {artifact(out, name)}" for name in cli.STAGES[cmd]
+            ] + summaries[cmd], cmd
+
+    def test_manifest_records_the_bytes_of_every_artifact(self, tmp_path):
+        cfg_path, out = make_project(tmp_path)
+        assert cli.main(["pipeline", "--config", cfg_path]) == 0
+        names = [name for name in cli.ARTIFACTS if name != "config"]
+        assert len(names) == 9
+        assert read_json(out, "config")["artifacts"] == {
+            cli.ARTIFACTS[name]: sha256_of(out, name) for name in names}
 
     def test_failed_retrain_exits_2_and_leaves_no_worker(self, tmp_path,
                                                          monkeypatch, capsys):
@@ -1089,6 +1135,26 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert os.path.exists(artifact(out, "model"))
     assert "wrote" in proc.stdout
+
+
+def test_tracer_sees_every_stage(tmp_path):
+    # the bench's tracer wraps the cmd_* functions by name, under every
+    # name and dict value that holds them; a runner that calls the stage
+    # bodies some other way leaves the stage spans out
+    cfg_path, _ = make_project(tmp_path)
+    spans_path = tmp_path / "spans.json"
+    tracer = Path(__file__).parent.parent / "bench" / "trace_pipeline.py"
+    proc = subprocess.run(
+        [sys.executable, str(tracer), "--config", cfg_path,
+         "--spans", str(spans_path)],
+        capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(spans_path.read_text(encoding="utf-8"))
+    assert [s["name"] for s in doc["spans"]
+            if s["name"].startswith("stage.")] == [
+        "stage.train", "stage.fuzzify", "stage.mine", "stage.report"]
+    assert not [name for name in doc["absent"]
+                if name.startswith("hafcp.cli.")]
 
 
 def test_import_loads_no_pool_or_ctypes():

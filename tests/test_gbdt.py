@@ -298,11 +298,9 @@ class TestImportance:
 
 
 class TestImportanceCsv:
-    def test_roundtrip(self, tmp_path):
-        path = str(tmp_path / "imp.csv")
+    def test_roundtrip(self):
         table = ImportanceTable("gain", {"Age": 0.5, "Spending": 0.3})
-        gbdt.write_importance(table, path)
-        loaded = gbdt.load_importance(path)
+        loaded = gbdt.parse_importance(gbdt.importance_text(table), "imp.csv")
         assert loaded.scores == table.scores
         assert loaded.method == "external"
 
@@ -344,13 +342,10 @@ class TestImportanceCsv:
 
 
 class TestModelIo:
-    def test_roundtrip_preserves_predictions_exactly(self, tmp_path):
+    def test_roundtrip_preserves_predictions_exactly(self):
         ds = random_labeled(120, 3, seed=9)
         model = gbdt.train(ds, BoostParams(n_estimators=7))
-        path = str(tmp_path / "model.json")
-        gbdt.save_model(model, path)
-        with open(path, encoding="utf-8") as f:
-            loaded = BoostedModel.from_dict(json.load(f))
+        loaded = BoostedModel.from_dict(json.loads(gbdt.model_text(model)))
         assert np.array_equal(gbdt.predict_margin(model, ds),
                               gbdt.predict_margin(loaded, ds))
         assert loaded.to_dict() == model.to_dict()

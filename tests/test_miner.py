@@ -1,7 +1,6 @@
 import gc
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,8 +27,8 @@ from hafcp.miner import (
     build_transactions,
     mine_topk,
     parse_patterns,
+    patterns_text,
     render_patterns_table,
-    write_patterns,
 )
 
 from conftest import TINY_PROFITS, build_tiny_frame
@@ -419,20 +418,17 @@ def read_back(path: str) -> list[Pattern]:
 
 
 class TestPatternIo:
-    def test_jsonl_roundtrip(self, tmp_path):
+    def test_jsonl_roundtrip(self):
         db, pt = tiny_db()
         patterns = mine_topk(db, pt, MiningConfig(k=5))
-        path = str(tmp_path / "patterns.jsonl")
-        write_patterns(patterns, path)
-        assert read_back(path) == patterns
-        lines = Path(path).read_text(encoding="utf-8").strip().split("\n")
+        text = patterns_text(patterns)
+        assert parse_patterns(text, "patterns.jsonl") == patterns
+        lines = text.strip().split("\n")
         assert len(lines) == 5
         assert json.loads(lines[0])["items"] == ["Age_L", "Spend_M"]
 
-    def test_empty_roundtrip(self, tmp_path):
-        path = str(tmp_path / "patterns.jsonl")
-        write_patterns([], path)
-        assert read_back(path) == []
+    def test_empty_roundtrip(self):
+        assert parse_patterns(patterns_text([]), "patterns.jsonl") == []
 
     def test_parse_error_carries_line_number(self, tmp_path):
         p = tmp_path / "patterns.jsonl"
